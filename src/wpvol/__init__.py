@@ -1,7 +1,10 @@
 """Exact Weil-Petersson volume polynomials via Mirzakhani's recursion,
 tautological intersection numbers extracted from their coefficients, and
 verification suites for the string, dilaton, Virasoro (DVV) and
-boundary-removal identities."""
+boundary-removal identities.
+
+The numpy quadrature oracle is not imported here; use ``wpvol.oracle``.
+"""
 
 __version__ = "0.1.0"
 
@@ -44,14 +47,6 @@ from .intersect import (
     volume_coefficient,
     zograf_ratio,
 )
-from .oracle import (
-    QuadResult,
-    QuadratureSpec,
-    kernel_identity_report,
-    moment_validation_report,
-    quad_double_moment,
-    quad_moment,
-)
 
 __all__ = [
     "__version__",
@@ -93,10 +88,4 @@ __all__ = [
     "compact_volume",
     "zograf_ratio",
     "run_relation_suite",
-    "QuadResult",
-    "QuadratureSpec",
-    "quad_moment",
-    "quad_double_moment",
-    "kernel_identity_report",
-    "moment_validation_report",
 ]

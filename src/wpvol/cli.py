@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -32,7 +33,6 @@ from .intersect import (
     zograf_ratio,
 )
 from .lpoly import LPoly
-from .oracle import kernel_identity_report, moment_validation_report
 from .recursion import InvariantViolation, VolumeTable, is_stable, moduli_dim
 
 CACHE_FORMAT = "wp-volume-table"
@@ -112,6 +112,26 @@ def render_lpoly_latex(p: LPoly) -> str:
 # cache file
 
 
+@contextmanager
+def _atomic_write(path: str):
+    """A text file that replaces ``path`` only once it is completely
+    written: a reader never sees a partial file, and concurrent writers
+    never interleave."""
+    tmp = os.path.join(
+        os.path.dirname(os.path.abspath(path)),
+        f".{os.path.basename(path)}.{os.getpid()}.tmp",
+    )
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_cache(table: VolumeTable, path: str) -> None:
     payload = {
         "format": CACHE_FORMAT,
@@ -120,34 +140,57 @@ def save_cache(table: VolumeTable, path: str) -> None:
         "convention": CONVENTION,
         "entries": table.to_entries(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_write(path) as fh:
+        # streamed: joining the text first adds about 12 MB to the peak
+        # memory of a dimension-6 build
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
 def load_cache(path: str, validate: bool = True) -> VolumeTable:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CACHE_FORMAT or payload.get("version") != CACHE_VERSION:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"{path}: not a JSON file: {exc}") from None
+    if (
+        not isinstance(payload, dict)
+        or payload.get("format") != CACHE_FORMAT
+        or payload.get("version") != CACHE_VERSION
+    ):
         raise UsageError(f"{path}: not a recognized volume table cache")
     if payload.get("convention") != CONVENTION:
         raise UsageError(
             f"{path}: cache written under convention "
             f"{payload.get('convention')!r}, expected {CONVENTION!r}"
         )
-    return VolumeTable.from_entries(payload["entries"], validate=validate)
+    entries = payload.get("entries")
+    if not isinstance(entries, dict):
+        raise UsageError(f"{path}: cache has no 'entries' table")
+    try:
+        return VolumeTable.from_entries(entries, validate=validate)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: malformed cache entry: {exc!r}") from None
 
 
-def _open_table(args) -> VolumeTable:
-    path = args.cache or os.environ.get("WPVOL_CACHE")
-    if path and os.path.exists(path):
-        return load_cache(path)
-    return VolumeTable()
+def _check_parent_dir(path: str) -> None:
+    # fail before any computation, not when the result is written
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise UsageError(f"{path}: directory {parent} does not exist")
 
 
-def _close_table(table: VolumeTable, args) -> None:
+@contextmanager
+def _cached_table(args):
+    """The command's volume table, loaded from the cache file if there is
+    one; written back, atomically, only when the command added entries."""
     path = args.cache or os.environ.get("WPVOL_CACHE")
     if path:
+        _check_parent_dir(path)
+    table = load_cache(path) if path and os.path.exists(path) else VolumeTable()
+    known = len(table.signatures())
+    yield table
+    if path and len(table.signatures()) > known:
         save_cache(table, path)
 
 
@@ -174,10 +217,10 @@ def cmd_volume(args) -> int:
         raise UsageError("closed surfaces have no boundary polynomial; use 'compact'")
     if not is_stable(g, n):
         raise UsageError(f"({g},{n}) is not a stable signature")
-    table = _open_table(args)
-    poly = table.volume(g, n) if args.internal_convention else table.true_volume(g, n)
-    if args.lengths is not None:
-        values = _parse_lengths(args.lengths, n)
+    values = None if args.lengths is None else _parse_lengths(args.lengths, n)
+    with _cached_table(args) as table:
+        poly = table.volume(g, n) if args.internal_convention else table.true_volume(g, n)
+    if values is not None:
         exact = poly.eval_rational(values)
         if args.format == "json":
             print(
@@ -201,7 +244,6 @@ def cmd_volume(args) -> int:
         print(render_lpoly_latex(poly))
     else:
         print(render_lpoly_text(poly))
-    _close_table(table, args)
     return 0
 
 
@@ -213,7 +255,6 @@ def cmd_intersect(args) -> int:
         raise UsageError("alpha must have at least one entry")
     if not is_stable(g, n):
         raise UsageError(f"({g},{n}) is not a stable signature")
-    table = _open_table(args)
     d = moduli_dim(g, n)
     m = d - sum(alpha)
     if args.kappa is not None and args.kappa != m:
@@ -231,50 +272,51 @@ def cmd_intersect(args) -> int:
             file=sys.stderr,
         )
         return 0
-    value = intersection_number(table, g, alpha)
+    with _cached_table(args) as table:
+        value = intersection_number(table, g, alpha)
     print(f"kappa-normalized: {rat_to_str(value.kappa)}  (kappa_1 power {value.m})")
     print(f"omega-normalized: {render_pipoly_text(value.omega)}")
-    _close_table(table, args)
     return 0
 
 
 def cmd_compact(args) -> int:
     if args.g < 2:
         raise UsageError("closed-surface volumes need genus >= 2")
-    table = _open_table(args)
-    v = compact_volume(table, args.g)
+    with _cached_table(args) as table:
+        v = compact_volume(table, args.g)
     if args.format == "json":
         print(json.dumps({"g": args.g, "n": 0, "value": v.to_records()}, indent=2))
     elif args.format == "latex":
         print(render_pipoly_latex(v))
     else:
         print(render_pipoly_text(v))
-    _close_table(table, args)
     return 0
 
 
 def cmd_table(args) -> int:
-    table = _open_table(args)
-    table.ensure(args.max_dim, threads=args.threads)
-    save_cache(table, args.out)
+    _check_parent_dir(args.out)
+    with _cached_table(args) as table:
+        table.ensure(args.max_dim, threads=args.threads)
+        save_cache(table, args.out)
     print(f"wrote {len(table.signatures())} entries to {args.out}", file=sys.stderr)
-    _close_table(table, args)
     return 0
 
 
 def cmd_diag_zograf(args) -> int:
-    table = _open_table(args)
     n = args.n
-    print("# g  ratio V_{g,n}(0) / [(4 pi^2)^(2g+n-3) (2g+n-3)! / sqrt(g pi)]")
-    for g in range(1 if n >= 1 else 2, args.gmax + 1):
-        if not is_stable(g, n):
-            continue
-        print(f"{g}  {zograf_ratio(table, g, n):.6f}")
-    _close_table(table, args)
+    with _cached_table(args) as table:
+        print("# g  ratio V_{g,n}(0) / [(4 pi^2)^(2g+n-3) (2g+n-3)! / sqrt(g pi)]")
+        for g in range(1 if n >= 1 else 2, args.gmax + 1):
+            if not is_stable(g, n):
+                continue
+            print(f"{g}  {zograf_ratio(table, g, n):.6f}")
     return 0
 
 
 def _kernel_suite() -> list[dict]:
+    # imported here so that only the oracle suite loads numpy
+    from .oracle import kernel_identity_report, moment_validation_report
+
     return moment_validation_report() + kernel_identity_report()
 
 
@@ -295,29 +337,28 @@ def cmd_verify(args) -> int:
                 )
 
     if args.relation != "kernels":
-        table = _open_table(args)
-        table.ensure(args.max_dim, threads=args.threads)
         relations = RELATIONS if args.relation == "all" else (args.relation,)
-        for rel in relations:
-            records = run_relation_suite(table, rel, args.max_dim)
-            for rec in records:
-                failures += 0 if rec.passed else 1
-                if args.format == "json":
-                    results_json.append(rec.to_json())
-                else:
-                    status = "PASS" if rec.passed else "FAIL"
-                    where = f"g={rec.g} n={rec.n}"
-                    if rec.alpha is not None:
-                        where += f" alpha={list(rec.alpha)}"
-                    line = f"{rec.relation} {status} {where}"
-                    if not rec.passed:
-                        line += f" lhs={rec.lhs} rhs={rec.rhs}"
-                    print(line)
-            print(
-                f"# {rel}: {sum(r.passed for r in records)}/{len(records)} passed",
-                file=sys.stderr,
-            )
-        _close_table(table, args)
+        with _cached_table(args) as table:
+            table.ensure(args.max_dim, threads=args.threads)
+            for rel in relations:
+                records = run_relation_suite(table, rel, args.max_dim)
+                for rec in records:
+                    failures += 0 if rec.passed else 1
+                    if args.format == "json":
+                        results_json.append(rec.to_json())
+                    else:
+                        status = "PASS" if rec.passed else "FAIL"
+                        where = f"g={rec.g} n={rec.n}"
+                        if rec.alpha is not None:
+                            where += f" alpha={list(rec.alpha)}"
+                        line = f"{rec.relation} {status} {where}"
+                        if not rec.passed:
+                            line += f" lhs={rec.lhs} rhs={rec.rhs}"
+                        print(line)
+                print(
+                    f"# {rel}: {sum(r.passed for r in records)}/{len(records)} passed",
+                    file=sys.stderr,
+                )
 
     if args.format == "json":
         print(json.dumps(results_json, indent=2))
@@ -406,6 +447,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except InvariantViolation as exc:
         print(f"error: rejected invalid table data: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

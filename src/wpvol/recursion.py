@@ -23,6 +23,14 @@ V_{1,1} = pi^2/12 + L^2/48.  The halving accounts for the elliptic
 involution; the recursion consumes the halved value everywhere, and
 :meth:`VolumeTable.true_volume` doubles only the (1,1) report.
 
+Each term computes on plain rationals.  Volumes and kernel moments are
+homogeneous in (L^2, pi^2), so the coefficient of L^(2 alpha) in V_{g,n}
+or in its derivative is q * pi^(2(3g-3+n-|alpha|)): the terms read their
+inputs as (alpha, q) pairs, multiply and add rationals only, and attach
+the implied pi power once per output term.  The double moment is applied
+through its Beta reduction to F_{2(a+b)+3}, so input products are summed
+per (a + b, remaining exponents) before F is expanded.
+
 Every computed entry is validated on the spot: label symmetry, the
 pi-homogeneity of each coefficient (a single positive rational multiple
 of pi^(2(3g-3+n-|alpha|))), and the degree bound |alpha| <= 3g-3+n.  A
@@ -33,10 +41,11 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Iterator, Tuple
 
 from .exact import PiPoly
-from .kernels import h_double_moment, h_moment, shift_symmetrize
+from .kernels import h_moment, shift_symmetrize
 from .lpoly import LPoly, MultiIndex
 
 __all__ = [
@@ -116,15 +125,70 @@ def stable_splittings(g: int, n: int) -> Tuple[Splitting, ...]:
     return tuple(out)
 
 
+def _rationals(p: LPoly, weight: int) -> list[Tuple[MultiIndex, Fraction]]:
+    """The terms of p as (alpha, q) pairs, where the coefficient of
+    L^(2 alpha) is q * pi^(2(weight - |alpha|)).
+
+    Volumes (weight 3g-3+n) and kernel moments (weight k+1 for F_{2k+1})
+    are homogeneous in (L^2, pi^2), so the pi power is implied by the
+    degree; a coefficient that is not that single monomial is a logic bug.
+    """
+    out = []
+    for alpha, c in p.items():
+        mono = c.as_monomial()
+        if mono is None or mono[0] != weight - sum(alpha):
+            raise InvariantViolation(
+                f"coefficient of {alpha} is not a multiple of "
+                f"pi^{2 * (weight - sum(alpha))}"
+            )
+        out.append((alpha, mono[1]))
+    return out
+
+
+def _from_rationals(n: int, weight: int, acc: dict[MultiIndex, Fraction]) -> LPoly:
+    """Inverse of :func:`_rationals`: attach the implied pi power to each term."""
+    return LPoly(
+        n, {alpha: PiPoly.monomial(weight - sum(alpha), q) for alpha, q in acc.items()}
+    )
+
+
 @lru_cache(maxsize=None)
-def _shifted_moment(a: int) -> LPoly:
-    # (F_{2a+1}(L1 + Lj) + F_{2a+1}(L1 - Lj)) / 2, cached per exponent
-    return shift_symmetrize(h_moment(a))
+def _double_moment_rationals(s: int) -> Tuple[Tuple[int, Fraction], ...]:
+    # (m, f) with (1/2) G_{a,b}(t) = (2a+1)! (2b+1)! sum_m f t^(2m) pi^(2(s+2-m))
+    # for every a + b = s: the Beta reduction G_{a,b} = (2a+1)!(2b+1)!/(2s+3)!
+    # F_{2s+3} with the recursion's global 1/2 folded in
+    scale = Fraction(1, 2 * factorial(2 * s + 3))
+    return tuple((m, f * scale) for (m,), f in _rationals(h_moment(s + 1), s + 2))
 
 
-def _accumulate(acc: dict, key: MultiIndex, coeff: PiPoly) -> None:
+@lru_cache(maxsize=None)
+def _shifted_moment_rationals(a: int) -> Tuple[Tuple[int, int, Fraction], ...]:
+    # (r, s, f) for (F_{2a+1}(L1 + Lj) + F_{2a+1}(L1 - Lj)) / 2, whose
+    # L1^(2r) Lj^(2s) coefficient is f * pi^(2(a+1-r-s))
+    return tuple(
+        (r, s, f) for (r, s), f in _rationals(shift_symmetrize(h_moment(a)), a + 1)
+    )
+
+
+def _add(acc: dict, key, q: Fraction) -> None:
     prev = acc.get(key)
-    acc[key] = coeff if prev is None else prev + coeff
+    acc[key] = q if prev is None else prev + q
+
+
+def _apply_double_moment(
+    n: int, weight: int, sums: dict[MultiIndex, dict[int, Fraction]]
+) -> LPoly:
+    """Expand (1/2) G through F once per (a + b, rest) key.
+
+    ``sums[rest][s]`` holds sum q (2a+1)! (2b+1)! over the input products
+    x^2a y^2b with a + b = s and labels 2..n carrying exponents ``rest``.
+    """
+    acc: dict[MultiIndex, Fraction] = {}
+    for rest, row in sums.items():
+        for s, x in row.items():
+            for m, f in _double_moment_rationals(s):
+                _add(acc, (m,) + rest, x * f)
+    return _from_rationals(n, weight, acc)
 
 
 def a_con_term(g: int, n: int, table: "VolumeTable") -> LPoly:
@@ -136,41 +200,51 @@ def a_con_term(g: int, n: int, table: "VolumeTable") -> LPoly:
     if g < 1 or not is_stable(g - 1, n + 1):
         return LPoly.zero(n)
     w = table.volume(g - 1, n + 1)
-    half = Fraction(1, 2)
-    acc: dict[MultiIndex, PiPoly] = {}
-    for alpha, c in w.items():
-        a, b, rest = alpha[0], alpha[1], alpha[2:]
-        scaled = c * half
-        for (kt,), cg in h_double_moment(a, b).items():
-            _accumulate(acc, (kt,) + rest, scaled * cg)
-    return LPoly(n, acc)
+    sums: dict[MultiIndex, dict[int, Fraction]] = {}
+    for alpha, q in _rationals(w, moduli_dim(g - 1, n + 1)):
+        a, b = alpha[0], alpha[1]
+        row = sums.setdefault(alpha[2:], {})
+        _add(row, a + b, q * (factorial(2 * a + 1) * factorial(2 * b + 1)))
+    return _apply_double_moment(n, moduli_dim(g, n), sums)
+
+
+def _by_rest(p: LPoly, weight: int) -> list[Tuple[MultiIndex, list]]:
+    # terms x^2a m(rest) of a volume, grouped by rest as (a, q (2a+1)!) lists
+    groups: dict[MultiIndex, list] = {}
+    for alpha, q in _rationals(p, weight):
+        a = alpha[0]
+        groups.setdefault(alpha[1:], []).append((a, q * factorial(2 * a + 1)))
+    return list(groups.items())
 
 
 def a_dcon_term(g: int, n: int, table: "VolumeTable") -> LPoly:
     """Disconnected pants-removal term: ordered stable splittings with the
     global 1/2 prefactor, products taken over disjoint label sets."""
-    half = Fraction(1, 2)
-    acc: dict[MultiIndex, PiPoly] = {}
+    pieces: dict[Tuple[int, int], list] = {}
+
+    def piece(gi: int, ni: int) -> list:
+        if (gi, ni) not in pieces:
+            pieces[(gi, ni)] = _by_rest(table.volume(gi, ni), moduli_dim(gi, ni))
+        return pieces[(gi, ni)]
+
+    sums: dict[MultiIndex, dict[int, Fraction]] = {}
+    base = [0] * (n - 1)  # exponents of L_2 .. L_n
     for (g1, i1), (g2, i2) in stable_splittings(g, n):
-        w1 = table.volume(g1, len(i1) + 1)
-        w2 = table.volume(g2, len(i2) + 1)
-        pos1 = [lab - 1 for lab in i1]
-        pos2 = [lab - 1 for lab in i2]
-        for alpha1, c1 in w1.items():
-            a, rest1 = alpha1[0], alpha1[1:]
-            c1h = c1 * half
-            for alpha2, c2 in w2.items():
-                b, rest2 = alpha2[0], alpha2[1:]
-                coeff = c1h * c2
-                base = [0] * n
-                for p, e in zip(pos1, rest1):
-                    base[p] = e
+        terms1 = piece(g1, len(i1) + 1)
+        terms2 = piece(g2, len(i2) + 1)
+        pos1 = [lab - 2 for lab in i1]
+        pos2 = [lab - 2 for lab in i2]
+        for rest1, p1 in terms1:
+            for p, e in zip(pos1, rest1):
+                base[p] = e
+            for rest2, p2 in terms2:
                 for p, e in zip(pos2, rest2):
                     base[p] = e
-                for (kt,), cg in h_double_moment(a, b).items():
-                    base[0] = kt
-                    _accumulate(acc, tuple(base), coeff * cg)
-    return LPoly(n, acc)
+                row = sums.setdefault(tuple(base), {})
+                for a, x in p1:
+                    for b, y in p2:
+                        _add(row, a + b, x * y)
+    return _apply_double_moment(n, moduli_dim(g, n), sums)
 
 
 def b_term(g: int, n: int, table: "VolumeTable") -> LPoly:
@@ -179,20 +253,18 @@ def b_term(g: int, n: int, table: "VolumeTable") -> LPoly:
     if n < 2:
         return LPoly.zero(n)
     w = table.volume(g, n - 1)
-    acc: dict[MultiIndex, PiPoly] = {}
-    for pj in range(1, n):  # slot of L_j, j = 2..n
-        others = [p for p in range(1, n) if p != pj]
-        for alpha, c in w.items():
-            a, rest = alpha[0], alpha[1:]
-            base = [0] * n
-            for p, e in zip(others, rest):
-                base[p] = e
-            for (r, s), cs in _shifted_moment(a).items():
-                key = list(base)
-                key[0] = r
-                key[pj] = s
-                _accumulate(acc, tuple(key), c * cs)
-    return LPoly(n, acc)
+    # the contribution of j = 2, keyed (r, s) + rest; every other j places
+    # the same values with s moved to the slot of L_j
+    first: dict[MultiIndex, Fraction] = {}
+    for alpha, q in _rationals(w, moduli_dim(g, n - 1)):
+        rest = alpha[1:]
+        for r, s, f in _shifted_moment_rationals(alpha[0]):
+            _add(first, (r, s) + rest, q * f)
+    acc = dict(first)
+    for pj in range(2, n):
+        for key, x in first.items():
+            _add(acc, (key[0],) + key[2 : pj + 1] + (key[1],) + key[pj + 1 :], x)
+    return _from_rationals(n, moduli_dim(g, n), acc)
 
 
 def validate_volume(g: int, n: int, p: LPoly) -> None:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -183,3 +186,100 @@ def test_cache_speeds_reuse(tmp_path, capsys):
     run(capsys, "table", "--max-dim", "3", "--out", str(path))
     code, out, _ = run(capsys, "volume", "1", "2", "--cache", str(path))
     assert code == 0 and "1/4*pi^4" in out
+
+
+def test_cache_untouched_by_warm_query(tmp_path, capsys):
+    path = tmp_path / "cache.json"
+    run(capsys, "table", "--max-dim", "3", "--out", str(path))
+    before = path.read_bytes(), path.stat().st_mtime_ns
+    code, out, _ = run(capsys, "volume", "1", "2", "--cache", str(path))
+    assert code == 0 and "1/4*pi^4" in out
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+    assert os.listdir(tmp_path) == ["cache.json"]
+
+
+def test_cache_rewritten_when_query_adds_entries(tmp_path, capsys):
+    path = tmp_path / "cache.json"
+    run(capsys, "table", "--max-dim", "1", "--out", str(path))
+    assert "1,3" not in json.loads(path.read_text())["entries"]
+    code, _, _ = run(capsys, "volume", "1", "3", "--cache", str(path))
+    assert code == 0
+    assert "1,3" in json.loads(path.read_text())["entries"]
+    assert os.listdir(tmp_path) == ["cache.json"]
+
+
+def test_table_out_leaves_no_temporary_file(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text("stale")
+    code, _, _ = run(capsys, "table", "--max-dim", "2", "--out", str(path))
+    assert code == 0 and json.loads(path.read_text())["entries"]
+    assert os.listdir(tmp_path) == ["table.json"]
+
+
+def assert_one_line_error(code, err, *words):
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(w in err for w in words)
+
+
+def test_cache_without_entries_rejected(tmp_path, capsys):
+    path = tmp_path / "cache.json"
+    run(capsys, "table", "--max-dim", "1", "--out", str(path))
+    payload = json.loads(path.read_text())
+    del payload["entries"]
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "volume", "0", "3", "--cache", str(path))
+    assert_one_line_error(code, err, "entries")
+
+
+def test_cache_holding_a_list_rejected(tmp_path, capsys):
+    path = tmp_path / "cache.json"
+    path.write_text("[]")
+    code, _, err = run(capsys, "volume", "0", "3", "--cache", str(path))
+    assert_one_line_error(code, err, "not a recognized")
+
+
+def test_cache_with_malformed_records_rejected(tmp_path, capsys):
+    path = tmp_path / "cache.json"
+    run(capsys, "table", "--max-dim", "1", "--out", str(path))
+    payload = json.loads(path.read_text())
+    payload["entries"]["0,3"] = [{"alpha": [0, 0, 0]}]
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "volume", "0", "3", "--cache", str(path))
+    assert_one_line_error(code, err, "malformed")
+    path.write_text("{not json")
+    code, _, err = run(capsys, "volume", "0", "3", "--cache", str(path))
+    assert_one_line_error(code, err, "not a JSON file")
+
+
+def test_cache_in_missing_directory_rejected_before_work(tmp_path, capsys, monkeypatch):
+    from wpvol.recursion import VolumeTable
+
+    def no_work(*args):
+        raise AssertionError("the table was built before the path was checked")
+
+    monkeypatch.setattr(VolumeTable, "volume", no_work)
+    monkeypatch.setattr(VolumeTable, "ensure", no_work)
+    path = tmp_path / "missing" / "cache.json"
+    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_one_line_error(code, err, "does not exist")
+    code, _, err = run(capsys, "table", "--max-dim", "2", "--out", str(path))
+    assert_one_line_error(code, err, "does not exist")
+
+
+def test_unwritable_output_maps_to_usage_error(tmp_path, capsys):
+    # the output path is a directory: the write fails with an OSError
+    path = tmp_path / "table.json"
+    path.mkdir()
+    code, _, err = run(capsys, "table", "--max-dim", "1", "--out", str(path))
+    assert_one_line_error(code, err)
+
+
+def test_import_cli_does_not_load_numpy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, wpvol.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

@@ -1,12 +1,14 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from wpvol.exact import PiPoly
-from wpvol.kernels import h_moment
+from wpvol.kernels import h_double_moment, h_moment, shift_symmetrize
 from wpvol.lpoly import LPoly
 from wpvol.recursion import (
+    BASE_SIGNATURES,
     InvariantViolation,
     VolumeTable,
     a_con_term,
@@ -271,3 +273,100 @@ def test_from_entries_revalidates():
     bad = {"0,3": [{"alpha": [0, 0, 0], "pi_power": 0, "coeff": "-1"}]}
     with pytest.raises(InvariantViolation):
         VolumeTable.from_entries(bad)
+
+
+# ----------------------------------------------------------------------
+# differential check of the terms against a direct Q[pi^2] evaluation
+
+
+def _add(acc, key, coeff):
+    prev = acc.get(key)
+    acc[key] = coeff if prev is None else prev + coeff
+
+
+def reference_a_con(g, n, table):
+    """A^con term by term: (1/2) c G_{a,b}(L_1), G from h_double_moment."""
+    if g < 1 or not is_stable(g - 1, n + 1):
+        return LPoly.zero(n)
+    acc = {}
+    for alpha, c in table.volume(g - 1, n + 1).items():
+        for (kt,), cg in h_double_moment(alpha[0], alpha[1]).items():
+            _add(acc, (kt,) + alpha[2:], c * Fraction(1, 2) * cg)
+    return LPoly(n, acc)
+
+
+def reference_a_dcon(g, n, table):
+    """A^dcon over every pair of terms of every ordered stable splitting."""
+    acc = {}
+    for (g1, i1), (g2, i2) in stable_splittings(g, n):
+        w1 = table.volume(g1, len(i1) + 1)
+        w2 = table.volume(g2, len(i2) + 1)
+        for alpha1, c1 in w1.items():
+            for alpha2, c2 in w2.items():
+                base = [0] * n
+                for lab, e in zip(i1, alpha1[1:]):
+                    base[lab - 1] = e
+                for lab, e in zip(i2, alpha2[1:]):
+                    base[lab - 1] = e
+                for (kt,), cg in h_double_moment(alpha1[0], alpha2[0]).items():
+                    base[0] = kt
+                    _add(acc, tuple(base), c1 * Fraction(1, 2) * c2 * cg)
+    return LPoly(n, acc)
+
+
+def reference_b(g, n, table):
+    """B with the shifted moment placed in (L_1, L_j) for every j >= 2."""
+    if n < 2:
+        return LPoly.zero(n)
+    acc = {}
+    for pj in range(1, n):
+        others = [p for p in range(1, n) if p != pj]
+        for alpha, c in table.volume(g, n - 1).items():
+            for (r, s), cs in shift_symmetrize(h_moment(alpha[0])).items():
+                key = [0] * n
+                for p, e in zip(others, alpha[1:]):
+                    key[p] = e
+                key[0], key[pj] = r, s
+                _add(acc, tuple(key), c * cs)
+    return LPoly(n, acc)
+
+
+@pytest.fixture(scope="module")
+def table5():
+    t = VolumeTable()
+    t.ensure(5)
+    return t
+
+
+@pytest.mark.parametrize(
+    "sig", [s for s in iter_signatures(5) if s not in BASE_SIGNATURES]
+)
+@pytest.mark.parametrize(
+    "term, reference",
+    [
+        (a_con_term, reference_a_con),
+        (a_dcon_term, reference_a_dcon),
+        (b_term, reference_b),
+    ],
+    ids=["a_con", "a_dcon", "b"],
+)
+def test_terms_match_direct_evaluation(table5, sig, term, reference):
+    assert term(*sig, table5) == reference(*sig, table5)
+
+
+def test_table_to_dimension_five_golden_digest(table5):
+    # sha256 of the serialized dimension-5 table, recorded from the
+    # Q[pi^2] implementation of the recursion terms
+    digest = hashlib.sha256(serialized(table5).encode()).hexdigest()
+    assert digest == "145c7b2247a3855e883b822c604ba0db4498f5ae7a8f18da5daa50a91c9dec57"
+
+
+def test_term_rejects_non_monomial_input():
+    # V_{0,3} = 1 + pi^2 mixes pi powers in one coefficient
+    records = [
+        {"alpha": [0, 0, 0], "pi_power": 0, "coeff": "1"},
+        {"alpha": [0, 0, 0], "pi_power": 2, "coeff": "1"},
+    ]
+    t = VolumeTable.from_entries({"0,3": records}, validate=False)
+    with pytest.raises(InvariantViolation):
+        b_term(0, 4, t)
