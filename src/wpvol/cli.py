@@ -50,17 +50,6 @@ class UsageError(Exception):
 # rendering
 
 
-def _pi_part_text(k: int, q: Fraction) -> str:
-    if k == 0:
-        return str(q)
-    piece = f"pi^{2 * k}"
-    return piece if q == 1 else f"{q}*{piece}"
-
-
-def render_pipoly_text(p: PiPoly) -> str:
-    return p.as_str()
-
-
 def render_pipoly_latex(p: PiPoly) -> str:
     if p.is_zero():
         return "0"
@@ -79,33 +68,26 @@ def _monomial_text(alpha) -> str:
     return " ".join(f"L{i + 1}^{2 * a}" for i, a in enumerate(alpha) if a)
 
 
-def render_lpoly_text(p: LPoly) -> str:
+def _monomial_latex(alpha) -> str:
+    return " ".join(f"L_{{{i + 1}}}^{{{2 * a}}}" for i, a in enumerate(alpha) if a)
+
+
+def _render_lpoly(p: LPoly, render_coeff, render_mono, joiner: str) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for alpha, c in p.sorted_items():
-        mono = _monomial_text(alpha)
-        for k, q in c.items():
-            head = _pi_part_text(k, q)
-            parts.append(f"{head}*{mono}" if mono else head)
+    for alpha, _ in p.sorted_items():
+        head, mono = render_coeff(p.pi_coefficient(alpha)), render_mono(alpha)
+        parts.append(f"{head}{joiner}{mono}" if mono else head)
     return " + ".join(parts)
+
+
+def render_lpoly_text(p: LPoly) -> str:
+    return _render_lpoly(p, PiPoly.as_str, _monomial_text, "*")
 
 
 def render_lpoly_latex(p: LPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for alpha, c in p.sorted_items():
-        mono = " ".join(f"L_{{{i + 1}}}^{{{2 * a}}}" for i, a in enumerate(alpha) if a)
-        for k, q in c.items():
-            coeff = (
-                str(q.numerator)
-                if q.denominator == 1
-                else rf"\frac{{{q.numerator}}}{{{q.denominator}}}"
-            )
-            pi = rf"\pi^{{{2 * k}}}" if k else ""
-            parts.append(" ".join(x for x in (coeff + pi, mono) if x))
-    return " + ".join(parts)
+    return _render_lpoly(p, render_pipoly_latex, _monomial_latex, " ")
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +129,7 @@ def save_cache(table: VolumeTable, path: str) -> None:
         fh.write("\n")
 
 
-def load_cache(path: str, validate: bool = True) -> VolumeTable:
+def load_cache(path: str) -> VolumeTable:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -168,7 +150,7 @@ def load_cache(path: str, validate: bool = True) -> VolumeTable:
     if not isinstance(entries, dict):
         raise UsageError(f"{path}: cache has no 'entries' table")
     try:
-        return VolumeTable.from_entries(entries, validate=validate)
+        return VolumeTable.from_entries(entries)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path}: malformed cache entry: {exc!r}") from None
 
@@ -236,7 +218,7 @@ def cmd_volume(args) -> int:
                 )
             )
         else:
-            render = render_pipoly_latex if args.format == "latex" else render_pipoly_text
+            render = render_pipoly_latex if args.format == "latex" else PiPoly.as_str
             print(f"{render(exact)} = {exact.to_float():.12g}")
     elif args.format == "json":
         print(json.dumps({"g": g, "n": n, "terms": poly.to_records()}, indent=2))
@@ -275,7 +257,7 @@ def cmd_intersect(args) -> int:
     with _cached_table(args) as table:
         value = intersection_number(table, g, alpha)
     print(f"kappa-normalized: {rat_to_str(value.kappa)}  (kappa_1 power {value.m})")
-    print(f"omega-normalized: {render_pipoly_text(value.omega)}")
+    print(f"omega-normalized: {value.omega.as_str()}")
     return 0
 
 
@@ -289,14 +271,14 @@ def cmd_compact(args) -> int:
     elif args.format == "latex":
         print(render_pipoly_latex(v))
     else:
-        print(render_pipoly_text(v))
+        print(v.as_str())
     return 0
 
 
 def cmd_table(args) -> int:
     _check_parent_dir(args.out)
     with _cached_table(args) as table:
-        table.ensure(args.max_dim, threads=args.threads)
+        table.ensure(args.max_dim)
         save_cache(table, args.out)
     print(f"wrote {len(table.signatures())} entries to {args.out}", file=sys.stderr)
     return 0
@@ -339,7 +321,7 @@ def cmd_verify(args) -> int:
     if args.relation != "kernels":
         relations = RELATIONS if args.relation == "all" else (args.relation,)
         with _cached_table(args) as table:
-            table.ensure(args.max_dim, threads=args.threads)
+            table.ensure(args.max_dim)
             for rel in relations:
                 records = run_relation_suite(table, rel, args.max_dim)
                 for rec in records:
@@ -378,9 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"wpvol {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cache", help="path of a persistent table cache (JSON)")
-    common.add_argument(
-        "--threads", type=int, default=1, help="worker threads for table builds"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("volume", parents=[common], help="print a volume polynomial")

@@ -148,12 +148,6 @@ class PiPoly:
         [(k, q)] = self._terms.items()
         return k, q
 
-    def pi_degree(self) -> int:
-        """Degree in pi (an even integer); -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return 2 * max(self._terms)
-
     # ------------------------------------------------------------------
     # ring operations
 

@@ -96,7 +96,7 @@ def volume_coefficient(
     alpha = tuple(alpha)
     if len(alpha) != n:
         raise ValueError("alpha must have one entry per boundary")
-    return table.true_volume(g, n).coefficient(alpha)
+    return table.true_volume(g, n).pi_coefficient(alpha)
 
 
 def intersection_number(
@@ -104,8 +104,8 @@ def intersection_number(
 ) -> IntersectionValue:
     """<psi^alpha omega^m> over Mbar_{g,n} with m = 3g-3+n-|alpha|.
 
-    The kappa-normalized value must come out a plain rational (pi-degree
-    zero after dividing by (2 pi^2)^m); anything else is a logic fault.
+    The coefficient of L^(2 alpha) is a rational multiple of pi^(2m), so
+    the kappa-normalized value (divided by (2 pi^2)^m) is a plain rational.
     """
     alpha = tuple(alpha)
     n = len(alpha)
@@ -114,33 +114,18 @@ def intersection_number(
     if total > d:
         return IntersectionValue(PiPoly.zero(), Fraction(0), 0)
     m = d - total
-    c = volume_coefficient(table, g, n, alpha)
-    delta = 1 if (g, n) == (1, 1) else 0
-    scale = Fraction(
-        2**total * prod(factorial(a) for a in alpha) * factorial(m), 2**delta
+    # the internal coefficient is the number over 2^|alpha| alpha! m!: the
+    # halved V_{1,1} absorbs the 2^(d11) of the true volume
+    q = table.volume(g, n).coefficient(alpha) * (
+        2**total * prod(factorial(a) for a in alpha) * factorial(m)
     )
-    omega = c * scale
-    if omega.is_zero():
-        return IntersectionValue(PiPoly.zero(), Fraction(0), m)
-    mono = omega.as_monomial()
-    if mono is None or mono[0] != m:
-        raise RuntimeError(
-            f"intersection number at g={g}, alpha={alpha} is not a rational "
-            f"multiple of (2 pi^2)^{m}: {omega!r}"
-        )
-    kappa = mono[1] / Fraction(2**m)
-    return IntersectionValue(omega, kappa, m)
+    return IntersectionValue(PiPoly.monomial(m, q), q / 2**m, m)
 
 
 def psi_correlator(table: VolumeTable, g: int, alpha: Sequence[int]) -> Rat:
     """<tau_{a_1} ... tau_{a_n}>_g, zero unless sum(alpha) = 3g - 3 + n
-    with (g, n) stable.  Symmetric in alpha; values are cached on the
-    table."""
-    key = (g, tuple(sorted(alpha)))
-    cached = table.psi_cache.get(key)
-    if cached is not None:
-        return cached
-    g, alpha = key
+    with (g, n) stable.  Symmetric in alpha."""
+    alpha = tuple(alpha)
     n = len(alpha)
     if (
         g < 0
@@ -149,11 +134,11 @@ def psi_correlator(table: VolumeTable, g: int, alpha: Sequence[int]) -> Rat:
         or any(a < 0 for a in alpha)
         or sum(alpha) != moduli_dim(g, n)
     ):
-        value = Fraction(0)
-    else:
-        value = intersection_number(table, g, alpha).kappa
-    table.psi_cache[key] = value
-    return value
+        return Fraction(0)
+    # the m = 0 case of intersection_number, without building the PiPoly
+    return table.volume(g, n).coefficient(alpha) * (
+        2 ** sum(alpha) * prod(factorial(a) for a in alpha)
+    )
 
 
 def genus0_correlator(alpha: Sequence[int]) -> Rat:
@@ -281,7 +266,8 @@ def _poly_str(p: LPoly) -> str:
     if p.is_zero():
         return "0"
     return "; ".join(
-        f"L^{list(alpha)}: {c.as_str()}" for alpha, c in p.sorted_items()
+        f"L^{list(alpha)}: {p.pi_coefficient(alpha).as_str()}"
+        for alpha, _ in p.sorted_items()
     )
 
 
@@ -291,7 +277,7 @@ def check_do_string(table: VolumeTable, g: int, n: int) -> CheckRecord:
     compared in the intersection-normalized convention with integration
     constant zero."""
     lhs = table.volume(g, n + 1).subst_two_pi_i(n)
-    rhs = LPoly.zero(n)
+    rhs = LPoly.zero(n, lhs.weight)
     v = table.volume(g, n)
     for j in range(n):
         rhs = rhs + v.antiderivative(j)
@@ -333,7 +319,7 @@ def zograf_ratio(table: VolumeTable, g: int, n: int) -> float:
 
     Informational only; the asymptotic regime is far beyond desk scale.
     """
-    value = table.true_volume(g, n).coefficient((0,) * n).to_float()
+    value = table.true_volume(g, n).pi_coefficient((0,) * n).to_float()
     m = 2 * g + n - 3
     predicted = (4 * math.pi**2) ** m * factorial(m) / math.sqrt(g * math.pi)
     return value / predicted

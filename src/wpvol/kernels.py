@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exact import PiPoly, zeta_even
+from .exact import zeta_even
 from .lpoly import LPoly
 
 __all__ = [
@@ -98,9 +98,8 @@ def kernel_r(x: float, y: float, z: float) -> float:
 def h_moment(k: int) -> LPoly:
     """Exact moment F_{2k+1}(t) = int_0^oo x^(2k+1) H(x, t) dx.
 
-    A one-variable even polynomial of degree 2k+2 in t whose t^0 term has
-    pi-degree 2k+2; every coefficient is a strictly positive rational
-    multiple of a power of pi.
+    A one-variable even polynomial of weight k+1: the t^(2m) coefficient
+    is a strictly positive rational multiple of pi^(2(k+1-m)).
     """
     if k < 0:
         raise ValueError("moment index must be non-negative")
@@ -108,11 +107,11 @@ def h_moment(k: int) -> LPoly:
     f = factorial(2 * k + 1)
     for i in range(k + 2):
         m = k + 1 - i
-        coeff = zeta_even(i) * Fraction(
+        # zeta(2i) is a rational multiple of pi^(2i), the power the weight implies
+        terms[(m,)] = zeta_even(i).coefficient(i) * Fraction(
             f * (2 ** (2 * i + 1) - 4), factorial(2 * m)
         )
-        terms[(m,)] = coeff
-    return LPoly(1, terms)
+    return LPoly(1, k + 1, terms)
 
 
 @lru_cache(maxsize=None)
@@ -138,15 +137,13 @@ def shift_symmetrize(f: LPoly) -> LPoly:
     """The bivariate even polynomial (F(a+b) + F(a-b)) / 2.
 
     Expanding binomially, odd cross powers cancel and each t^(2m) term of
-    F splits into sum_s C(2m, 2s) a^(2s) b^(2(m-s)).
+    F splits into sum_s C(2m, 2s) a^(2s) b^(2(m-s)); the weight is kept.
     """
     if f.n != 1:
         raise ValueError("expected a one-variable polynomial")
-    terms: dict[tuple[int, int], PiPoly] = {}
-    for (m,), c in f.items():
-        for s in range(m + 1):
-            key = (s, m - s)
-            p = c * comb(2 * m, 2 * s)
-            prev = terms.get(key)
-            terms[key] = p if prev is None else prev + p
-    return LPoly(2, terms)
+    terms = {
+        (s, m - s): q * comb(2 * m, 2 * s)
+        for (m,), q in f.items()
+        for s in range(m + 1)
+    }
+    return LPoly(2, f.weight, terms)

@@ -1,10 +1,17 @@
 """Sparse multivariate even polynomials in boundary lengths.
 
-An :class:`LPoly` over n variables represents an even polynomial
+An :class:`LPoly` over n variables with weight w represents an even
+polynomial homogeneous of weight w in (L^2, pi^2):
 
-    p(L_1, ..., L_n) = sum_alpha  c_alpha * L^(2 alpha),
+    p(L_1, ..., L_n) = sum_alpha  q_alpha * pi^(2(w - |alpha|)) * L^(2 alpha),
 
-with multi-index keys alpha = (a_1, ..., a_n) and coefficients in Q[pi^2].
+with multi-index keys alpha = (a_1, ..., a_n), |alpha| <= w, and plain
+rational coefficients q_alpha.  Volumes V_{g,n} have weight 3g-3+n and
+the kernel moment F_{2k+1} has weight k+1, so the power of pi never needs
+storing.  Every operation has a fixed effect on the weight: ``+`` needs
+equal weights and ``*`` adds them; differentiation lowers it by one and
+integration raises it by one.
+
 Only even polynomials are representable: an exponent vector alpha always
 means ``prod_i L_i^(2 a_i)``, so evenness is an invariant of the
 representation.  Odd intermediates such as L_1 * V or dV/dL_j are handled
@@ -22,7 +29,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .exact import PiPoly, Rat, rat_from_str, rat_to_str
 
-__all__ = ["MultiIndex", "LPoly", "mul_disjoint", "grlex_key"]
+__all__ = ["MultiIndex", "LPoly", "grlex_key"]
 
 MultiIndex = Tuple[int, ...]
 
@@ -33,21 +40,25 @@ def grlex_key(alpha: MultiIndex) -> Tuple[int, MultiIndex]:
 
 
 class LPoly:
-    """Even polynomial in L_1^2, ..., L_n^2 with PiPoly coefficients.
+    """Even polynomial in L_1^2, ..., L_n^2, homogeneous of a fixed weight
+    in (L^2, pi^2), stored as rational coefficients.
 
     Instances are immutable after construction; no stored coefficient is
-    zero and every key has length ``n``.
+    zero, every key has length ``n`` and no key exceeds the weight.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "weight", "_terms")
 
-    def __init__(self, n: int, terms: Optional[Mapping[MultiIndex, PiPoly]] = None):
+    def __init__(
+        self, n: int, weight: int, terms: Optional[Mapping[MultiIndex, Rat]] = None
+    ):
         if n < 0:
             raise ValueError("variable count must be non-negative")
         self.n = n
-        clean: dict[MultiIndex, PiPoly] = {}
+        self.weight = weight
+        clean: dict[MultiIndex, Fraction] = {}
         if terms:
-            for alpha, c in terms.items():
+            for alpha, q in terms.items():
                 alpha = tuple(int(a) for a in alpha)
                 if len(alpha) != n:
                     raise ValueError(
@@ -55,34 +66,28 @@ class LPoly:
                     )
                 if any(a < 0 for a in alpha):
                     raise ValueError(f"negative exponent in {alpha}")
-                if not isinstance(c, PiPoly):
-                    c = PiPoly.rational(c)
-                if c:
-                    clean[alpha] = c
+                if sum(alpha) > weight:
+                    raise ValueError(f"multi-index {alpha} exceeds the weight {weight}")
+                q = Fraction(q)
+                if q:
+                    clean[alpha] = q
         self._terms = clean
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
-    def zero(cls, n: int) -> "LPoly":
-        return cls(n)
-
-    @classmethod
-    def constant(cls, n: int, c: Union[PiPoly, Rat, int]) -> "LPoly":
-        if not isinstance(c, PiPoly):
-            c = PiPoly.rational(c)
-        return cls(n, {(0,) * n: c})
+    def zero(cls, n: int, weight: int) -> "LPoly":
+        return cls(n, weight)
 
     @classmethod
     def one(cls, n: int) -> "LPoly":
-        return cls.constant(n, 1)
+        return cls(n, 0, {(0,) * n: 1})
 
     @classmethod
-    def monomial(cls, n: int, alpha: Sequence[int], c: Union[PiPoly, Rat, int] = 1) -> "LPoly":
-        if not isinstance(c, PiPoly):
-            c = PiPoly.rational(c)
-        return cls(n, {tuple(alpha): c})
+    def monomial(cls, n: int, alpha: Sequence[int], q: Union[Rat, int] = 1) -> "LPoly":
+        """The pure length monomial q * L^(2 alpha), of weight |alpha|."""
+        return cls(n, sum(alpha), {tuple(alpha): q})
 
     # ------------------------------------------------------------------
     # inspection
@@ -96,16 +101,25 @@ class LPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def items(self) -> Iterator[Tuple[MultiIndex, PiPoly]]:
+    def items(self) -> Iterator[Tuple[MultiIndex, Fraction]]:
+        """(alpha, q) pairs; the term is q * pi^(2(weight - |alpha|)) L^(2 alpha)."""
         return iter(self._terms.items())
 
-    def sorted_items(self) -> list[Tuple[MultiIndex, PiPoly]]:
+    def sorted_items(self) -> list[Tuple[MultiIndex, Fraction]]:
         """Terms in canonical (graded lexicographic) order."""
         return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]))
 
-    def coefficient(self, alpha: Sequence[int]) -> PiPoly:
-        """Coefficient of L^(2 alpha); zero when the term is absent."""
-        return self._terms.get(tuple(alpha), PiPoly.zero())
+    def coefficient(self, alpha: Sequence[int]) -> Fraction:
+        """Rational part of the coefficient of L^(2 alpha); zero when absent."""
+        return self._terms.get(tuple(alpha), Fraction(0))
+
+    def pi_coefficient(self, alpha: Sequence[int]) -> PiPoly:
+        """The coefficient of L^(2 alpha) with its pi power, as a PiPoly."""
+        alpha = tuple(alpha)
+        q = self._terms.get(alpha)
+        if q is None:
+            return PiPoly.zero()
+        return PiPoly.monomial(self.weight - sum(alpha), q)
 
     def max_total_degree(self) -> int:
         """Largest |alpha| over stored terms; -1 for the zero polynomial."""
@@ -116,10 +130,10 @@ class LPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LPoly):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return (self.n, self.weight, self._terms) == (other.n, other.weight, other._terms)
 
     def __repr__(self) -> str:
-        return f"LPoly(n={self.n}, {len(self._terms)} terms)"
+        return f"LPoly(n={self.n}, weight={self.weight}, {len(self._terms)} terms)"
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -129,81 +143,43 @@ class LPoly:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("cannot add polynomials over different variable counts")
+        if self.weight != other.weight:
+            raise ValueError(
+                f"cannot add polynomials of weights {self.weight} and {other.weight}"
+            )
         terms = dict(self._terms)
-        for alpha, c in other._terms.items():
-            s = terms.get(alpha)
-            s = c if s is None else s + c
-            if s:
-                terms[alpha] = s
-            else:
-                terms.pop(alpha, None)
-        return self._wrap(self.n, terms)
+        for alpha, q in other._terms.items():
+            terms[alpha] = terms.get(alpha, 0) + q
+        return self._wrap(self.n, self.weight, terms)
 
-    def __neg__(self) -> "LPoly":
-        return self._wrap(self.n, {a: -c for a, c in self._terms.items()})
-
-    def __sub__(self, other: "LPoly") -> "LPoly":
-        if not isinstance(other, LPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c: Union[PiPoly, Rat, int]) -> "LPoly":
-        """Multiply every coefficient by the scalar c (rational or Q[pi^2])."""
-        if not isinstance(c, PiPoly):
-            c = PiPoly.rational(c)
-        if not c:
-            return LPoly.zero(self.n)
-        return self._wrap(self.n, {a: q * c for a, q in self._terms.items()})
+    def scale(self, c: Union[Rat, int]) -> "LPoly":
+        """Multiply every coefficient by the rational c."""
+        return self._wrap(self.n, self.weight, {a: q * c for a, q in self._terms.items()})
 
     def __mul__(self, other: "LPoly") -> "LPoly":
-        """Product of two even polynomials over the same variable list."""
+        """Product of two even polynomials over the same variable list; the
+        weights add."""
         if not isinstance(other, LPoly):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("cannot multiply polynomials over different variable counts")
-        terms: dict[MultiIndex, PiPoly] = {}
-        for a1, c1 in self._terms.items():
-            for a2, c2 in other._terms.items():
+        terms: dict[MultiIndex, Fraction] = {}
+        for a1, q1 in self._terms.items():
+            for a2, q2 in other._terms.items():
                 key = tuple(x + y for x, y in zip(a1, a2))
-                s = terms.get(key)
-                p = c1 * c2
-                s = p if s is None else s + p
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        return self._wrap(self.n, terms)
+                terms[key] = terms.get(key, 0) + q1 * q2
+        return self._wrap(self.n, self.weight + other.weight, terms)
 
     @staticmethod
-    def _wrap(n: int, terms: dict) -> "LPoly":
+    def _wrap(n: int, weight: int, terms: dict) -> "LPoly":
         out = LPoly.__new__(LPoly)
         out.n = n
-        out._terms = {a: c for a, c in terms.items() if c}
+        out.weight = weight
+        out._terms = {a: q for a, q in terms.items() if q}
         return out
 
     # ------------------------------------------------------------------
-    # embeddings and relabelling
-
-    def embed(self, n: int, positions: Sequence[int]) -> "LPoly":
-        """View this polynomial inside an n-variable ring.
-
-        ``positions[i]`` is the target slot of variable i; the injection
-        must be into distinct slots of range(n).
-        """
-        positions = list(positions)
-        if len(positions) != self.n:
-            raise ValueError("positions must list a slot for every variable")
-        if len(set(positions)) != len(positions):
-            raise ValueError("positions must be distinct")
-        if any(p < 0 or p >= n for p in positions):
-            raise ValueError("position out of range")
-        terms: dict[MultiIndex, PiPoly] = {}
-        for alpha, c in self._terms.items():
-            beta = [0] * n
-            for i, a in enumerate(alpha):
-                beta[positions[i]] = a
-            terms[tuple(beta)] = c
-        return self._wrap(n, terms)
+    # relabelling
 
     def permute(self, sigma: Sequence[int]) -> "LPoly":
         """Relabel variables: variable i is sent to slot sigma[i].
@@ -213,13 +189,13 @@ class LPoly:
         sigma = list(sigma)
         if sorted(sigma) != list(range(self.n)):
             raise ValueError("sigma must be a permutation of range(n)")
-        terms: dict[MultiIndex, PiPoly] = {}
-        for alpha, c in self._terms.items():
+        terms: dict[MultiIndex, Fraction] = {}
+        for alpha, q in self._terms.items():
             beta = [0] * self.n
             for i, a in enumerate(alpha):
                 beta[sigma[i]] = a
-            terms[tuple(beta)] = c
-        return self._wrap(self.n, terms)
+            terms[tuple(beta)] = q
+        return self._wrap(self.n, self.weight, terms)
 
     def is_symmetric(self) -> bool:
         """Invariance under all variable permutations.
@@ -246,60 +222,46 @@ class LPoly:
         if self.n < 1:
             raise ValueError("integrate_back needs at least one variable")
         terms = {
-            alpha: c * Fraction(1, 2 * alpha[0] + 1) for alpha, c in self._terms.items()
+            alpha: q * Fraction(1, 2 * alpha[0] + 1) for alpha, q in self._terms.items()
         }
-        return self._wrap(self.n, terms)
+        return self._wrap(self.n, self.weight, terms)
 
     def partial_factor(self, j: int) -> "LPoly":
-        """Return Q with dp/dL_j = L_j * Q.
+        """Return Q with dp/dL_j = L_j * Q; the weight drops by one.
 
         Term L_j^(2k) maps to 2k * L_j^(2k-2); the derivative of an even
         polynomial is L_j times an even polynomial.
         """
         self._check_var(j)
-        terms: dict[MultiIndex, PiPoly] = {}
-        for alpha, c in self._terms.items():
+        terms: dict[MultiIndex, Fraction] = {}
+        for alpha, q in self._terms.items():
             k = alpha[j]
-            if k == 0:
-                continue
-            beta = list(alpha)
-            beta[j] = k - 1
-            key = tuple(beta)
-            s = terms.get(key)
-            p = c * (2 * k)
-            terms[key] = p if s is None else s + p
-        return self._wrap(self.n, terms)
+            if k:
+                terms[alpha[:j] + (k - 1,) + alpha[j + 1 :]] = q * (2 * k)
+        return self._wrap(self.n, self.weight - 1, terms)
 
     def antiderivative(self, j: int) -> "LPoly":
         """The integral of L_j * p with respect to L_j (constant 0):
-        L_j^(2a) maps to L_j^(2a+2) / (2a + 2)."""
+        L_j^(2a) maps to L_j^(2a+2) / (2a + 2); the weight rises by one."""
         self._check_var(j)
-        terms: dict[MultiIndex, PiPoly] = {}
-        for alpha, c in self._terms.items():
-            beta = list(alpha)
-            beta[j] = alpha[j] + 1
-            terms[tuple(beta)] = c * Fraction(1, 2 * alpha[j] + 2)
-        return self._wrap(self.n, terms)
+        terms: dict[MultiIndex, Fraction] = {}
+        for alpha, q in self._terms.items():
+            a = alpha[j]
+            terms[alpha[:j] + (a + 1,) + alpha[j + 1 :]] = q * Fraction(1, 2 * a + 2)
+        return self._wrap(self.n, self.weight + 1, terms)
 
     def subst_two_pi_i(self, j: int) -> "LPoly":
         """Substitute L_j = 2*pi*i exactly, i.e. L_j^2 = -4 pi^2.
 
-        Each L_j^(2k) contributes (-4)^k pi^(2k) to the coefficient; the
-        result has one fewer variable.
+        Each L_j^(2k) becomes (-4)^k pi^(2k), so the weight is unchanged;
+        the result has one fewer variable.
         """
         self._check_var(j)
-        terms: dict[MultiIndex, PiPoly] = {}
-        for alpha, c in self._terms.items():
-            k = alpha[j]
+        terms: dict[MultiIndex, Fraction] = {}
+        for alpha, q in self._terms.items():
             key = alpha[:j] + alpha[j + 1 :]
-            p = c * PiPoly.monomial(k, Fraction((-4) ** k))
-            s = terms.get(key)
-            s = p if s is None else s + p
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return self._wrap(self.n - 1, terms)
+            terms[key] = terms.get(key, 0) + q * (-4) ** alpha[j]
+        return self._wrap(self.n - 1, self.weight, terms)
 
     def _check_var(self, j: int) -> None:
         if j < 0 or j >= self.n:
@@ -313,19 +275,18 @@ class LPoly:
         if len(values) != self.n:
             raise ValueError("need one value per variable")
         vals = [Fraction(v) for v in values]
-        acc = PiPoly.zero()
-        for alpha, c in self._terms.items():
-            scalar = prod(
-                (v ** (2 * a) for v, a in zip(vals, alpha)), start=Fraction(1)
-            )
-            acc = acc + c * scalar
-        return acc
+        acc: dict[int, Fraction] = {}
+        for alpha, q in self._terms.items():
+            k = self.weight - sum(alpha)
+            scalar = prod((v ** (2 * a) for v, a in zip(vals, alpha)), start=q)
+            acc[k] = acc.get(k, 0) + scalar
+        return PiPoly(acc)
 
     def as_pipoly(self) -> PiPoly:
         """Convert a 0-variable polynomial to its constant coefficient."""
         if self.n != 0:
             raise ValueError("only a 0-variable polynomial is a plain constant")
-        return self.coefficient(())
+        return self.pi_coefficient(())
 
     # ------------------------------------------------------------------
     # serialization
@@ -333,42 +294,32 @@ class LPoly:
     def to_records(self) -> list[dict]:
         """Canonical JSON term list.
 
-        One record per (alpha, pi-power) pair, sorted by graded-lex alpha
-        then pi power; round-trips bit-exactly through from_records.
+        One record per alpha, sorted by graded-lex alpha, with the implied
+        pi power written out; round-trips bit-exactly through from_records.
         """
-        records = []
-        for alpha, c in self.sorted_items():
-            for k, q in c.items():
-                records.append(
-                    {"alpha": list(alpha), "pi_power": 2 * k, "coeff": rat_to_str(q)}
-                )
-        return records
+        return [
+            {
+                "alpha": list(alpha),
+                "pi_power": 2 * (self.weight - sum(alpha)),
+                "coeff": rat_to_str(q),
+            }
+            for alpha, q in self.sorted_items()
+        ]
 
     @classmethod
-    def from_records(cls, n: int, records) -> "LPoly":
-        terms: dict[MultiIndex, PiPoly] = {}
+    def from_records(cls, n: int, weight: int, records) -> "LPoly":
+        """Inverse of :meth:`to_records`.  Rejects a record whose pi power
+        is not the one its alpha implies, and an alpha listed twice."""
+        terms: dict[MultiIndex, Fraction] = {}
         for rec in records:
             alpha = tuple(int(a) for a in rec["alpha"])
-            p = int(rec["pi_power"])
-            if p % 2 != 0:
-                raise ValueError("pi powers must be even")
-            c = PiPoly.monomial(p // 2, rat_from_str(rec["coeff"]))
-            terms[alpha] = terms.get(alpha, PiPoly.zero()) + c
-        return cls(n, terms)
-
-
-def mul_disjoint(
-    a: LPoly,
-    pos_a: Sequence[int],
-    b: LPoly,
-    pos_b: Sequence[int],
-    n: int,
-) -> LPoly:
-    """Product of polynomials over disjoint variable subsets.
-
-    ``pos_a`` and ``pos_b`` inject the variables of a and b into slots of
-    an n-variable ring; overlapping slots are rejected.
-    """
-    if set(pos_a) & set(pos_b):
-        raise ValueError("variable sets overlap")
-    return a.embed(n, pos_a) * b.embed(n, pos_b)
+            implied = 2 * (weight - sum(alpha))
+            if int(rec["pi_power"]) != implied:
+                raise ValueError(
+                    f"term {list(alpha)} has pi power {rec['pi_power']}, "
+                    f"expected {implied}"
+                )
+            if alpha in terms:
+                raise ValueError(f"term {list(alpha)} is listed twice")
+            terms[alpha] = rat_from_str(rec["coeff"])
+        return cls(n, weight, terms)

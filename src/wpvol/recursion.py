@@ -25,26 +25,23 @@ involution; the recursion consumes the halved value everywhere, and
 
 Each term computes on plain rationals.  Volumes and kernel moments are
 homogeneous in (L^2, pi^2), so the coefficient of L^(2 alpha) in V_{g,n}
-or in its derivative is q * pi^(2(3g-3+n-|alpha|)): the terms read their
-inputs as (alpha, q) pairs, multiply and add rationals only, and attach
-the implied pi power once per output term.  The double moment is applied
-through its Beta reduction to F_{2(a+b)+3}, so input products are summed
-per (a + b, remaining exponents) before F is expanded.
+or in its derivative is q * pi^(2(3g-3+n-|alpha|)): an :class:`LPoly`
+stores q and its weight 3g-3+n implies the power of pi.  The double
+moment is applied through its Beta reduction to F_{2(a+b)+3}, so input
+products are summed per (a + b, remaining exponents) before F is expanded.
 
-Every computed entry is validated on the spot: label symmetry, the
-pi-homogeneity of each coefficient (a single positive rational multiple
-of pi^(2(3g-3+n-|alpha|))), and the degree bound |alpha| <= 3g-3+n.  A
-violation aborts; with exact arithmetic any mismatch is a logic bug.
+Every entry, computed or loaded, is validated: its weight is 3g-3+n
+(which fixes every pi power and bounds |alpha|), every coefficient is
+positive, and it is label-symmetric.  A violation aborts; with exact
+arithmetic any mismatch is a logic bug.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Iterator, Tuple
 
-from .exact import PiPoly
 from .kernels import h_moment, shift_symmetrize
 from .lpoly import LPoly, MultiIndex
 
@@ -89,13 +86,7 @@ def base_volume(g: int, n: int) -> LPoly:
     if (g, n) == (0, 3):
         return LPoly.one(3)
     if (g, n) == (1, 1):
-        return LPoly(
-            1,
-            {
-                (0,): PiPoly.monomial(1, Fraction(1, 12)),
-                (1,): PiPoly.rational(Fraction(1, 48)),
-            },
-        )
+        return LPoly(1, 1, {(0,): Fraction(1, 12), (1,): Fraction(1, 48)})
     raise ValueError(f"({g},{n}) is not a base case")
 
 
@@ -125,49 +116,20 @@ def stable_splittings(g: int, n: int) -> Tuple[Splitting, ...]:
     return tuple(out)
 
 
-def _rationals(p: LPoly, weight: int) -> list[Tuple[MultiIndex, Fraction]]:
-    """The terms of p as (alpha, q) pairs, where the coefficient of
-    L^(2 alpha) is q * pi^(2(weight - |alpha|)).
-
-    Volumes (weight 3g-3+n) and kernel moments (weight k+1 for F_{2k+1})
-    are homogeneous in (L^2, pi^2), so the pi power is implied by the
-    degree; a coefficient that is not that single monomial is a logic bug.
-    """
-    out = []
-    for alpha, c in p.items():
-        mono = c.as_monomial()
-        if mono is None or mono[0] != weight - sum(alpha):
-            raise InvariantViolation(
-                f"coefficient of {alpha} is not a multiple of "
-                f"pi^{2 * (weight - sum(alpha))}"
-            )
-        out.append((alpha, mono[1]))
-    return out
-
-
-def _from_rationals(n: int, weight: int, acc: dict[MultiIndex, Fraction]) -> LPoly:
-    """Inverse of :func:`_rationals`: attach the implied pi power to each term."""
-    return LPoly(
-        n, {alpha: PiPoly.monomial(weight - sum(alpha), q) for alpha, q in acc.items()}
-    )
-
-
 @lru_cache(maxsize=None)
 def _double_moment_rationals(s: int) -> Tuple[Tuple[int, Fraction], ...]:
     # (m, f) with (1/2) G_{a,b}(t) = (2a+1)! (2b+1)! sum_m f t^(2m) pi^(2(s+2-m))
     # for every a + b = s: the Beta reduction G_{a,b} = (2a+1)!(2b+1)!/(2s+3)!
     # F_{2s+3} with the recursion's global 1/2 folded in
     scale = Fraction(1, 2 * factorial(2 * s + 3))
-    return tuple((m, f * scale) for (m,), f in _rationals(h_moment(s + 1), s + 2))
+    return tuple((m, f * scale) for (m,), f in h_moment(s + 1).items())
 
 
 @lru_cache(maxsize=None)
 def _shifted_moment_rationals(a: int) -> Tuple[Tuple[int, int, Fraction], ...]:
     # (r, s, f) for (F_{2a+1}(L1 + Lj) + F_{2a+1}(L1 - Lj)) / 2, whose
     # L1^(2r) Lj^(2s) coefficient is f * pi^(2(a+1-r-s))
-    return tuple(
-        (r, s, f) for (r, s), f in _rationals(shift_symmetrize(h_moment(a)), a + 1)
-    )
+    return tuple((r, s, f) for (r, s), f in shift_symmetrize(h_moment(a)).items())
 
 
 def _add(acc: dict, key, q: Fraction) -> None:
@@ -188,7 +150,7 @@ def _apply_double_moment(
         for s, x in row.items():
             for m, f in _double_moment_rationals(s):
                 _add(acc, (m,) + rest, x * f)
-    return _from_rationals(n, weight, acc)
+    return LPoly(n, weight, acc)
 
 
 def a_con_term(g: int, n: int, table: "VolumeTable") -> LPoly:
@@ -198,20 +160,19 @@ def a_con_term(g: int, n: int, table: "VolumeTable") -> LPoly:
     (1/2) coeff G_{a,b}(L_1) m; absent when (g-1, n+1) is unstable.
     """
     if g < 1 or not is_stable(g - 1, n + 1):
-        return LPoly.zero(n)
-    w = table.volume(g - 1, n + 1)
+        return LPoly.zero(n, moduli_dim(g, n))
     sums: dict[MultiIndex, dict[int, Fraction]] = {}
-    for alpha, q in _rationals(w, moduli_dim(g - 1, n + 1)):
+    for alpha, q in table.volume(g - 1, n + 1).items():
         a, b = alpha[0], alpha[1]
         row = sums.setdefault(alpha[2:], {})
         _add(row, a + b, q * (factorial(2 * a + 1) * factorial(2 * b + 1)))
     return _apply_double_moment(n, moduli_dim(g, n), sums)
 
 
-def _by_rest(p: LPoly, weight: int) -> list[Tuple[MultiIndex, list]]:
+def _by_rest(p: LPoly) -> list[Tuple[MultiIndex, list]]:
     # terms x^2a m(rest) of a volume, grouped by rest as (a, q (2a+1)!) lists
     groups: dict[MultiIndex, list] = {}
-    for alpha, q in _rationals(p, weight):
+    for alpha, q in p.items():
         a = alpha[0]
         groups.setdefault(alpha[1:], []).append((a, q * factorial(2 * a + 1)))
     return list(groups.items())
@@ -224,7 +185,7 @@ def a_dcon_term(g: int, n: int, table: "VolumeTable") -> LPoly:
 
     def piece(gi: int, ni: int) -> list:
         if (gi, ni) not in pieces:
-            pieces[(gi, ni)] = _by_rest(table.volume(gi, ni), moduli_dim(gi, ni))
+            pieces[(gi, ni)] = _by_rest(table.volume(gi, ni))
         return pieces[(gi, ni)]
 
     sums: dict[MultiIndex, dict[int, Fraction]] = {}
@@ -251,12 +212,11 @@ def b_term(g: int, n: int, table: "VolumeTable") -> LPoly:
     """Second-boundary term: for each j >= 2, terms x^2a m of V_{g,n-1}
     contribute coeff * shifted F-moment in (L_1, L_j) times m."""
     if n < 2:
-        return LPoly.zero(n)
-    w = table.volume(g, n - 1)
+        return LPoly.zero(n, moduli_dim(g, n))
     # the contribution of j = 2, keyed (r, s) + rest; every other j places
     # the same values with s moved to the slot of L_j
     first: dict[MultiIndex, Fraction] = {}
-    for alpha, q in _rationals(w, moduli_dim(g, n - 1)):
+    for alpha, q in table.volume(g, n - 1).items():
         rest = alpha[1:]
         for r, s, f in _shifted_moment_rationals(alpha[0]):
             _add(first, (r, s) + rest, q * f)
@@ -264,38 +224,25 @@ def b_term(g: int, n: int, table: "VolumeTable") -> LPoly:
     for pj in range(2, n):
         for key, x in first.items():
             _add(acc, (key[0],) + key[2 : pj + 1] + (key[1],) + key[pj + 1 :], x)
-    return _from_rationals(n, moduli_dim(g, n), acc)
+    return LPoly(n, moduli_dim(g, n), acc)
 
 
 def validate_volume(g: int, n: int, p: LPoly) -> None:
     """Check the structural invariants of a volume polynomial.
 
-    Symmetry under label permutations, |alpha| <= 3g-3+n, and each
-    coefficient a single strictly positive rational multiple of
-    pi^(2(3g-3+n-|alpha|)).  Raises InvariantViolation on any failure.
+    Weight 3g-3+n (every coefficient a rational multiple of
+    pi^(2(3g-3+n-|alpha|)) with |alpha| <= 3g-3+n), strictly positive
+    coefficients, and symmetry under label permutations.  Raises
+    InvariantViolation on any failure.
     """
     d = moduli_dim(g, n)
     if p.n != n:
         raise InvariantViolation(f"V_{{{g},{n}}} has {p.n} variables, expected {n}")
+    if p.weight != d:
+        raise InvariantViolation(f"V_{{{g},{n}}} has weight {p.weight}, expected {d}")
     if p.is_zero():
         raise InvariantViolation(f"V_{{{g},{n}}} is zero")
-    for alpha, c in p.items():
-        total = sum(alpha)
-        if total > d:
-            raise InvariantViolation(
-                f"V_{{{g},{n}}}: term {alpha} exceeds degree bound {d}"
-            )
-        mono = c.as_monomial()
-        if mono is None:
-            raise InvariantViolation(
-                f"V_{{{g},{n}}}: coefficient of {alpha} is not a pi-monomial"
-            )
-        k, q = mono
-        if k != d - total:
-            raise InvariantViolation(
-                f"V_{{{g},{n}}}: coefficient of {alpha} has pi-degree {2 * k}, "
-                f"expected {2 * (d - total)}"
-            )
+    for alpha, q in p.items():
         if q <= 0:
             raise InvariantViolation(
                 f"V_{{{g},{n}}}: coefficient of {alpha} is not positive"
@@ -323,18 +270,12 @@ def iter_signatures(max_dim: int) -> Iterator[Tuple[int, int]]:
 class VolumeTable:
     """Memoized map from (g, n) to the internal-convention volume.
 
-    Entries are computed on demand (dependencies first) or in dimension
-    waves through :meth:`ensure`.  Completed entries are immutable and
-    may be read concurrently; in a threaded build each cell is written
-    exactly once by the coordinating thread, so single- and
-    multi-threaded builds serialize identically.
+    Entries are computed on demand, dependencies first, and validated
+    when computed or loaded.  Completed entries are immutable.
     """
 
-    def __init__(self, validate: bool = True):
+    def __init__(self):
         self._entries: dict[Tuple[int, int], LPoly] = {}
-        self.validate = validate
-        # derived-value cache used by the intersection-number layer
-        self.psi_cache: dict = {}
 
     def __contains__(self, sig: Tuple[int, int]) -> bool:
         return sig in self._entries
@@ -376,34 +317,13 @@ class VolumeTable:
                 + b_term(g, n, self)
             )
             poly = derivative.integrate_back()
-        if self.validate:
-            validate_volume(g, n, poly)
+        validate_volume(g, n, poly)
         return poly
 
-    def ensure(self, max_dim: int, threads: int = 1) -> None:
-        """Compute every stable (g, n), n >= 1, with 3g-3+n <= max_dim.
-
-        Signatures are processed in dimension waves; all dependencies of
-        a wave live in strictly smaller dimensions.  With threads > 1 the
-        members of a wave are computed concurrently and inserted by this
-        thread in sorted order, so results are independent of thread
-        count and scheduling.
-        """
-        waves: dict[int, list[Tuple[int, int]]] = {}
+    def ensure(self, max_dim: int) -> None:
+        """Compute every stable (g, n), n >= 1, with 3g-3+n <= max_dim."""
         for sig in iter_signatures(max_dim):
-            waves.setdefault(moduli_dim(*sig), []).append(sig)
-        for d in sorted(waves):
-            todo = [s for s in sorted(waves[d]) if s not in self._entries]
-            if not todo:
-                continue
-            if threads <= 1 or len(todo) == 1:
-                for sig in todo:
-                    self.volume(*sig)
-            else:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    futures = {sig: pool.submit(self._compute, *sig) for sig in todo}
-                for sig in sorted(futures):
-                    self._entries[sig] = futures[sig].result()
+            self.volume(*sig)
 
     # ------------------------------------------------------------------
     # serialization
@@ -416,20 +336,14 @@ class VolumeTable:
         }
 
     @classmethod
-    def from_entries(
-        cls, entries: dict[str, list[dict]], validate: bool = True
-    ) -> "VolumeTable":
-        """Rebuild a table from serialized entries.
-
-        Entries are re-validated before being trusted unless ``validate``
-        is disabled.
-        """
-        table = cls(validate=validate)
+    def from_entries(cls, entries: dict[str, list[dict]]) -> "VolumeTable":
+        """Rebuild a table from serialized entries, validating each one
+        before it is trusted."""
+        table = cls()
         for key, records in entries.items():
             g_str, n_str = key.split(",")
             g, n = int(g_str), int(n_str)
-            poly = LPoly.from_records(n, records)
-            if validate:
-                validate_volume(g, n, poly)
+            poly = LPoly.from_records(n, moduli_dim(g, n), records)
+            validate_volume(g, n, poly)
             table._entries[(g, n)] = poly
         return table

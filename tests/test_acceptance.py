@@ -54,23 +54,21 @@ def test_criterion_1_golden_volumes():
 
     ok = t.true_volume(0, 3) == LPoly.one(3)
 
-    v11_true = LPoly(
-        1, {(0,): pi_mono(1, Fraction(1, 6)), (1,): PiPoly.rational(Fraction(1, 24))}
-    )
-    v11_internal = LPoly(
-        1, {(0,): pi_mono(1, Fraction(1, 12)), (1,): PiPoly.rational(Fraction(1, 48))}
-    )
+    # weight 1: pi^2/6 + L^2/24 and pi^2/12 + L^2/48
+    v11_true = LPoly(1, 1, {(0,): Fraction(1, 6), (1,): Fraction(1, 24)})
+    v11_internal = LPoly(1, 1, {(0,): Fraction(1, 12), (1,): Fraction(1, 48)})
     ok = ok and t.true_volume(1, 1) == v11_true
     ok = ok and t.volume(1, 1) == v11_internal
 
     v04 = LPoly(
         4,
+        1,
         {
-            (0, 0, 0, 0): pi_mono(1, 2),
-            (1, 0, 0, 0): PiPoly.rational(Fraction(1, 2)),
-            (0, 1, 0, 0): PiPoly.rational(Fraction(1, 2)),
-            (0, 0, 1, 0): PiPoly.rational(Fraction(1, 2)),
-            (0, 0, 0, 1): PiPoly.rational(Fraction(1, 2)),
+            (0, 0, 0, 0): 2,
+            (1, 0, 0, 0): Fraction(1, 2),
+            (0, 1, 0, 0): Fraction(1, 2),
+            (0, 0, 1, 0): Fraction(1, 2),
+            (0, 0, 0, 1): Fraction(1, 2),
         },
     )
     ok = ok and t.true_volume(0, 4) == v04
@@ -78,13 +76,9 @@ def test_criterion_1_golden_volumes():
     # expanded form of (L^2+4pi^2)(L^2+12pi^2)(5L^4+384pi^2L^2+6960pi^4)/2211840
     L2 = LPoly.monomial(1, (1,))
     golden_21 = (
-        (L2 + LPoly.constant(1, pi_mono(1, 4)))
-        * (L2 + LPoly.constant(1, pi_mono(1, 12)))
-        * (
-            LPoly.monomial(1, (2,), 5)
-            + LPoly.monomial(1, (1,), pi_mono(1, 384))
-            + LPoly.constant(1, pi_mono(2, 6960))
-        )
+        (L2 + LPoly(1, 1, {(0,): 4}))
+        * (L2 + LPoly(1, 1, {(0,): 12}))
+        * LPoly(1, 2, {(2,): 5, (1,): 384, (0,): 6960})
     ).scale(Fraction(1, 2211840))
     ok = ok and t.true_volume(2, 1) == golden_21
 
@@ -148,14 +142,13 @@ def test_criterion_5_structural_invariants(table):
         poly = table.volume(g, n)
         d = moduli_dim(g, n)
         ok = ok and poly.is_symmetric()
-        for alpha, c in poly.items():
-            mono = c.as_monomial()
+        for alpha, q in poly.items():
+            mono = poly.pi_coefficient(alpha).as_monomial()
             ok = (
                 ok
                 and sum(alpha) <= d
-                and mono is not None
-                and mono[0] == d - sum(alpha)
-                and mono[1] > 0
+                and mono == (d - sum(alpha), q)
+                and q > 0
             )
         checked += 1
     report(5, f"symmetry/homogeneity/positivity/degree on {checked} signatures", ok)
@@ -182,11 +175,15 @@ def test_criterion_6_kernel_oracle():
 
 
 def test_criterion_7_determinism():
-    serial = VolumeTable()
-    serial.ensure(MAX_DIM, threads=1)
-    threaded = VolumeTable()
-    threaded.ensure(MAX_DIM, threads=4)
-    a = json.dumps(serial.to_entries(), indent=2).encode()
-    b = json.dumps(threaded.to_entries(), indent=2).encode()
-    report(7, f"single- vs multi-threaded builds serialize byte-identically "
-              f"({len(a)} bytes)", a == b)
+    def serialized(t):
+        return json.dumps(t.to_entries(), indent=2).encode()
+
+    on_demand = VolumeTable()
+    for sig in reversed(list(iter_signatures(MAX_DIM))):
+        on_demand.volume(*sig)  # largest first: dependencies depth-first
+    ensured = VolumeTable()
+    ensured.ensure(MAX_DIM)
+    reloaded = VolumeTable.from_entries(json.loads(serialized(ensured)))
+    a, b, c = serialized(on_demand), serialized(ensured), serialized(reloaded)
+    report(7, f"depth-first, ensured and reloaded builds serialize "
+              f"byte-identically ({len(a)} bytes)", a == b == c)

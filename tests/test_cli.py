@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -137,6 +139,42 @@ def test_verify_kernels_suite(capsys):
     assert "quadrature" in out and "dD/dx" in out
 
 
+# Every output format that renders a coefficient with its pi power.  The
+# digest was recorded before volume coefficients were stored as rationals
+# with the pi power implied by the weight.  The quadrature deviations in
+# the kernel records are floats whose last digits depend on the numpy
+# build, so they are masked; everything else is hashed byte for byte.
+GOLDEN_COMMANDS = [
+    ["volume", "1", "1"],
+    ["volume", "1", "1", "--internal-convention"],
+    ["volume", "1", "2"],
+    ["volume", "0", "5", "--format", "json"],
+    ["volume", "2", "1", "--format", "latex"],
+    ["volume", "1", "3", "--format", "latex"],
+    ["volume", "0", "4", "--lengths", "1/2,1/2,1,0"],
+    ["volume", "1", "2", "--lengths", "1/2,3", "--format", "json"],
+    ["volume", "2", "1", "--lengths", "1/2", "--format", "latex"],
+    ["intersect", "1", "1"],
+    ["intersect", "2", "1"],
+    ["intersect", "1", "0", "1", "--kappa", "1"],
+    ["compact", "3"],
+    ["compact", "3", "--format", "json"],
+    ["compact", "3", "--format", "latex"],
+    ["verify", "all", "--max-dim", "4", "--format", "json"],
+]
+GOLDEN_DIGEST = "898541bcc307348d4e1f20ee8bf422d0b823a4dfd8754fed5b0ce0b3df41684f"
+
+
+def test_stdout_golden_digest(capsys):
+    h = hashlib.sha256()
+    for argv in GOLDEN_COMMANDS:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        out = re.sub(r'"max_abs_dev": [^,\n]+', '"max_abs_dev": "*"', out)
+        h.update(" ".join(argv).encode() + b"\n" + out.encode())
+    assert h.hexdigest() == GOLDEN_DIGEST
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
@@ -250,6 +288,23 @@ def test_cache_with_malformed_records_rejected(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run(capsys, "volume", "0", "3", "--cache", str(path))
     assert_one_line_error(code, err, "not a JSON file")
+
+
+def test_cache_with_pi_power_not_implied_or_repeated_alpha_rejected(tmp_path, capsys):
+    path = tmp_path / "cache.json"
+    run(capsys, "table", "--max-dim", "1", "--out", str(path))
+    good = json.loads(path.read_text())
+    # the V_{0,4} constant term 2 pi^2 claimed as 2 pi^4
+    payload = json.loads(json.dumps(good))
+    payload["entries"]["0,4"][0]["pi_power"] = 4
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_one_line_error(code, err, "pi power 4, expected 2")
+    payload = json.loads(json.dumps(good))
+    payload["entries"]["0,4"].append(payload["entries"]["0,4"][-1])
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_one_line_error(code, err, "listed twice")
 
 
 def test_cache_in_missing_directory_rejected_before_work(tmp_path, capsys, monkeypatch):

@@ -5,25 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpvol.exact import PiPoly
-from wpvol.lpoly import LPoly, mul_disjoint
-
-
-def pi2(q=1):
-    return PiPoly.monomial(1, Fraction(q))
+from wpvol.lpoly import LPoly
 
 
 def v04():
-    # (4 pi^2 + L1^2 + L2^2 + L3^2 + L4^2) / 2
-    terms = {(0, 0, 0, 0): pi2(2)}
+    # (4 pi^2 + L1^2 + L2^2 + L3^2 + L4^2) / 2, weight 1
+    terms = {(0, 0, 0, 0): 2}
     for i in range(4):
         alpha = [0] * 4
         alpha[i] = 1
-        terms[tuple(alpha)] = PiPoly.rational(Fraction(1, 2))
-    return LPoly(4, terms)
+        terms[tuple(alpha)] = Fraction(1, 2)
+    return LPoly(4, 1, terms)
 
 
 def v11_true():
-    return LPoly(1, {(0,): pi2(Fraction(1, 6)), (1,): PiPoly.rational(Fraction(1, 24))})
+    return LPoly(1, 1, {(0,): Fraction(1, 6), (1,): Fraction(1, 24)})
 
 
 # ----------------------------------------------------------------------
@@ -31,13 +27,19 @@ def v11_true():
 
 
 def test_zero_coefficients_pruned():
-    p = LPoly(2, {(1, 0): PiPoly.zero(), (0, 1): PiPoly.rational(1)})
+    p = LPoly(2, 1, {(1, 0): 0, (0, 1): 1})
     assert len(p) == 1
 
 
 def test_key_length_enforced():
     with pytest.raises(ValueError):
-        LPoly(2, {(1,): PiPoly.rational(1)})
+        LPoly(2, 1, {(1,): 1})
+
+
+def test_key_beyond_weight_rejected():
+    # L1^4 in a weight-1 polynomial would need pi^(-2)
+    with pytest.raises(ValueError):
+        LPoly(2, 1, {(2, 0): 1})
 
 
 def test_unit_multiplication():
@@ -45,23 +47,20 @@ def test_unit_multiplication():
     assert LPoly.one(4) * v == v
 
 
-def test_mul_disjoint_monomials():
-    x2 = LPoly.monomial(1, (1,))
-    y2 = LPoly.monomial(1, (1,))
-    prod = mul_disjoint(x2, [0], y2, [1], 2)
-    assert prod == LPoly.monomial(2, (1, 1))
+def test_weights_add_under_multiplication():
+    assert (v04() * v04()).weight == 2
+    assert (v04() * v04()).coefficient((0, 0, 0, 0)) == 4
 
 
-def test_mul_disjoint_constants():
-    one3 = LPoly.one(3)
-    prod = mul_disjoint(one3, [0, 1, 2], one3, [3, 4, 5], 6)
-    assert prod == LPoly.one(6)
-
-
-def test_mul_disjoint_rejects_overlap():
-    x2 = LPoly.monomial(1, (1,))
+def test_addition_needs_equal_weights():
     with pytest.raises(ValueError):
-        mul_disjoint(x2, [0], x2, [0], 2)
+        v04() + LPoly.one(4)
+
+
+def test_pi_coefficient_carries_implied_power():
+    assert v04().pi_coefficient((0, 0, 0, 0)) == PiPoly.monomial(1, 2)
+    assert v04().pi_coefficient((1, 0, 0, 0)) == PiPoly.rational(Fraction(1, 2))
+    assert v04().pi_coefficient((5, 0, 0, 0)).is_zero()
 
 
 # ----------------------------------------------------------------------
@@ -73,17 +72,13 @@ def test_integrate_back_constant():
 
 
 def test_integrate_back_divides_by_odd_integers():
-    p = LPoly(1, {(0,): pi2(Fraction(1, 6)), (1,): PiPoly.rational(Fraction(3, 8))})
+    p = LPoly(1, 1, {(0,): Fraction(1, 6), (1,): Fraction(3, 8)})
     q = p.integrate_back()
-    assert q == LPoly(
-        1, {(0,): pi2(Fraction(1, 6)), (1,): PiPoly.rational(Fraction(1, 8))}
-    )
+    assert q == LPoly(1, 1, {(0,): Fraction(1, 6), (1,): Fraction(1, 8)})
 
 
 def test_integrate_back_recovers_torus_volume():
-    derivative = LPoly(
-        1, {(0,): pi2(Fraction(1, 6)), (1,): PiPoly.rational(Fraction(1, 8))}
-    )
+    derivative = LPoly(1, 1, {(0,): Fraction(1, 6), (1,): Fraction(1, 8)})
     assert derivative.integrate_back() == v11_true()
 
 
@@ -93,7 +88,7 @@ def test_partial_factor_of_constant_is_zero():
 
 def test_partial_factor_torus():
     q = v11_true().partial_factor(0)
-    assert q == LPoly.constant(1, Fraction(1, 12))
+    assert q == LPoly(1, 0, {(0,): Fraction(1, 12)})
 
 
 def test_partial_factor_four_boundaries():
@@ -103,17 +98,18 @@ def test_partial_factor_four_boundaries():
 
 def test_subst_single_variable():
     p = LPoly.monomial(2, (0, 1))
-    assert p.subst_two_pi_i(1) == LPoly.constant(1, pi2(-4))
+    assert p.subst_two_pi_i(1) == LPoly(1, 1, {(0,): -4})
 
 
 def test_subst_into_four_boundary_volume():
     got = v04().subst_two_pi_i(3)
     want = LPoly(
         3,
+        1,
         {
-            (1, 0, 0): PiPoly.rational(Fraction(1, 2)),
-            (0, 1, 0): PiPoly.rational(Fraction(1, 2)),
-            (0, 0, 1): PiPoly.rational(Fraction(1, 2)),
+            (1, 0, 0): Fraction(1, 2),
+            (0, 1, 0): Fraction(1, 2),
+            (0, 0, 1): Fraction(1, 2),
         },
     )
     assert got == want
@@ -136,7 +132,7 @@ def test_antiderivative_quadratic():
 def test_string_identity_for_three_boundaries():
     # sum_k int L_k V_{0,3} dL_k equals V_{0,4} at L_4 = 2 pi i
     one3 = LPoly.one(3)
-    total = LPoly.zero(3)
+    total = LPoly.zero(3, 1)
     for k in range(3):
         total = total + one3.antiderivative(k)
     assert total == v04().subst_two_pi_i(3)
@@ -166,12 +162,15 @@ def test_asymmetric_detected():
 # properties
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
-pipolys = st.dictionaries(st.integers(0, 3), rationals, max_size=2).map(PiPoly)
+WEIGHT = 4
 
 
-def lpolys(n, max_exp=3, max_terms=4):
-    keys = st.tuples(*([st.integers(0, max_exp)] * n))
-    return st.dictionaries(keys, pipolys, max_size=max_terms).map(lambda d: LPoly(n, d))
+def lpolys(n, weight=WEIGHT, max_terms=4):
+    """Weighted rational polynomials: keys with |alpha| <= weight."""
+    keys = st.tuples(*([st.integers(0, weight)] * n)).filter(lambda a: sum(a) <= weight)
+    return st.dictionaries(keys, rationals, max_size=max_terms).map(
+        lambda d: LPoly(n, weight, d)
+    )
 
 
 @settings(max_examples=50)
@@ -179,7 +178,7 @@ def lpolys(n, max_exp=3, max_terms=4):
 def test_integrate_back_round_trip(q):
     # multiply each L_1^(2k) coefficient by 2k+1 (the derivative of L_1 q),
     # then integrate back: must recover q
-    p = LPoly(2, {a: c * (2 * a[0] + 1) for a, c in q.items()})
+    p = LPoly(2, q.weight, {a: c * (2 * a[0] + 1) for a, c in q.items()})
     assert p.integrate_back() == q
 
 
@@ -201,6 +200,7 @@ def test_permute_is_group_action(p, sigma, tau):
 @given(lpolys(2))
 def test_antiderivative_then_partial_recovers(p):
     for k in (0, 1):
+        assert p.antiderivative(k).weight == p.weight + 1
         assert p.antiderivative(k).partial_factor(k) == p
 
 
@@ -208,10 +208,13 @@ def test_antiderivative_then_partial_recovers(p):
 @given(lpolys(2))
 def test_record_round_trip_is_exact(p):
     records = p.to_records()
-    assert LPoly.from_records(2, records) == p
-    # canonical order: graded lexicographic, then pi power
-    keys = [(sum(r["alpha"]), tuple(r["alpha"]), r["pi_power"]) for r in records]
-    assert keys == sorted(keys)
+    assert LPoly.from_records(2, p.weight, records) == p
+    # canonical order: graded lexicographic, one record per alpha, and the
+    # pi power the weight implies
+    keys = [(sum(r["alpha"]), tuple(r["alpha"])) for r in records]
+    assert keys == sorted(set(keys))
+    assert all(r["pi_power"] == 2 * (p.weight - sum(r["alpha"])) for r in records)
+
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +225,7 @@ def test_eval_rational():
     v = v04()
     got = v.eval_rational([1, 1, 1, 1])
     assert got == PiPoly({1: Fraction(2), 0: Fraction(2)})
-    assert v.eval_rational([0, 0, 0, 0]) == pi2(2)
+    assert v.eval_rational([0, 0, 0, 0]) == PiPoly.monomial(1, 2)
 
 
 def test_eval_wrong_arity():

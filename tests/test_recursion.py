@@ -30,8 +30,9 @@ def table():
     return t
 
 
-def pi_mono(k, q):
-    return PiPoly.monomial(k, Fraction(q))
+def pi_view(p):
+    """The terms of p as alpha -> PiPoly, with the pi power written out."""
+    return {alpha: p.pi_coefficient(alpha) for alpha, _ in p.items()}
 
 
 # ----------------------------------------------------------------------
@@ -74,7 +75,7 @@ def test_base_volume_sphere():
 
 
 def test_base_volume_torus_is_halved():
-    want = LPoly(1, {(0,): pi_mono(1, Fraction(1, 12)), (1,): PiPoly.rational(Fraction(1, 48))})
+    want = LPoly(1, 1, {(0,): Fraction(1, 12), (1,): Fraction(1, 48)})
     assert base_volume(1, 1) == want
 
 
@@ -94,7 +95,7 @@ def test_a_con_absent_below_stability(table):
 def test_a_con_for_genus_one_two_boundaries(table):
     # V_{0,3} = 1 feeds the double moment: (1/2) G_{0,0}(L_1) = F_3(L_1)/12
     got = a_con_term(1, 2, table)
-    want = h_moment(1).scale(Fraction(1, 12)).embed(2, [0])
+    want = LPoly(2, 2, {(m, 0): q / 12 for (m,), q in h_moment(1).items()})
     assert got == want
 
 
@@ -109,13 +110,13 @@ def test_b_term_empty_for_one_boundary(table):
 def test_b_term_four_boundaries(table):
     got = b_term(0, 4, table)
     want_terms = {
-        (0, 0, 0, 0): pi_mono(1, 2),
-        (1, 0, 0, 0): PiPoly.rational(Fraction(3, 2)),
-        (0, 1, 0, 0): PiPoly.rational(Fraction(1, 2)),
-        (0, 0, 1, 0): PiPoly.rational(Fraction(1, 2)),
-        (0, 0, 0, 1): PiPoly.rational(Fraction(1, 2)),
+        (0, 0, 0, 0): 2,
+        (1, 0, 0, 0): Fraction(3, 2),
+        (0, 1, 0, 0): Fraction(1, 2),
+        (0, 0, 1, 0): Fraction(1, 2),
+        (0, 0, 0, 1): Fraction(1, 2),
     }
-    assert got == LPoly(4, want_terms)
+    assert got == LPoly(4, 1, want_terms)
 
 
 # ----------------------------------------------------------------------
@@ -125,12 +126,13 @@ def test_b_term_four_boundaries(table):
 def test_volume_four_boundaries(table):
     want = LPoly(
         4,
+        1,
         {
-            (0, 0, 0, 0): pi_mono(1, 2),
-            (1, 0, 0, 0): PiPoly.rational(Fraction(1, 2)),
-            (0, 1, 0, 0): PiPoly.rational(Fraction(1, 2)),
-            (0, 0, 1, 0): PiPoly.rational(Fraction(1, 2)),
-            (0, 0, 0, 1): PiPoly.rational(Fraction(1, 2)),
+            (0, 0, 0, 0): 2,
+            (1, 0, 0, 0): Fraction(1, 2),
+            (0, 1, 0, 0): Fraction(1, 2),
+            (0, 0, 1, 0): Fraction(1, 2),
+            (0, 0, 0, 1): Fraction(1, 2),
         },
     )
     assert table.volume(0, 4) == want
@@ -145,20 +147,16 @@ def test_true_volume_doubles_only_torus(table):
 def test_genus_one_two_boundaries_factored_form(table):
     # (4 pi^2 + L1^2 + L2^2)(12 pi^2 + L1^2 + L2^2) / 192
     s = LPoly.monomial(2, (1, 0)) + LPoly.monomial(2, (0, 1))
-    f1 = s + LPoly.constant(2, pi_mono(1, 4))
-    f2 = s + LPoly.constant(2, pi_mono(1, 12))
+    f1 = s + LPoly(2, 1, {(0, 0): 4})
+    f2 = s + LPoly(2, 1, {(0, 0): 12})
     assert table.true_volume(1, 2) == (f1 * f2).scale(Fraction(1, 192))
 
 
 def test_genus_two_one_boundary_golden(table):
     L2 = LPoly.monomial(1, (1,))
-    f1 = L2 + LPoly.constant(1, pi_mono(1, 4))
-    f2 = L2 + LPoly.constant(1, pi_mono(1, 12))
-    f3 = (
-        LPoly.monomial(1, (2,), 5)
-        + LPoly.monomial(1, (1,), pi_mono(1, 384))
-        + LPoly.constant(1, pi_mono(2, 6960))
-    )
+    f1 = L2 + LPoly(1, 1, {(0,): 4})
+    f2 = L2 + LPoly(1, 1, {(0,): 12})
+    f3 = LPoly(1, 2, {(2,): 5, (1,): 384, (0,): 6960})
     golden = (f1 * f2 * f3).scale(Fraction(1, 2211840))
     assert table.true_volume(2, 1) == golden
 
@@ -182,20 +180,15 @@ def test_invariants_hold_up_to_dimension_four(table):
 def test_homogeneity_details(table):
     v = table.volume(1, 3)
     d = moduli_dim(1, 3)
-    for alpha, c in v.items():
+    assert v.weight == d
+    for alpha, c in pi_view(v).items():
         k, q = c.as_monomial()
         assert k == d - sum(alpha)
         assert q > 0
 
 
 def test_validator_rejects_broken_symmetry():
-    bad = LPoly(
-        4,
-        {
-            (0, 0, 0, 0): pi_mono(1, 2),
-            (1, 0, 0, 0): PiPoly.rational(Fraction(1, 2)),
-        },
-    )
+    bad = LPoly(4, 1, {(0, 0, 0, 0): 2, (1, 0, 0, 0): Fraction(1, 2)})
     with pytest.raises(InvariantViolation):
         validate_volume(0, 4, bad)
 
@@ -206,13 +199,14 @@ def test_validator_rejects_wrong_arity():
 
 
 def test_validator_rejects_negative_coefficient():
-    bad = LPoly(3, {(0, 0, 0): PiPoly.rational(-1)})
+    bad = LPoly(3, 0, {(0, 0, 0): -1})
     with pytest.raises(InvariantViolation):
         validate_volume(0, 3, bad)
 
 
 def test_validator_rejects_inhomogeneous_pi_power():
-    bad = LPoly(3, {(0, 0, 0): pi_mono(1, 1)})
+    # pi^2 as V_{0,3}: weight 1 where the signature implies 0
+    bad = LPoly(3, 1, {(0, 0, 0): 1})
     with pytest.raises(InvariantViolation):
         validate_volume(0, 3, bad)
 
@@ -231,7 +225,7 @@ def test_top_coefficient_matches_correlator(table):
             psi_correlator(table, g, alpha)
             * Fraction(2**delta, 2**d * factorial(d))
         )
-        got = table.true_volume(g, n).coefficient(alpha)
+        got = table.true_volume(g, n).pi_coefficient(alpha)
         assert got == PiPoly.rational(want)
 
 
@@ -255,14 +249,6 @@ def test_depth_first_and_wave_builds_agree(table):
         assert on_demand.volume(*sig) == wave.volume(*sig)
 
 
-def test_threaded_build_serializes_identically():
-    serial = VolumeTable()
-    serial.ensure(4, threads=1)
-    threaded = VolumeTable()
-    threaded.ensure(4, threads=4)
-    assert serialized(serial) == serialized(threaded)
-
-
 def test_entries_round_trip(table):
     entries = table.to_entries()
     reloaded = VolumeTable.from_entries(entries)
@@ -275,8 +261,23 @@ def test_from_entries_revalidates():
         VolumeTable.from_entries(bad)
 
 
+def test_from_entries_rejects_pi_power_not_implied():
+    # V_{0,3} = pi^2 written as a weight-0 entry
+    bad = {"0,3": [{"alpha": [0, 0, 0], "pi_power": 2, "coeff": "1"}]}
+    with pytest.raises(ValueError, match="pi power 2, expected 0"):
+        VolumeTable.from_entries(bad)
+
+
+def test_from_entries_rejects_alpha_listed_twice(table):
+    records = table.volume(0, 4).to_records()
+    with pytest.raises(ValueError, match="listed twice"):
+        VolumeTable.from_entries({"0,4": records + records[-1:]})
+
+
 # ----------------------------------------------------------------------
-# differential check of the terms against a direct Q[pi^2] evaluation
+# differential check of the terms against a direct Q[pi^2] evaluation:
+# the references multiply PiPoly coefficients, so every pi power they
+# produce is computed, not implied by a weight
 
 
 def _add(acc, key, coeff):
@@ -286,21 +287,21 @@ def _add(acc, key, coeff):
 
 def reference_a_con(g, n, table):
     """A^con term by term: (1/2) c G_{a,b}(L_1), G from h_double_moment."""
-    if g < 1 or not is_stable(g - 1, n + 1):
-        return LPoly.zero(n)
     acc = {}
-    for alpha, c in table.volume(g - 1, n + 1).items():
-        for (kt,), cg in h_double_moment(alpha[0], alpha[1]).items():
+    if g < 1 or not is_stable(g - 1, n + 1):
+        return acc
+    for alpha, c in pi_view(table.volume(g - 1, n + 1)).items():
+        for (kt,), cg in pi_view(h_double_moment(alpha[0], alpha[1])).items():
             _add(acc, (kt,) + alpha[2:], c * Fraction(1, 2) * cg)
-    return LPoly(n, acc)
+    return acc
 
 
 def reference_a_dcon(g, n, table):
     """A^dcon over every pair of terms of every ordered stable splitting."""
     acc = {}
     for (g1, i1), (g2, i2) in stable_splittings(g, n):
-        w1 = table.volume(g1, len(i1) + 1)
-        w2 = table.volume(g2, len(i2) + 1)
+        w1 = pi_view(table.volume(g1, len(i1) + 1))
+        w2 = pi_view(table.volume(g2, len(i2) + 1))
         for alpha1, c1 in w1.items():
             for alpha2, c2 in w2.items():
                 base = [0] * n
@@ -308,27 +309,27 @@ def reference_a_dcon(g, n, table):
                     base[lab - 1] = e
                 for lab, e in zip(i2, alpha2[1:]):
                     base[lab - 1] = e
-                for (kt,), cg in h_double_moment(alpha1[0], alpha2[0]).items():
+                for (kt,), cg in pi_view(h_double_moment(alpha1[0], alpha2[0])).items():
                     base[0] = kt
                     _add(acc, tuple(base), c1 * Fraction(1, 2) * c2 * cg)
-    return LPoly(n, acc)
+    return acc
 
 
 def reference_b(g, n, table):
     """B with the shifted moment placed in (L_1, L_j) for every j >= 2."""
-    if n < 2:
-        return LPoly.zero(n)
     acc = {}
+    if n < 2:
+        return acc
     for pj in range(1, n):
         others = [p for p in range(1, n) if p != pj]
-        for alpha, c in table.volume(g, n - 1).items():
-            for (r, s), cs in shift_symmetrize(h_moment(alpha[0])).items():
+        for alpha, c in pi_view(table.volume(g, n - 1)).items():
+            for (r, s), cs in pi_view(shift_symmetrize(h_moment(alpha[0]))).items():
                 key = [0] * n
                 for p, e in zip(others, alpha[1:]):
                     key[p] = e
                 key[0], key[pj] = r, s
                 _add(acc, tuple(key), c * cs)
-    return LPoly(n, acc)
+    return acc
 
 
 @pytest.fixture(scope="module")
@@ -351,7 +352,9 @@ def table5():
     ids=["a_con", "a_dcon", "b"],
 )
 def test_terms_match_direct_evaluation(table5, sig, term, reference):
-    assert term(*sig, table5) == reference(*sig, table5)
+    got = term(*sig, table5)
+    assert got.weight == moduli_dim(*sig)
+    assert pi_view(got) == {a: c for a, c in reference(*sig, table5).items() if c}
 
 
 def test_table_to_dimension_five_golden_digest(table5):
@@ -359,14 +362,3 @@ def test_table_to_dimension_five_golden_digest(table5):
     # Q[pi^2] implementation of the recursion terms
     digest = hashlib.sha256(serialized(table5).encode()).hexdigest()
     assert digest == "145c7b2247a3855e883b822c604ba0db4498f5ae7a8f18da5daa50a91c9dec57"
-
-
-def test_term_rejects_non_monomial_input():
-    # V_{0,3} = 1 + pi^2 mixes pi powers in one coefficient
-    records = [
-        {"alpha": [0, 0, 0], "pi_power": 0, "coeff": "1"},
-        {"alpha": [0, 0, 0], "pi_power": 2, "coeff": "1"},
-    ]
-    t = VolumeTable.from_entries({"0,3": records}, validate=False)
-    with pytest.raises(InvariantViolation):
-        b_term(0, 4, t)
