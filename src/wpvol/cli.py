@@ -289,8 +289,6 @@ def cmd_diag_zograf(args) -> int:
     with _cached_table(args) as table:
         print("# g  ratio V_{g,n}(0) / [(4 pi^2)^(2g+n-3) (2g+n-3)! / sqrt(g pi)]")
         for g in range(1 if n >= 1 else 2, args.gmax + 1):
-            if not is_stable(g, n):
-                continue
             print(f"{g}  {zograf_ratio(table, g, n):.6f}")
     return 0
 

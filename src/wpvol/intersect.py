@@ -319,7 +319,10 @@ def zograf_ratio(table: VolumeTable, g: int, n: int) -> float:
 
     Informational only; the asymptotic regime is far beyond desk scale.
     """
-    value = table.true_volume(g, n).pi_coefficient((0,) * n).to_float()
+    if n == 0:
+        value = compact_volume(table, g).to_float()
+    else:
+        value = table.true_volume(g, n).pi_coefficient((0,) * n).to_float()
     m = 2 * g + n - 3
     predicted = (4 * math.pi**2) ** m * factorial(m) / math.sqrt(g * math.pi)
     return value / predicted

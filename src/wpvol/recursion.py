@@ -7,16 +7,9 @@ hyperbolic surfaces with n geodesic boundaries satisfies
 
 where the three terms integrate kernel moments against volumes of the
 surfaces left after removing an embedded pair of pants containing the
-first boundary:
-
-* A^con: the pants cuts off two boundaries of one connected surface of
-  genus g-1, contributing (1/2) sum over terms x^2a y^2b of V_{g-1,n+1}
-  of G_{a,b}(L_1);
-* A^dcon: the complement splits into two pieces, an ordered sum over
-  stable splittings with the same global 1/2;
-* B: the pants contains a second boundary L_j, contributing shifted
-  moment sums (F_{2a+1}(L_1+L_j) + F_{2a+1}(L_1-L_j)) / 2 against terms
-  of V_{g,n-1}.
+first boundary: A^con cuts off two boundaries of one surface of genus
+g-1, A^dcon splits the complement into two pieces, and B's pants
+contains a second boundary L_j.
 
 Base cases are V_{0,3} = 1 and the *halved* torus value
 V_{1,1} = pi^2/12 + L^2/48.  The halving accounts for the elliptic
@@ -30,16 +23,22 @@ stores q and its weight 3g-3+n implies the power of pi.  The double
 moment is applied through its Beta reduction to F_{2(a+b)+3}, so input
 products are summed per (a + b, remaining exponents) before F is expanded.
 
+V_{g,n} is symmetric in its labels, so the terms return only the keys
+(a_1, a_2 >= ... >= a_n), one per orbit of the labels 2..n, and read only
+such terms of their inputs.  The derivative is integrated back once and
+then expanded to every alpha with |alpha| <= 3g-3+n.
+
 Every entry, computed or loaded, is validated: its weight is 3g-3+n
-(which fixes every pi power and bounds |alpha|), every coefficient is
-positive, and it is label-symmetric.  A violation aborts; with exact
+(which fixes every pi power and bounds |alpha|), it has a term for every
+such alpha, every coefficient is positive, and it is symmetric under all
+label permutations, L_1 included.  A violation aborts; with exact
 arithmetic any mismatch is a logic bug.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, prod
 from typing import Iterator, Tuple
 
 from .kernels import h_moment, shift_symmetrize
@@ -60,8 +59,6 @@ __all__ = [
 ]
 
 BASE_SIGNATURES = {(0, 3), (1, 1)}
-
-Splitting = Tuple[Tuple[int, Tuple[int, ...]], Tuple[int, Tuple[int, ...]]]
 
 
 class InvariantViolation(RuntimeError):
@@ -91,29 +88,21 @@ def base_volume(g: int, n: int) -> LPoly:
 
 
 @lru_cache(maxsize=None)
-def stable_splittings(g: int, n: int) -> Tuple[Splitting, ...]:
-    """Ordered stable splittings for the disconnected term at (g, n).
+def stable_splittings(g: int, n: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Ordered stable splittings ((g1, k1), (g2, k2)) for the disconnected
+    term at (g, n): piece i has genus g_i, k_i of the labels 2..n and one
+    new boundary, with k1 + k2 = n - 1.  Pieces must be hyperbolic,
+    2 g_i - 2 + (k_i + 1) > 0, which excludes disks and annuli.
 
-    Enumerates ordered pairs ((g1, I1), (g2, I2)) with g1 + g2 = g and
-    I1, I2 a partition of the labels {2, ..., n}; each piece carries one
-    new boundary, and pieces must admit hyperbolic structures:
-    2 g_i - 2 + (|I_i| + 1) > 0, which excludes disks and annuli.
-
-    The symmetric splitting (g/2, {}) | (g/2, {}) occurs once; together
-    with the recursion's global 1/2 prefactor this reproduces the
-    unordered orbit count with its Z/2 symmetry.
+    The symmetric splitting occurs once; with the recursion's global 1/2
+    this reproduces the unordered count with its Z/2 symmetry.
     """
-    labels = tuple(range(2, n + 1))
-    out: list[Splitting] = []
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for mask in range(1 << len(labels)):
-            i1 = tuple(lab for b, lab in enumerate(labels) if mask >> b & 1)
-            i2 = tuple(lab for b, lab in enumerate(labels) if not mask >> b & 1)
-            if is_stable(g1, len(i1) + 1) and is_stable(g2, len(i2) + 1):
-                out.append(((g1, i1), (g2, i2)))
-    out.sort()
-    return tuple(out)
+    return tuple(
+        ((g1, k1), (g - g1, n - 1 - k1))
+        for g1 in range(g + 1)
+        for k1 in range(n)
+        if is_stable(g1, k1 + 1) and is_stable(g - g1, n - k1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -137,6 +126,15 @@ def _add(acc: dict, key, q: Fraction) -> None:
     acc[key] = q if prev is None else prev + q
 
 
+def _descending(rest: MultiIndex) -> MultiIndex:
+    return tuple(sorted(rest, reverse=True))
+
+
+def _representatives(p: LPoly, free: int) -> list[Tuple[MultiIndex, Fraction]]:
+    # terms whose exponents after the first ``free`` do not increase
+    return [(a, q) for a, q in p.items() if a[free:] == _descending(a[free:])]
+
+
 def _apply_double_moment(
     n: int, weight: int, sums: dict[MultiIndex, dict[int, Fraction]]
 ) -> LPoly:
@@ -154,15 +152,16 @@ def _apply_double_moment(
 
 
 def a_con_term(g: int, n: int, table: "VolumeTable") -> LPoly:
-    """Connected pants-removal term (an even polynomial in L_1, ..., L_n).
+    """Connected pants-removal term, on the keys (a_1, a_2 >= ... >= a_n).
 
-    Each term x^2a y^2b m(L_2..L_n) of V_{g-1,n+1} contributes
-    (1/2) coeff G_{a,b}(L_1) m; absent when (g-1, n+1) is unstable.
+    Each term x^2a y^2b m(L_2..L_n) of V_{g-1,n+1} with non-increasing
+    exponents in m contributes (1/2) coeff G_{a,b}(L_1) m; absent when
+    (g-1, n+1) is unstable.
     """
     if g < 1 or not is_stable(g - 1, n + 1):
         return LPoly.zero(n, moduli_dim(g, n))
     sums: dict[MultiIndex, dict[int, Fraction]] = {}
-    for alpha, q in table.volume(g - 1, n + 1).items():
+    for alpha, q in _representatives(table.volume(g - 1, n + 1), 2):
         a, b = alpha[0], alpha[1]
         row = sums.setdefault(alpha[2:], {})
         _add(row, a + b, q * (factorial(2 * a + 1) * factorial(2 * b + 1)))
@@ -170,78 +169,82 @@ def a_con_term(g: int, n: int, table: "VolumeTable") -> LPoly:
 
 
 def _by_rest(p: LPoly) -> list[Tuple[MultiIndex, list]]:
-    # terms x^2a m(rest) of a volume, grouped by rest as (a, q (2a+1)!) lists
+    # terms x^2a m(rest) with rest non-increasing, as rest -> [(a, q (2a+1)!)]
     groups: dict[MultiIndex, list] = {}
-    for alpha, q in p.items():
+    for alpha, q in _representatives(p, 1):
         a = alpha[0]
         groups.setdefault(alpha[1:], []).append((a, q * factorial(2 * a + 1)))
     return list(groups.items())
 
 
 def a_dcon_term(g: int, n: int, table: "VolumeTable") -> LPoly:
-    """Disconnected pants-removal term: ordered stable splittings with the
-    global 1/2 prefactor, products taken over disjoint label sets."""
-    pieces: dict[Tuple[int, int], list] = {}
+    """Disconnected pants-removal term, on the keys (a_1, a_2 >= ... >= a_n).
 
-    def piece(gi: int, ni: int) -> list:
-        if (gi, ni) not in pieces:
-            pieces[(gi, ni)] = _by_rest(table.volume(gi, ni))
-        return pieces[(gi, ni)]
-
+    Ordered stable splittings with the global 1/2 prefactor.  The product
+    of terms with rests rest1 and rest2 stands for every way to deal the
+    labels of the merged rest onto the pieces: prod_v C(count_v(rest),
+    count_v(rest1)) of them.
+    """
     sums: dict[MultiIndex, dict[int, Fraction]] = {}
-    base = [0] * (n - 1)  # exponents of L_2 .. L_n
-    for (g1, i1), (g2, i2) in stable_splittings(g, n):
-        terms1 = piece(g1, len(i1) + 1)
-        terms2 = piece(g2, len(i2) + 1)
-        pos1 = [lab - 2 for lab in i1]
-        pos2 = [lab - 2 for lab in i2]
-        for rest1, p1 in terms1:
-            for p, e in zip(pos1, rest1):
-                base[p] = e
+    for (g1, k1), (g2, k2) in stable_splittings(g, n):
+        terms2 = _by_rest(table.volume(g2, k2 + 1))
+        for rest1, p1 in _by_rest(table.volume(g1, k1 + 1)):
             for rest2, p2 in terms2:
-                for p, e in zip(pos2, rest2):
-                    base[p] = e
-                row = sums.setdefault(tuple(base), {})
+                rest = _descending(rest1 + rest2)
+                w = prod(comb(rest.count(v), rest1.count(v)) for v in set(rest1))
+                row = sums.setdefault(rest, {})
                 for a, x in p1:
+                    wx = w * x
                     for b, y in p2:
-                        _add(row, a + b, x * y)
+                        _add(row, a + b, wx * y)
     return _apply_double_moment(n, moduli_dim(g, n), sums)
 
 
 def b_term(g: int, n: int, table: "VolumeTable") -> LPoly:
-    """Second-boundary term: for each j >= 2, terms x^2a m of V_{g,n-1}
-    contribute coeff * shifted F-moment in (L_1, L_j) times m."""
+    """Second-boundary term, on the keys (a_1, a_2 >= ... >= a_n).
+
+    For each j >= 2, terms x^2a m of V_{g,n-1} contribute coeff * shifted
+    F-moment in (L_1, L_j) times m.  The term L_1^2r L_j^2s m stands for
+    every j whose L_j carries s: as many as s occurs in the merged rest.
+    """
     if n < 2:
         return LPoly.zero(n, moduli_dim(g, n))
-    # the contribution of j = 2, keyed (r, s) + rest; every other j places
-    # the same values with s moved to the slot of L_j
-    first: dict[MultiIndex, Fraction] = {}
-    for alpha, q in table.volume(g, n - 1).items():
+    acc: dict[MultiIndex, Fraction] = {}
+    for alpha, q in _representatives(table.volume(g, n - 1), 1):
         rest = alpha[1:]
         for r, s, f in _shifted_moment_rationals(alpha[0]):
-            _add(first, (r, s) + rest, q * f)
-    acc = dict(first)
-    for pj in range(2, n):
-        for key, x in first.items():
-            _add(acc, (key[0],) + key[2 : pj + 1] + (key[1],) + key[pj + 1 :], x)
+            merged = _descending(rest + (s,))
+            _add(acc, (r,) + merged, q * f * merged.count(s))
     return LPoly(n, moduli_dim(g, n), acc)
+
+
+def _expand(reps: LPoly) -> LPoly:
+    """The polynomial symmetric in L_2..L_n whose terms on the keys
+    (a_1, a_2 >= ... >= a_n) are those of ``reps``."""
+    alphas = [()]
+    for _ in range(reps.n):
+        alphas = [a + (e,) for a in alphas for e in range(reps.weight - sum(a) + 1)]
+    terms = {a: reps.coefficient((a[0],) + _descending(a[1:])) for a in alphas}
+    return LPoly(reps.n, reps.weight, terms)
 
 
 def validate_volume(g: int, n: int, p: LPoly) -> None:
     """Check the structural invariants of a volume polynomial.
 
-    Weight 3g-3+n (every coefficient a rational multiple of
-    pi^(2(3g-3+n-|alpha|)) with |alpha| <= 3g-3+n), strictly positive
-    coefficients, and symmetry under label permutations.  Raises
-    InvariantViolation on any failure.
+    Weight d = 3g-3+n (every coefficient a rational multiple of
+    pi^(2(d-|alpha|)) with |alpha| <= d), a term for each of the C(d+n, n)
+    such alpha, strictly positive coefficients, and symmetry under label
+    permutations.  Raises InvariantViolation on any failure.
     """
     d = moduli_dim(g, n)
     if p.n != n:
         raise InvariantViolation(f"V_{{{g},{n}}} has {p.n} variables, expected {n}")
     if p.weight != d:
         raise InvariantViolation(f"V_{{{g},{n}}} has weight {p.weight}, expected {d}")
-    if p.is_zero():
-        raise InvariantViolation(f"V_{{{g},{n}}} is zero")
+    if len(p) != comb(d + n, n):
+        raise InvariantViolation(
+            f"V_{{{g},{n}}} has {len(p)} terms, expected {comb(d + n, n)}"
+        )
     for alpha, q in p.items():
         if q <= 0:
             raise InvariantViolation(
@@ -285,13 +288,9 @@ class VolumeTable:
 
     def volume(self, g: int, n: int) -> LPoly:
         """V_{g,n} in the internal convention (halved at (1,1))."""
-        sig = (g, n)
-        cached = self._entries.get(sig)
-        if cached is not None:
-            return cached
-        poly = self._compute(g, n)
-        self._entries[sig] = poly
-        return poly
+        if (g, n) not in self._entries:
+            self._entries[(g, n)] = self._compute(g, n)
+        return self._entries[(g, n)]
 
     def true_volume(self, g: int, n: int) -> LPoly:
         """The geometric Weil-Petersson volume: doubles only V_{1,1}."""
@@ -316,7 +315,7 @@ class VolumeTable:
                 + a_dcon_term(g, n, self)
                 + b_term(g, n, self)
             )
-            poly = derivative.integrate_back()
+            poly = _expand(derivative.integrate_back())
         validate_volume(g, n, poly)
         return poly
 

@@ -29,7 +29,7 @@ from wpvol.recursion import (
     validate_volume,
 )
 
-MAX_DIM = 6
+MAX_DIM = 7
 
 
 @pytest.fixture(scope="module")

@@ -114,6 +114,15 @@ def test_diag_zograf_reports_ratios(capsys):
     assert all(float(l.split()[1]) > 0 for l in lines)
 
 
+def test_diag_zograf_closed_surfaces(capsys):
+    # V_{g,0} comes from the boundary-removal relation, not the recursion
+    code, out, err = run(capsys, "diag-zograf", "--gmax", "3", "--n", "0")
+    assert code == 0, err
+    lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+    assert [l.split()[0] for l in lines] == ["2", "3"]
+    assert all(float(l.split()[1]) > 0 for l in lines)
+
+
 # ----------------------------------------------------------------------
 # verify
 
@@ -305,6 +314,18 @@ def test_cache_with_pi_power_not_implied_or_repeated_alpha_rejected(tmp_path, ca
     path.write_text(json.dumps(payload))
     code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
     assert_one_line_error(code, err, "listed twice")
+
+
+def test_cache_missing_a_term_rejected(tmp_path, capsys):
+    path = tmp_path / "cache.json"
+    run(capsys, "table", "--max-dim", "1", "--out", str(path))
+    payload = json.loads(path.read_text())
+    # V_{0,4} without its constant term 2 pi^2: still symmetric and positive
+    assert payload["entries"]["0,4"][0]["alpha"] == [0, 0, 0, 0]
+    del payload["entries"]["0,4"][0]
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_one_line_error(code, err, "has 4 terms, expected 5")
 
 
 def test_cache_in_missing_directory_rejected_before_work(tmp_path, capsys, monkeypatch):

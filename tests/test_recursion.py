@@ -49,21 +49,26 @@ def test_no_stable_splittings_for_genus_zero_four_boundaries():
 
 
 def test_symmetric_splitting_listed_once():
-    assert stable_splittings(2, 1) == (((1, ()), (1, ())),)
+    assert stable_splittings(2, 1) == (((1, 0), (1, 0)),)
+    got = stable_splittings(2, 3)
+    assert got.count(((1, 1), (1, 1))) == 1
+    assert len(got) == len(set(got))
 
 
 def test_splittings_exclude_disks_and_annuli():
-    # every admissible piece must satisfy 2g - 2 + (|I| + 1) > 0
+    # every admissible piece must satisfy 2g - 2 + (k + 1) > 0
     assert stable_splittings(1, 2) == ()
-    got = stable_splittings(1, 3)
-    assert got == (((0, (2, 3)), (1, ())), ((1, ()), (0, (2, 3))))
+    assert stable_splittings(1, 3) == (((0, 2), (1, 0)), ((1, 0), (0, 2)))
 
 
 def test_splittings_partition_labels():
-    for (g1, i1), (g2, i2) in stable_splittings(3, 4):
+    got = stable_splittings(3, 4)
+    # g1 = 1, 2 take any 0..3 labels; g1 = 0 needs at least 2, g1 = 3 at most 1
+    assert len(got) == 12
+    for (g1, k1), (g2, k2) in got:
         assert g1 + g2 == 3
-        assert sorted(i1 + i2) == [2, 3, 4]
-        assert is_stable(g1, len(i1) + 1) and is_stable(g2, len(i2) + 1)
+        assert k1 + k2 == 3
+        assert is_stable(g1, k1 + 1) and is_stable(g2, k2 + 1)
 
 
 # ----------------------------------------------------------------------
@@ -108,13 +113,12 @@ def test_b_term_empty_for_one_boundary(table):
 
 
 def test_b_term_four_boundaries(table):
+    # only the keys (a_1, a_2 >= a_3 >= a_4): L_2^2 stands for L_3^2 and L_4^2
     got = b_term(0, 4, table)
     want_terms = {
         (0, 0, 0, 0): 2,
         (1, 0, 0, 0): Fraction(3, 2),
         (0, 1, 0, 0): Fraction(1, 2),
-        (0, 0, 1, 0): Fraction(1, 2),
-        (0, 0, 0, 1): Fraction(1, 2),
     }
     assert got == LPoly(4, 1, want_terms)
 
@@ -187,10 +191,24 @@ def test_homogeneity_details(table):
         assert q > 0
 
 
-def test_validator_rejects_broken_symmetry():
-    bad = LPoly(4, 1, {(0, 0, 0, 0): 2, (1, 0, 0, 0): Fraction(1, 2)})
-    with pytest.raises(InvariantViolation):
+def test_validator_rejects_broken_symmetry(table):
+    # every term present and positive, but L_1 and L_2 weighted differently
+    terms = dict(table.volume(0, 4).items())
+    terms[(1, 0, 0, 0)] = Fraction(1)
+    with pytest.raises(InvariantViolation, match="not label-symmetric"):
+        validate_volume(0, 4, LPoly(4, 1, terms))
+
+
+def test_validator_rejects_missing_terms(table):
+    # V_{0,4} without its 2 pi^2 term still passes the symmetry test
+    terms = dict(table.volume(0, 4).items())
+    del terms[(0, 0, 0, 0)]
+    bad = LPoly(4, 1, terms)
+    assert bad.is_symmetric()
+    with pytest.raises(InvariantViolation, match="has 4 terms, expected 5"):
         validate_volume(0, 4, bad)
+    with pytest.raises(InvariantViolation, match="has 0 terms, expected 5"):
+        validate_volume(0, 4, LPoly.zero(4, 1))
 
 
 def test_validator_rejects_wrong_arity():
@@ -277,7 +295,9 @@ def test_from_entries_rejects_alpha_listed_twice(table):
 # ----------------------------------------------------------------------
 # differential check of the terms against a direct Q[pi^2] evaluation:
 # the references multiply PiPoly coefficients, so every pi power they
-# produce is computed, not implied by a weight
+# produce is computed, not implied by a weight.  They place labels one by
+# one over every label set and every j, and return the full polynomial;
+# the terms are compared on their keys (a_1, a_2 >= ... >= a_n)
 
 
 def _add(acc, key, coeff):
@@ -296,10 +316,24 @@ def reference_a_con(g, n, table):
     return acc
 
 
+def label_splittings(g, n):
+    """Ordered stable splittings ((g1, I1), (g2, I2)) with I1, I2 a
+    partition of the labels {2, ..., n}, one per label mask."""
+    labels = tuple(range(2, n + 1))
+    out = []
+    for g1 in range(g + 1):
+        for mask in range(1 << len(labels)):
+            i1 = tuple(lab for b, lab in enumerate(labels) if mask >> b & 1)
+            i2 = tuple(lab for b, lab in enumerate(labels) if not mask >> b & 1)
+            if is_stable(g1, len(i1) + 1) and is_stable(g - g1, len(i2) + 1):
+                out.append(((g1, i1), (g - g1, i2)))
+    return out
+
+
 def reference_a_dcon(g, n, table):
     """A^dcon over every pair of terms of every ordered stable splitting."""
     acc = {}
-    for (g1, i1), (g2, i2) in stable_splittings(g, n):
+    for (g1, i1), (g2, i2) in label_splittings(g, n):
         w1 = pi_view(table.volume(g1, len(i1) + 1))
         w2 = pi_view(table.volume(g2, len(i2) + 1))
         for alpha1, c1 in w1.items():
@@ -354,7 +388,27 @@ def table5():
 def test_terms_match_direct_evaluation(table5, sig, term, reference):
     got = term(*sig, table5)
     assert got.weight == moduli_dim(*sig)
-    assert pi_view(got) == {a: c for a, c in reference(*sig, table5).items() if c}
+    want = {
+        alpha: c
+        for alpha, c in reference(*sig, table5).items()
+        if c and list(alpha[1:]) == sorted(alpha[1:], reverse=True)
+    }
+    assert pi_view(got) == want
+
+
+def test_label_splittings_count_label_sets():
+    # the reference's masks regroup into the (g1, k1) splittings, each
+    # listed C(n - 1, k1) times
+    from math import comb
+
+    for g, n in [(2, 1), (1, 3), (2, 3), (3, 4)]:
+        sizes = [
+            ((g1, len(i1)), (g2, len(i2)))
+            for (g1, i1), (g2, i2) in label_splittings(g, n)
+        ]
+        assert sorted(set(sizes)) == sorted(stable_splittings(g, n))
+        for split in stable_splittings(g, n):
+            assert sizes.count(split) == comb(n - 1, split[0][1])
 
 
 def test_table_to_dimension_five_golden_digest(table5):
@@ -362,3 +416,12 @@ def test_table_to_dimension_five_golden_digest(table5):
     # Q[pi^2] implementation of the recursion terms
     digest = hashlib.sha256(serialized(table5).encode()).hexdigest()
     assert digest == "145c7b2247a3855e883b822c604ba0db4498f5ae7a8f18da5daa50a91c9dec57"
+
+
+def test_table_to_dimension_seven_golden_digest():
+    # sha256 of the serialized dimension-7 table, recorded from the
+    # recursion that computed every label placement of each term
+    t = VolumeTable()
+    t.ensure(7)
+    digest = hashlib.sha256(serialized(t).encode()).hexdigest()
+    assert digest == "762905318d916c179a9f311b484d7c80a9faddb9e5a9ce7a5c8e91fefa8d474f"
