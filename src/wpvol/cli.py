@@ -235,6 +235,8 @@ def cmd_intersect(args) -> int:
     n = len(alpha)
     if n == 0:
         raise UsageError("alpha must have at least one entry")
+    if any(a < 0 for a in alpha):
+        raise UsageError("psi exponents must be non-negative")
     if not is_stable(g, n):
         raise UsageError(f"({g},{n}) is not a stable signature")
     d = moduli_dim(g, n)
@@ -286,6 +288,8 @@ def cmd_table(args) -> int:
 
 def cmd_diag_zograf(args) -> int:
     n = args.n
+    if n < 0:
+        raise UsageError("the number of boundaries --n must be non-negative")
     with _cached_table(args) as table:
         print("# g  ratio V_{g,n}(0) / [(4 pi^2)^(2g+n-3) (2g+n-3)! / sqrt(g pi)]")
         for g in range(1 if n >= 1 else 2, args.gmax + 1):

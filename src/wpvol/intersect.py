@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import factorial, prod
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -43,7 +44,6 @@ from .recursion import VolumeTable, is_stable, iter_signatures, moduli_dim
 
 __all__ = [
     "IntersectionValue",
-    "volume_coefficient",
     "intersection_number",
     "psi_correlator",
     "genus0_correlator",
@@ -84,19 +84,6 @@ class IntersectionValue:
     omega: PiPoly
     kappa: Rat
     m: int
-
-
-def volume_coefficient(
-    table: VolumeTable, g: int, n: int, alpha: Sequence[int]
-) -> PiPoly:
-    """Coefficient of L^(2 alpha) in the true volume V_{g,n}.
-
-    Out-of-range multi-indices give zero rather than an error.
-    """
-    alpha = tuple(alpha)
-    if len(alpha) != n:
-        raise ValueError("alpha must have one entry per boundary")
-    return table.true_volume(g, n).pi_coefficient(alpha)
 
 
 def intersection_number(
@@ -334,21 +321,15 @@ def zograf_ratio(table: VolumeTable, g: int, n: int) -> float:
 RELATIONS = ("string", "dilaton", "dvv", "do-string", "do-dilaton")
 
 
-def _sorted_compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
+def _sorted_compositions(total: int, parts: int) -> list[Tuple[int, ...]]:
     """Non-increasing exponent tuples of the given length summing to
-    total: one representative per orbit of the symmetric group."""
-    def rec(remaining: int, parts_left: int, cap: int) -> Iterator[Tuple[int, ...]]:
-        if parts_left == 0:
-            if remaining == 0:
-                yield ()
-            return
-        hi = min(cap, remaining)
-        lo = -(-remaining // parts_left)  # ceil: keep non-increasing feasible
-        for first in range(hi, lo - 1, -1):
-            for tail in rec(remaining - first, parts_left - 1, first):
-                yield (first,) + tail
-
-    return rec(total, parts, total)
+    total, in decreasing lexicographic order: one representative per orbit
+    of the symmetric group."""
+    return [
+        c
+        for c in combinations_with_replacement(range(total, -1, -1), parts)
+        if sum(c) == total
+    ]
 
 
 def run_relation_suite(

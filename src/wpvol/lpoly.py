@@ -20,6 +20,10 @@ as (variable * even part) pairs by :meth:`LPoly.integrate_back` and
 
 The canonical term order used for serialization and rendering is graded
 lexicographic on alpha.
+
+An LPoly has no notion of label symmetry: volumes are symmetric, and
+:func:`wpvol.recursion.validate_volume` checks that on the stored terms,
+one lookup of the sorted key per term.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ from .exact import PiPoly, Rat, rat_from_str, rat_to_str
 __all__ = ["MultiIndex", "LPoly", "grlex_key"]
 
 MultiIndex = Tuple[int, ...]
+_ZERO = Fraction(0)
 
 
 def grlex_key(alpha: MultiIndex) -> Tuple[int, MultiIndex]:
@@ -111,7 +116,7 @@ class LPoly:
 
     def coefficient(self, alpha: Sequence[int]) -> Fraction:
         """Rational part of the coefficient of L^(2 alpha); zero when absent."""
-        return self._terms.get(tuple(alpha), Fraction(0))
+        return self._terms.get(tuple(alpha), _ZERO)
 
     def pi_coefficient(self, alpha: Sequence[int]) -> PiPoly:
         """The coefficient of L^(2 alpha) with its pi power, as a PiPoly."""
@@ -177,38 +182,6 @@ class LPoly:
         out.weight = weight
         out._terms = {a: q for a, q in terms.items() if q}
         return out
-
-    # ------------------------------------------------------------------
-    # relabelling
-
-    def permute(self, sigma: Sequence[int]) -> "LPoly":
-        """Relabel variables: variable i is sent to slot sigma[i].
-
-        Acts as a group action: ``p.permute(s).permute(t) == p.permute(t o s)``.
-        """
-        sigma = list(sigma)
-        if sorted(sigma) != list(range(self.n)):
-            raise ValueError("sigma must be a permutation of range(n)")
-        terms: dict[MultiIndex, Fraction] = {}
-        for alpha, q in self._terms.items():
-            beta = [0] * self.n
-            for i, a in enumerate(alpha):
-                beta[sigma[i]] = a
-            terms[tuple(beta)] = q
-        return self._wrap(self.n, self.weight, terms)
-
-    def is_symmetric(self) -> bool:
-        """Invariance under all variable permutations.
-
-        Checked on the adjacent-transposition generators of the symmetric
-        group.
-        """
-        for i in range(self.n - 1):
-            sigma = list(range(self.n))
-            sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
-            if self.permute(sigma) != self:
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # calculus
@@ -308,18 +281,34 @@ class LPoly:
 
     @classmethod
     def from_records(cls, n: int, weight: int, records) -> "LPoly":
-        """Inverse of :meth:`to_records`.  Rejects a record whose pi power
-        is not the one its alpha implies, and an alpha listed twice."""
+        """Inverse of :meth:`to_records`.  Exponents and ``pi_power`` must
+        be integers and ``coeff`` a string naming a rational.  Rejects a
+        record whose pi power is not the one its alpha implies, and an
+        alpha listed twice."""
         terms: dict[MultiIndex, Fraction] = {}
         for rec in records:
-            alpha = tuple(int(a) for a in rec["alpha"])
-            implied = 2 * (weight - sum(alpha))
-            if int(rec["pi_power"]) != implied:
+            alpha, pi_power, coeff = tuple(rec["alpha"]), rec["pi_power"], rec["coeff"]
+            # type(), not isinstance(): JSON true and false are not exponents
+            if any(type(x) is not int for x in alpha + (pi_power,)):
                 raise ValueError(
-                    f"term {list(alpha)} has pi power {rec['pi_power']}, "
-                    f"expected {implied}"
+                    f"term {rec['alpha']!r} with pi power {pi_power!r}: "
+                    "exponents and pi powers must be integers"
+                )
+            implied = 2 * (weight - sum(alpha))
+            if pi_power != implied:
+                raise ValueError(
+                    f"term {list(alpha)} has pi power {pi_power}, expected {implied}"
                 )
             if alpha in terms:
                 raise ValueError(f"term {list(alpha)} is listed twice")
-            terms[alpha] = rat_from_str(rec["coeff"])
+            if not isinstance(coeff, str):
+                raise ValueError(
+                    f"term {list(alpha)} has coefficient {coeff!r}, not a string"
+                )
+            try:
+                terms[alpha] = rat_from_str(coeff)
+            except ZeroDivisionError:
+                raise ValueError(
+                    f"term {list(alpha)} has coefficient {coeff!r} with denominator 0"
+                ) from None
         return cls(n, weight, terms)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,7 +27,6 @@ import numpy as np
 from .kernels import kernel_d, kernel_h, kernel_r
 
 __all__ = [
-    "QuadratureSpec",
     "QuadResult",
     "quad_moment",
     "quad_double_moment",
@@ -38,22 +37,18 @@ __all__ = [
 _NODES = 24  # Gauss-Legendre nodes per panel
 _PANEL = 8.0  # coarse panel width; the refined pass halves it
 _LOG_TAIL_TARGET = math.log(1e-13)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Resolved parameters of one quadrature run."""
-
-    integrand: str
-    truncation: float
-    panels: int
-    target_abs_err: float
+# moment_validation_report: F_{2k+1} for k <= _MAX_K and G_{i,j} for
+# i + j <= _MAX_DOUBLE, at each t in _TS, to relative deviation _MOMENT_TOL
+_MAX_K = 8
+_MAX_DOUBLE = 5
+_TS = (0.0, 1.0, 5.0)
+_MOMENT_TOL = 1e-8
 
 
 class QuadResult(NamedTuple):
     value: float
     abs_err: float
-    spec: QuadratureSpec
+    truncation: float
 
 
 def _single_tail_log(T: float, k: int, t: float) -> float:
@@ -112,19 +107,10 @@ def quad_moment(k: int, t: float) -> QuadResult:
     tail = math.exp(tail_log(T))
 
     results = []
-    panel_counts = []
     for width in (_PANEL, _PANEL / 2.0):
         x, w = _panel_rule(T, width)
         results.append(float(np.dot(w, x ** (2 * k + 1) * _h_values(x, t))))
-        panel_counts.append(math.ceil(T / width))
-    err = abs(results[1] - results[0]) + tail
-    spec = QuadratureSpec(
-        integrand=f"x^{2 * k + 1} H(x,{t})",
-        truncation=T,
-        panels=panel_counts[1],
-        target_abs_err=1e-12,
-    )
-    return QuadResult(results[1], err, spec)
+    return QuadResult(results[1], abs(results[1] - results[0]) + tail, T)
 
 
 def quad_double_moment(i: int, j: int, t: float) -> QuadResult:
@@ -137,22 +123,23 @@ def quad_double_moment(i: int, j: int, t: float) -> QuadResult:
     tail = math.exp(tail_log(T))
 
     results = []
-    panel_counts = []
     for width in (_PANEL, _PANEL / 2.0):
         x, wx = _panel_rule(T, width)
         grid = _h_values(x[:, None] + x[None, :], t)
         fx = wx * x ** (2 * i + 1)
         fy = wx * x ** (2 * j + 1)
         results.append(float(fx @ grid @ fy))
-        panel_counts.append(math.ceil(T / width))
-    err = abs(results[1] - results[0]) + tail
-    spec = QuadratureSpec(
-        integrand=f"x^{2 * i + 1} y^{2 * j + 1} H(x+y,{t})",
-        truncation=T,
-        panels=panel_counts[1],
-        target_abs_err=1e-12,
-    )
-    return QuadResult(results[1], err, spec)
+    return QuadResult(results[1], abs(results[1] - results[0]) + tail, T)
+
+
+def _record(check: str, dev: float, tol: float, where: str) -> dict:
+    return {
+        "check": check,
+        "grid": where,
+        "max_abs_dev": dev,
+        "tolerance": tol,
+        "pass": dev < tol,
+    }
 
 
 def _central_diff(f: Callable[[float], float], x: float, step: float = 1e-4) -> float:
@@ -192,69 +179,38 @@ def kernel_identity_report() -> list[dict]:
         )
         dev_even = max(dev_even, abs(kernel_h(x, y) - kernel_h(x, -y)))
 
-    def record(check: str, dev: float, tol: float, where: str) -> dict:
-        return {
-            "check": check,
-            "grid": where,
-            "max_abs_dev": dev,
-            "tolerance": tol,
-            "pass": dev < tol,
-        }
-
     return [
-        record("dD/dx = H(y+z,x)", dev_d, 1e-6, "central diff, {0.5,1,2,5}^3"),
-        record("2 dR/dx = H(z,x+y)+H(z,x-y)", dev_r, 1e-6, "central diff, {0.5,1,2,5}^3"),
-        record("R(x,y,z)+R(x,z,y) = x+D(x,y,z)", dev_gap, 1e-10, "400 random points in [0,10]^3"),
-        record("H(x,y) = H(x,-y)", dev_even, 1e-12, "400 random points in [0,10]^2"),
+        _record("dD/dx = H(y+z,x)", dev_d, 1e-6, "central diff, {0.5,1,2,5}^3"),
+        _record("2 dR/dx = H(z,x+y)+H(z,x-y)", dev_r, 1e-6, "central diff, {0.5,1,2,5}^3"),
+        _record("R(x,y,z)+R(x,z,y) = x+D(x,y,z)", dev_gap, 1e-10, "400 random points in [0,10]^3"),
+        _record("H(x,y) = H(x,-y)", dev_even, 1e-12, "400 random points in [0,10]^2"),
     ]
 
 
-def moment_validation_report(
-    max_k: int = 8,
-    max_double: int = 5,
-    ts: tuple[float, ...] = (0.0, 1.0, 5.0),
-    tol: float = 1e-8,
-) -> list[dict]:
+def moment_validation_report() -> list[dict]:
     """Compare the exact moment closed forms against quadrature.
 
-    Covers F_{2k+1} for k <= max_k and G_{i,j} for i + j <= max_double at
-    the given t values; the figure of merit is the relative deviation
-    |quad - exact| / max(1, |exact|).
+    Covers F_{2k+1} for k <= 8 and G_{i,j} for i + j <= 5 at t = 0, 1
+    and 5; the figure of merit is the relative deviation
+    |quad - exact| / max(1, |exact|), against the tolerance 1e-8.
     """
     from fractions import Fraction
 
     from .kernels import h_double_moment, h_moment
 
-    reports = []
-    for k in range(max_k + 1):
-        exact = h_moment(k)
-        for t in ts:
+    def records(name: str, exact, quad: Callable[[float], QuadResult]) -> list[dict]:
+        out = []
+        for t in _TS:
             ref = exact.eval_rational([Fraction(t)]).to_float()
-            got = quad_moment(k, t)
-            dev = abs(got.value - ref) / max(1.0, abs(ref))
-            reports.append(
-                {
-                    "check": f"F_{2 * k + 1}({t}) quadrature",
-                    "grid": f"t={t}",
-                    "max_abs_dev": dev,
-                    "tolerance": tol,
-                    "pass": dev < tol,
-                }
-            )
-    for i in range(max_double + 1):
-        for j in range(max_double + 1 - i):
-            exact = h_double_moment(i, j)
-            for t in ts:
-                ref = exact.eval_rational([Fraction(t)]).to_float()
-                got = quad_double_moment(i, j, t)
-                dev = abs(got.value - ref) / max(1.0, abs(ref))
-                reports.append(
-                    {
-                        "check": f"G_{{{i},{j}}}({t}) quadrature",
-                        "grid": f"t={t}",
-                        "max_abs_dev": dev,
-                        "tolerance": tol,
-                        "pass": dev < tol,
-                    }
-                )
+            dev = abs(quad(t).value - ref) / max(1.0, abs(ref))
+            out.append(_record(f"{name}({t}) quadrature", dev, _MOMENT_TOL, f"t={t}"))
+        return out
+
+    reports = []
+    for k in range(_MAX_K + 1):
+        reports += records(f"F_{2 * k + 1}", h_moment(k), partial(quad_moment, k))
+    for i in range(_MAX_DOUBLE + 1):
+        for j in range(_MAX_DOUBLE + 1 - i):
+            quad = partial(quad_double_moment, i, j)
+            reports += records(f"G_{{{i},{j}}}", h_double_moment(i, j), quad)
     return reports

@@ -31,7 +31,11 @@ then expanded to every alpha with |alpha| <= 3g-3+n.
 Every entry, computed or loaded, is validated: its weight is 3g-3+n
 (which fixes every pi power and bounds |alpha|), it has a term for every
 such alpha, every coefficient is positive, and it is symmetric under all
-label permutations, L_1 included.  A violation aborts; with exact
+label permutations, L_1 included.  Symmetry is checked with one lookup
+per term: since every alpha is present, it suffices that each coefficient
+equals the one at its sorted key (a_1 >= ... >= a_n).  On a computed
+volume, whose terms were expanded from the keys (a_1, a_2 >= ... >= a_n),
+this compares L_1 with the other labels.  A violation aborts; with exact
 arithmetic any mismatch is a logic bug.
 """
 from __future__ import annotations
@@ -66,8 +70,9 @@ class InvariantViolation(RuntimeError):
 
 
 def is_stable(g: int, n: int) -> bool:
-    """Whether a genus-g surface with n boundaries is hyperbolic: 2g-2+n > 0."""
-    return 2 * g - 2 + n > 0
+    """Whether a genus-g surface with n boundaries is hyperbolic: g >= 0,
+    n >= 0 and 2g-2+n > 0."""
+    return g >= 0 and n >= 0 and 2 * g - 2 + n > 0
 
 
 def moduli_dim(g: int, n: int) -> int:
@@ -234,7 +239,8 @@ def validate_volume(g: int, n: int, p: LPoly) -> None:
     Weight d = 3g-3+n (every coefficient a rational multiple of
     pi^(2(d-|alpha|)) with |alpha| <= d), a term for each of the C(d+n, n)
     such alpha, strictly positive coefficients, and symmetry under label
-    permutations.  Raises InvariantViolation on any failure.
+    permutations: each coefficient equals the one at its key sorted in
+    decreasing order.  Raises InvariantViolation on any failure.
     """
     d = moduli_dim(g, n)
     if p.n != n:
@@ -245,13 +251,14 @@ def validate_volume(g: int, n: int, p: LPoly) -> None:
         raise InvariantViolation(
             f"V_{{{g},{n}}} has {len(p)} terms, expected {comb(d + n, n)}"
         )
+    # no key exceeds the weight, so p has every alpha: this is full symmetry
     for alpha, q in p.items():
         if q <= 0:
             raise InvariantViolation(
                 f"V_{{{g},{n}}}: coefficient of {alpha} is not positive"
             )
-    if not p.is_symmetric():
-        raise InvariantViolation(f"V_{{{g},{n}}} is not label-symmetric")
+        if p.coefficient(_descending(alpha)) != q:
+            raise InvariantViolation(f"V_{{{g},{n}}} is not label-symmetric")
 
 
 def iter_signatures(max_dim: int) -> Iterator[Tuple[int, int]]:
@@ -342,6 +349,10 @@ class VolumeTable:
         for key, records in entries.items():
             g_str, n_str = key.split(",")
             g, n = int(g_str), int(n_str)
+            if key != f"{g},{n}" or n < 1 or not is_stable(g, n):
+                raise ValueError(
+                    f"entry {key!r} is not a stable signature g,n with n >= 1"
+                )
             poly = LPoly.from_records(n, moduli_dim(g, n), records)
             validate_volume(g, n, poly)
             table._entries[(g, n)] = poly

@@ -141,7 +141,12 @@ def test_criterion_5_structural_invariants(table):
             break
         poly = table.volume(g, n)
         d = moduli_dim(g, n)
-        ok = ok and poly.is_symmetric()
+        # swapping L_1 with each L_j leaves every coefficient unchanged
+        for j in range(1, n):
+            for alpha, q in poly.items():
+                swapped = list(alpha)
+                swapped[0], swapped[j] = alpha[j], alpha[0]
+                ok = ok and poly.coefficient(swapped) == q
         for alpha, q in poly.items():
             mono = poly.pi_coefficient(alpha).as_monomial()
             ok = (

@@ -328,14 +328,105 @@ def test_cache_missing_a_term_rejected(tmp_path, capsys):
     assert_one_line_error(code, err, "has 4 terms, expected 5")
 
 
-def test_cache_in_missing_directory_rejected_before_work(tmp_path, capsys, monkeypatch):
+def v04_cache_with(tmp_path, capsys, edit):
+    """A dimension-1 cache whose V_{0,4} term records went through ``edit``."""
+    path = tmp_path / "cache.json"
+    run(capsys, "table", "--max-dim", "1", "--out", str(path))
+    payload = json.loads(path.read_text())
+    records = payload["entries"]["0,4"]
+    # canonical order: the 2 pi^2 term first, the L_1^2 / 2 term last
+    assert records[0]["alpha"] == [0, 0, 0, 0] and records[-1]["alpha"] == [1, 0, 0, 0]
+    edit(records)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_cache_coefficient_with_zero_denominator_rejected(tmp_path, capsys):
+    def edit(records):
+        records[0]["coeff"] = "1/0"
+
+    path = v04_cache_with(tmp_path, capsys, edit)
+    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_one_line_error(code, err, "malformed", "'1/0' with denominator 0")
+
+
+def test_cache_coefficient_as_json_number_rejected(tmp_path, capsys):
+    def edit(records):
+        records[-1]["coeff"] = 0.5
+
+    path = v04_cache_with(tmp_path, capsys, edit)
+    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_one_line_error(code, err, "malformed", "coefficient 0.5, not a string")
+
+
+@pytest.mark.parametrize(
+    "index,fields",
+    [
+        # each was read as the term it replaces and served
+        (-1, {"alpha": [1.9, 0, 0, 0], "pi_power": 0.5}),
+        (-1, {"alpha": [True, False, False, False]}),
+        (0, {"pi_power": "2"}),
+    ],
+)
+def test_cache_exponents_and_pi_power_must_be_integers(tmp_path, capsys, index, fields):
+    def edit(records):
+        records[index].update(fields)
+
+    path = v04_cache_with(tmp_path, capsys, edit)
+    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_one_line_error(code, err, "malformed", "must be integers")
+
+
+@pytest.mark.parametrize("key", ["0,2", "-1,5", "1,0", "01,3"])
+def test_cache_key_not_a_stable_signature_rejected(tmp_path, capsys, key):
+    path = tmp_path / "cache.json"
+    run(capsys, "table", "--max-dim", "1", "--out", str(path))
+    payload = json.loads(path.read_text())
+    payload["entries"][key] = []
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_one_line_error(code, err, "malformed", f"entry '{key}' is not a stable signature")
+
+
+def forbid_table_work(monkeypatch):
     from wpvol.recursion import VolumeTable
 
     def no_work(*args):
-        raise AssertionError("the table was built before the path was checked")
+        raise AssertionError("the table was built before the arguments were checked")
 
     monkeypatch.setattr(VolumeTable, "volume", no_work)
     monkeypatch.setattr(VolumeTable, "ensure", no_work)
+
+
+def test_negative_genus_rejected_before_work(capsys, monkeypatch):
+    forbid_table_work(monkeypatch)
+    code, _, err = run(capsys, "volume", "-1", "5")
+    assert_one_line_error(code, err, "(-1,5) is not a stable signature")
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (["-1", "0", "0", "0", "0", "0"], "(-1,5) is not a stable signature"),
+        (["0", "-1", "2", "0", "0"], "psi exponents must be non-negative"),
+    ],
+)
+def test_intersect_negative_arguments_rejected_before_work(capsys, monkeypatch, argv, words):
+    forbid_table_work(monkeypatch)
+    code, out, err = run(capsys, "intersect", *argv)
+    assert out == ""
+    assert_one_line_error(code, err, words)
+
+
+def test_diag_zograf_negative_boundary_count_rejected_before_work(capsys, monkeypatch):
+    forbid_table_work(monkeypatch)
+    code, out, err = run(capsys, "diag-zograf", "--n", "-1")
+    assert out == ""
+    assert_one_line_error(code, err, "--n must be non-negative")
+
+
+def test_cache_in_missing_directory_rejected_before_work(tmp_path, capsys, monkeypatch):
+    forbid_table_work(monkeypatch)
     path = tmp_path / "missing" / "cache.json"
     code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
     assert_one_line_error(code, err, "does not exist")

@@ -14,7 +14,6 @@ from wpvol.intersect import (
     intersection_number,
     psi_correlator,
     run_relation_suite,
-    volume_coefficient,
     zograf_ratio,
 )
 from wpvol.recursion import VolumeTable, iter_signatures, moduli_dim
@@ -32,21 +31,22 @@ def table():
 
 
 def test_torus_coefficient(table):
-    assert volume_coefficient(table, 1, 1, (1,)) == PiPoly.rational(Fraction(1, 24))
+    got = table.true_volume(1, 1).pi_coefficient((1,))
+    assert got == PiPoly.rational(Fraction(1, 24))
 
 
 def test_four_boundary_constant(table):
-    got = volume_coefficient(table, 0, 4, (0, 0, 0, 0))
+    got = table.true_volume(0, 4).pi_coefficient((0, 0, 0, 0))
     assert got == PiPoly.monomial(1, 2)
 
 
 def test_genus_two_top_coefficient(table):
-    got = volume_coefficient(table, 2, 1, (4,))
+    got = table.true_volume(2, 1).pi_coefficient((4,))
     assert got == PiPoly.rational(Fraction(1, 442368))
 
 
 def test_out_of_range_alpha_is_zero(table):
-    assert volume_coefficient(table, 0, 4, (5, 0, 0, 0)).is_zero()
+    assert table.true_volume(0, 4).pi_coefficient((5, 0, 0, 0)).is_zero()
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +91,7 @@ def test_top_degree_symbol_formula_agrees(table):
 
     for g, alpha in [(1, (1,)), (0, (1, 0, 0, 0)), (2, (4,)), (1, (0, 2))]:
         n = len(alpha)
-        c = volume_coefficient(table, g, n, alpha).coefficient(0)
+        c = table.true_volume(g, n).pi_coefficient(alpha).coefficient(0)
         delta = 1 if (g, n) == (1, 1) else 0
         symbol = (
             c
@@ -107,6 +107,14 @@ def test_genus0_closed_form():
     assert genus0_correlator((2, 0, 0, 0, 0)) == 1
     assert genus0_correlator((1, 1, 0, 0, 0)) == 2
     assert genus0_correlator((1, 0, 0)) == 0  # degree mismatch
+
+
+def test_sorted_compositions_one_per_orbit_in_decreasing_order():
+    from wpvol.intersect import _sorted_compositions
+
+    assert _sorted_compositions(4, 3) == [(4, 0, 0), (3, 1, 0), (2, 2, 0), (2, 1, 1)]
+    assert _sorted_compositions(0, 0) == [()]
+    assert _sorted_compositions(2, 0) == []
 
 
 def test_genus0_cross_check(table):

@@ -139,26 +139,6 @@ def test_string_identity_for_three_boundaries():
 
 
 # ----------------------------------------------------------------------
-# permutations
-
-
-def test_identity_permutation():
-    v = v04()
-    assert v.permute([0, 1, 2, 3]) == v
-
-
-def test_symmetric_polynomial_stays_fixed():
-    v = v04()
-    assert v.permute([1, 0, 3, 2]) == v
-    assert v.is_symmetric()
-
-
-def test_asymmetric_detected():
-    p = LPoly.monomial(2, (1, 0))
-    assert not p.is_symmetric()
-
-
-# ----------------------------------------------------------------------
 # properties
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
@@ -187,13 +167,6 @@ def test_integrate_back_round_trip(q):
 def test_subst_commutes_with_add_and_scale(a, b, c):
     assert (a + b).subst_two_pi_i(0) == a.subst_two_pi_i(0) + b.subst_two_pi_i(0)
     assert a.scale(c).subst_two_pi_i(0) == a.subst_two_pi_i(0).scale(c)
-
-
-@settings(max_examples=40)
-@given(lpolys(3), st.permutations(range(3)), st.permutations(range(3)))
-def test_permute_is_group_action(p, sigma, tau):
-    composed = [tau[sigma[i]] for i in range(3)]
-    assert p.permute(sigma).permute(tau) == p.permute(composed)
 
 
 @settings(max_examples=50)

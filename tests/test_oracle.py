@@ -48,7 +48,7 @@ def test_single_error_estimate_bounds_truth(k, t):
     ref = exact_moment_float(k, t)
     got = quad_moment(k, t)
     assert abs(got.value - ref) <= got.abs_err + 1e-14 * abs(ref)
-    assert got.spec.truncation > t
+    assert got.truncation > t
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,8 @@ def pi_view(p):
 def test_stability():
     assert is_stable(0, 3) and is_stable(1, 1) and is_stable(2, 0)
     assert not is_stable(0, 2) and not is_stable(0, 1) and not is_stable(0, 0)
+    # 2g-2+n > 0 alone would admit these
+    assert not is_stable(-1, 5) and not is_stable(-2, 7) and not is_stable(3, -1)
 
 
 def test_no_stable_splittings_for_genus_zero_four_boundaries():
@@ -192,11 +194,13 @@ def test_homogeneity_details(table):
 
 
 def test_validator_rejects_broken_symmetry(table):
-    # every term present and positive, but L_1 and L_2 weighted differently
-    terms = dict(table.volume(0, 4).items())
-    terms[(1, 0, 0, 0)] = Fraction(1)
-    with pytest.raises(InvariantViolation, match="not label-symmetric"):
-        validate_volume(0, 4, LPoly(4, 1, terms))
+    # every term present and positive, but one label weighted differently:
+    # first L_1, then L_3 against an unchanged L_2
+    for key in [(1, 0, 0, 0), (0, 0, 1, 0)]:
+        terms = dict(table.volume(0, 4).items())
+        terms[key] = Fraction(1)
+        with pytest.raises(InvariantViolation, match="not label-symmetric"):
+            validate_volume(0, 4, LPoly(4, 1, terms))
 
 
 def test_validator_rejects_missing_terms(table):
@@ -204,7 +208,6 @@ def test_validator_rejects_missing_terms(table):
     terms = dict(table.volume(0, 4).items())
     del terms[(0, 0, 0, 0)]
     bad = LPoly(4, 1, terms)
-    assert bad.is_symmetric()
     with pytest.raises(InvariantViolation, match="has 4 terms, expected 5"):
         validate_volume(0, 4, bad)
     with pytest.raises(InvariantViolation, match="has 0 terms, expected 5"):
