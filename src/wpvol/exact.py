@@ -4,6 +4,13 @@ and zeta values at even integers.
 Every quantity produced by the volume recursion is an exact element of
 Q[pi^2].  Floating point enters only through :func:`PiPoly.to_float`, the
 bridge used by the numeric oracle and the CLI.
+
+Nothing parses a :class:`PiPoly` from outside data.  Every value is
+computed by this package from zeta values and from volumes, which were
+checked where they entered (:meth:`wpvol.lpoly.LPoly.from_records` for
+cache records, :func:`wpvol.recursion.validate_volume` for every volume).
+The constructor therefore checks nothing and only drops zero
+coefficients.
 """
 from __future__ import annotations
 
@@ -91,22 +98,14 @@ class PiPoly:
 
     Terms are stored sparsely as a mapping ``k -> q_k`` with every stored
     coefficient non-zero, so equality is term-wise equality of canonical
-    rationals.  Instances are immutable after construction and safe to
-    share between threads.
+    rationals.  The caller passes powers k >= 0 and ``Fraction``
+    coefficients.  Instances are immutable after construction.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Optional[Mapping[int, Scalar]] = None):
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for k, q in terms.items():
-                if k < 0:
-                    raise ValueError("pi powers must be non-negative")
-                q = Fraction(q)
-                if q != 0:
-                    clean[int(k)] = q
-        self._terms = clean
+    def __init__(self, terms: Optional[Mapping[int, Fraction]] = None):
+        self._terms = {k: q for k, q in terms.items() if q} if terms else {}
 
     # ------------------------------------------------------------------
     # constructors
@@ -156,24 +155,8 @@ class PiPoly:
             return NotImplemented
         terms = dict(self._terms)
         for k, q in other._terms.items():
-            s = terms.get(k, Fraction(0)) + q
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        out = PiPoly.__new__(PiPoly)
-        out._terms = terms
-        return out
-
-    def __neg__(self) -> "PiPoly":
-        out = PiPoly.__new__(PiPoly)
-        out._terms = {k: -q for k, q in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "PiPoly") -> "PiPoly":
-        if not isinstance(other, PiPoly):
-            return NotImplemented
-        return self + (-other)
+            terms[k] = terms.get(k, 0) + q
+        return PiPoly(terms)
 
     def __mul__(self, other: Union["PiPoly", Scalar]) -> "PiPoly":
         if isinstance(other, PiPoly):
@@ -181,21 +164,10 @@ class PiPoly:
             for k1, q1 in self._terms.items():
                 for k2, q2 in other._terms.items():
                     k = k1 + k2
-                    s = terms.get(k, Fraction(0)) + q1 * q2
-                    if s:
-                        terms[k] = s
-                    else:
-                        terms.pop(k, None)
-            out = PiPoly.__new__(PiPoly)
-            out._terms = terms
-            return out
+                    terms[k] = terms.get(k, 0) + q1 * q2
+            return PiPoly(terms)
         if isinstance(other, (int, Fraction)):
-            q0 = Fraction(other)
-            if q0 == 0:
-                return PiPoly.zero()
-            out = PiPoly.__new__(PiPoly)
-            out._terms = {k: q * q0 for k, q in self._terms.items()}
-            return out
+            return PiPoly({k: q * other for k, q in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -228,16 +200,6 @@ class PiPoly:
         return [
             {"pi_power": 2 * k, "coeff": rat_to_str(q)} for k, q in self.items()
         ]
-
-    @classmethod
-    def from_records(cls, records) -> "PiPoly":
-        terms: dict[int, Fraction] = {}
-        for rec in records:
-            p = int(rec["pi_power"])
-            if p % 2 != 0:
-                raise ValueError("pi powers must be even")
-            terms[p // 2] = terms.get(p // 2, Fraction(0)) + rat_from_str(rec["coeff"])
-        return cls(terms)
 
     def __repr__(self) -> str:
         return f"PiPoly({self.as_str()!r})"

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial, prod
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .exact import PiPoly, Rat, rat_to_str
 from .lpoly import LPoly
@@ -142,17 +142,40 @@ def genus0_correlator(alpha: Sequence[int]) -> Rat:
 # relation checks
 
 
+def _poly_str(p: LPoly) -> str:
+    if p.is_zero():
+        return "0"
+    return "; ".join(
+        f"L^{list(alpha)}: {p.pi_coefficient(alpha).as_str()}"
+        for alpha, _ in p.sorted_items()
+    )
+
+
+def _side_str(side: Union[Rat, LPoly]) -> str:
+    return _poly_str(side) if isinstance(side, LPoly) else rat_to_str(side)
+
+
 @dataclass(frozen=True)
 class CheckRecord:
-    """Outcome of one relation instance, with exact sides for reporting."""
+    """Outcome of one relation instance, with its exact sides: rationals,
+    or polynomials for the Do equations.  The sides are rendered as text
+    only when ``lhs``, ``rhs`` or :meth:`to_json` is read."""
 
     relation: str
     g: int
     n: int
     alpha: Optional[Tuple[int, ...]]
     passed: bool
-    lhs: str
-    rhs: str
+    lhs_value: Union[Rat, LPoly]
+    rhs_value: Union[Rat, LPoly]
+
+    @property
+    def lhs(self) -> str:
+        return _side_str(self.lhs_value)
+
+    @property
+    def rhs(self) -> str:
+        return _side_str(self.rhs_value)
 
     def to_json(self) -> dict:
         out = {
@@ -177,9 +200,7 @@ def check_string(table: VolumeTable, g: int, alpha: Sequence[int]) -> CheckRecor
     for i, a in enumerate(alpha):
         if a > 0:
             rhs += psi_correlator(table, g, alpha[:i] + (a - 1,) + alpha[i + 1 :])
-    return CheckRecord(
-        "string", g, len(alpha), alpha, lhs == rhs, rat_to_str(lhs), rat_to_str(rhs)
-    )
+    return CheckRecord("string", g, len(alpha), alpha, lhs == rhs, lhs, rhs)
 
 
 def check_dilaton(table: VolumeTable, g: int, alpha: Sequence[int]) -> CheckRecord:
@@ -189,9 +210,7 @@ def check_dilaton(table: VolumeTable, g: int, alpha: Sequence[int]) -> CheckReco
     n = len(alpha)
     lhs = psi_correlator(table, g, (1,) + alpha)
     rhs = (2 * g - 2 + n) * psi_correlator(table, g, alpha)
-    return CheckRecord(
-        "dilaton", g, n, alpha, lhs == rhs, rat_to_str(lhs), rat_to_str(rhs)
-    )
+    return CheckRecord("dilaton", g, n, alpha, lhs == rhs, lhs, rhs)
 
 
 def _subsets(labels: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
@@ -246,16 +265,7 @@ def check_dvv(table: VolumeTable, g: int, k: Sequence[int]) -> CheckRecord:
                     continue
                 rhs += w * a * psi_correlator(table, g2, (j,) + right)
 
-    return CheckRecord("dvv", g, n, k, lhs == rhs, rat_to_str(lhs), rat_to_str(rhs))
-
-
-def _poly_str(p: LPoly) -> str:
-    if p.is_zero():
-        return "0"
-    return "; ".join(
-        f"L^{list(alpha)}: {p.pi_coefficient(alpha).as_str()}"
-        for alpha, _ in p.sorted_items()
-    )
+    return CheckRecord("dvv", g, n, k, lhs == rhs, lhs, rhs)
 
 
 def check_do_string(table: VolumeTable, g: int, n: int) -> CheckRecord:
@@ -268,9 +278,7 @@ def check_do_string(table: VolumeTable, g: int, n: int) -> CheckRecord:
     v = table.volume(g, n)
     for j in range(n):
         rhs = rhs + v.antiderivative(j)
-    return CheckRecord(
-        "do-string", g, n, None, lhs == rhs, _poly_str(lhs), _poly_str(rhs)
-    )
+    return CheckRecord("do-string", g, n, None, lhs == rhs, lhs, rhs)
 
 
 def check_do_dilaton(table: VolumeTable, g: int, n: int) -> CheckRecord:
@@ -283,9 +291,7 @@ def check_do_dilaton(table: VolumeTable, g: int, n: int) -> CheckRecord:
     q = table.volume(g, n + 1).partial_factor(n)
     lhs = q.subst_two_pi_i(n)
     rhs = table.volume(g, n).scale(2 * g - 2 + n)
-    return CheckRecord(
-        "do-dilaton", g, n, None, lhs == rhs, _poly_str(lhs), _poly_str(rhs)
-    )
+    return CheckRecord("do-dilaton", g, n, None, lhs == rhs, lhs, rhs)
 
 
 def compact_volume(table: VolumeTable, g: int) -> PiPoly:

@@ -24,6 +24,13 @@ lexicographic on alpha.
 An LPoly has no notion of label symmetry: volumes are symmetric, and
 :func:`wpvol.recursion.validate_volume` checks that on the stored terms,
 one lookup of the sorted key per term.
+
+The constructor trusts its caller and only drops zero coefficients.  Each
+invariant is checked once, where its kind of data enters:
+:meth:`LPoly.from_records` checks records read from outside (integer
+exponents, keys of length n within the weight, the implied pi power, a
+rational coefficient), and :func:`wpvol.recursion.validate_volume` checks
+every volume, computed or loaded.
 """
 from __future__ import annotations
 
@@ -48,35 +55,20 @@ class LPoly:
     """Even polynomial in L_1^2, ..., L_n^2, homogeneous of a fixed weight
     in (L^2, pi^2), stored as rational coefficients.
 
-    Instances are immutable after construction; no stored coefficient is
-    zero, every key has length ``n`` and no key exceeds the weight.
+    Instances are immutable after construction and no stored coefficient
+    is zero.  The caller passes ``Fraction`` coefficients and keys of
+    length ``n`` with non-negative entries and |alpha| <= weight; nothing
+    re-checks them here.
     """
 
     __slots__ = ("n", "weight", "_terms")
 
     def __init__(
-        self, n: int, weight: int, terms: Optional[Mapping[MultiIndex, Rat]] = None
+        self, n: int, weight: int, terms: Optional[Mapping[MultiIndex, Fraction]] = None
     ):
-        if n < 0:
-            raise ValueError("variable count must be non-negative")
         self.n = n
         self.weight = weight
-        clean: dict[MultiIndex, Fraction] = {}
-        if terms:
-            for alpha, q in terms.items():
-                alpha = tuple(int(a) for a in alpha)
-                if len(alpha) != n:
-                    raise ValueError(
-                        f"multi-index {alpha} has length {len(alpha)}, expected {n}"
-                    )
-                if any(a < 0 for a in alpha):
-                    raise ValueError(f"negative exponent in {alpha}")
-                if sum(alpha) > weight:
-                    raise ValueError(f"multi-index {alpha} exceeds the weight {weight}")
-                q = Fraction(q)
-                if q:
-                    clean[alpha] = q
-        self._terms = clean
+        self._terms = {a: q for a, q in terms.items() if q} if terms else {}
 
     # ------------------------------------------------------------------
     # constructors
@@ -87,12 +79,12 @@ class LPoly:
 
     @classmethod
     def one(cls, n: int) -> "LPoly":
-        return cls(n, 0, {(0,) * n: 1})
+        return cls(n, 0, {(0,) * n: Fraction(1)})
 
     @classmethod
     def monomial(cls, n: int, alpha: Sequence[int], q: Union[Rat, int] = 1) -> "LPoly":
         """The pure length monomial q * L^(2 alpha), of weight |alpha|."""
-        return cls(n, sum(alpha), {tuple(alpha): q})
+        return cls(n, sum(alpha), {tuple(alpha): Fraction(q)})
 
     # ------------------------------------------------------------------
     # inspection
@@ -126,12 +118,6 @@ class LPoly:
             return PiPoly.zero()
         return PiPoly.monomial(self.weight - sum(alpha), q)
 
-    def max_total_degree(self) -> int:
-        """Largest |alpha| over stored terms; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(a) for a in self._terms)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LPoly):
             return NotImplemented
@@ -155,11 +141,11 @@ class LPoly:
         terms = dict(self._terms)
         for alpha, q in other._terms.items():
             terms[alpha] = terms.get(alpha, 0) + q
-        return self._wrap(self.n, self.weight, terms)
+        return LPoly(self.n, self.weight, terms)
 
     def scale(self, c: Union[Rat, int]) -> "LPoly":
         """Multiply every coefficient by the rational c."""
-        return self._wrap(self.n, self.weight, {a: q * c for a, q in self._terms.items()})
+        return LPoly(self.n, self.weight, {a: q * c for a, q in self._terms.items()})
 
     def __mul__(self, other: "LPoly") -> "LPoly":
         """Product of two even polynomials over the same variable list; the
@@ -173,15 +159,7 @@ class LPoly:
             for a2, q2 in other._terms.items():
                 key = tuple(x + y for x, y in zip(a1, a2))
                 terms[key] = terms.get(key, 0) + q1 * q2
-        return self._wrap(self.n, self.weight + other.weight, terms)
-
-    @staticmethod
-    def _wrap(n: int, weight: int, terms: dict) -> "LPoly":
-        out = LPoly.__new__(LPoly)
-        out.n = n
-        out.weight = weight
-        out._terms = {a: q for a, q in terms.items() if q}
-        return out
+        return LPoly(self.n, self.weight + other.weight, terms)
 
     # ------------------------------------------------------------------
     # calculus
@@ -197,7 +175,7 @@ class LPoly:
         terms = {
             alpha: q * Fraction(1, 2 * alpha[0] + 1) for alpha, q in self._terms.items()
         }
-        return self._wrap(self.n, self.weight, terms)
+        return LPoly(self.n, self.weight, terms)
 
     def partial_factor(self, j: int) -> "LPoly":
         """Return Q with dp/dL_j = L_j * Q; the weight drops by one.
@@ -211,7 +189,7 @@ class LPoly:
             k = alpha[j]
             if k:
                 terms[alpha[:j] + (k - 1,) + alpha[j + 1 :]] = q * (2 * k)
-        return self._wrap(self.n, self.weight - 1, terms)
+        return LPoly(self.n, self.weight - 1, terms)
 
     def antiderivative(self, j: int) -> "LPoly":
         """The integral of L_j * p with respect to L_j (constant 0):
@@ -221,7 +199,7 @@ class LPoly:
         for alpha, q in self._terms.items():
             a = alpha[j]
             terms[alpha[:j] + (a + 1,) + alpha[j + 1 :]] = q * Fraction(1, 2 * a + 2)
-        return self._wrap(self.n, self.weight + 1, terms)
+        return LPoly(self.n, self.weight + 1, terms)
 
     def subst_two_pi_i(self, j: int) -> "LPoly":
         """Substitute L_j = 2*pi*i exactly, i.e. L_j^2 = -4 pi^2.
@@ -234,7 +212,7 @@ class LPoly:
         for alpha, q in self._terms.items():
             key = alpha[:j] + alpha[j + 1 :]
             terms[key] = terms.get(key, 0) + q * (-4) ** alpha[j]
-        return self._wrap(self.n - 1, self.weight, terms)
+        return LPoly(self.n - 1, self.weight, terms)
 
     def _check_var(self, j: int) -> None:
         if j < 0 or j >= self.n:
@@ -281,10 +259,12 @@ class LPoly:
 
     @classmethod
     def from_records(cls, n: int, weight: int, records) -> "LPoly":
-        """Inverse of :meth:`to_records`.  Exponents and ``pi_power`` must
-        be integers and ``coeff`` a string naming a rational.  Rejects a
-        record whose pi power is not the one its alpha implies, and an
-        alpha listed twice."""
+        """Inverse of :meth:`to_records`, and the parser of outside data.
+
+        Exponents and ``pi_power`` must be integers and ``coeff`` a string
+        naming a rational.  Rejects an alpha that is not n non-negative
+        exponents with |alpha| <= weight, a record whose pi power is not the
+        one its alpha implies, and an alpha listed twice."""
         terms: dict[MultiIndex, Fraction] = {}
         for rec in records:
             alpha, pi_power, coeff = tuple(rec["alpha"]), rec["pi_power"], rec["coeff"]
@@ -294,6 +274,14 @@ class LPoly:
                     f"term {rec['alpha']!r} with pi power {pi_power!r}: "
                     "exponents and pi powers must be integers"
                 )
+            if len(alpha) != n:
+                raise ValueError(
+                    f"term {list(alpha)} has length {len(alpha)}, expected {n}"
+                )
+            if any(a < 0 for a in alpha):
+                raise ValueError(f"term {list(alpha)} has a negative exponent")
+            if sum(alpha) > weight:
+                raise ValueError(f"term {list(alpha)} exceeds the weight {weight}")
             implied = 2 * (weight - sum(alpha))
             if pi_power != implied:
                 raise ValueError(

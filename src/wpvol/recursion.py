@@ -26,17 +26,19 @@ products are summed per (a + b, remaining exponents) before F is expanded.
 V_{g,n} is symmetric in its labels, so the terms return only the keys
 (a_1, a_2 >= ... >= a_n), one per orbit of the labels 2..n, and read only
 such terms of their inputs.  The derivative is integrated back once and
-then expanded to every alpha with |alpha| <= 3g-3+n.
+then expanded to every alpha with |alpha| <= 3g-3+n; a term key that the
+expansion would not read is an error, not a dropped term.
 
 Every entry, computed or loaded, is validated: its weight is 3g-3+n
-(which fixes every pi power and bounds |alpha|), it has a term for every
-such alpha, every coefficient is positive, and it is symmetric under all
-label permutations, L_1 included.  Symmetry is checked with one lookup
-per term: since every alpha is present, it suffices that each coefficient
-equals the one at its sorted key (a_1 >= ... >= a_n).  On a computed
-volume, whose terms were expanded from the keys (a_1, a_2 >= ... >= a_n),
-this compares L_1 with the other labels.  A violation aborts; with exact
-arithmetic any mismatch is a logic bug.
+(which fixes every pi power), every key has n non-negative exponents with
+|alpha| <= 3g-3+n, it has a term for every such alpha, every coefficient
+is positive, and it is symmetric under all label permutations, L_1
+included.  Symmetry is checked with one lookup per term: since every
+alpha is present, it suffices that each coefficient equals the one at its
+sorted key (a_1 >= ... >= a_n).  On a computed volume, whose terms were
+expanded from the keys (a_1, a_2 >= ... >= a_n), this compares L_1 with
+the other labels.  A violation aborts; with exact arithmetic any mismatch
+is a logic bug.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterator, Tuple
 
-from .kernels import h_moment, shift_symmetrize
+from .kernels import h_double_moment, h_moment, shift_symmetrize
 from .lpoly import LPoly, MultiIndex
 
 __all__ = [
@@ -113,10 +115,10 @@ def stable_splittings(g: int, n: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]
 @lru_cache(maxsize=None)
 def _double_moment_rationals(s: int) -> Tuple[Tuple[int, Fraction], ...]:
     # (m, f) with (1/2) G_{a,b}(t) = (2a+1)! (2b+1)! sum_m f t^(2m) pi^(2(s+2-m))
-    # for every a + b = s: the Beta reduction G_{a,b} = (2a+1)!(2b+1)!/(2s+3)!
-    # F_{2s+3} with the recursion's global 1/2 folded in
-    scale = Fraction(1, 2 * factorial(2 * s + 3))
-    return tuple((m, f * scale) for (m,), f in h_moment(s + 1).items())
+    # for every a + b = s: by the Beta reduction G_{a,b} / ((2a+1)! (2b+1)!)
+    # depends on a + b only, so read it at a = 0 and fold in the global 1/2
+    scale = Fraction(1, 2 * factorial(2 * s + 1))
+    return tuple((m, f * scale) for (m,), f in h_double_moment(0, s).items())
 
 
 @lru_cache(maxsize=None)
@@ -225,22 +227,32 @@ def b_term(g: int, n: int, table: "VolumeTable") -> LPoly:
 
 def _expand(reps: LPoly) -> LPoly:
     """The polynomial symmetric in L_2..L_n whose terms on the keys
-    (a_1, a_2 >= ... >= a_n) are those of ``reps``."""
+    (a_1, a_2 >= ... >= a_n) are those of ``reps``; any other key in
+    ``reps`` raises InvariantViolation."""
+    n, d = reps.n, reps.weight
     alphas = [()]
-    for _ in range(reps.n):
-        alphas = [a + (e,) for a in alphas for e in range(reps.weight - sum(a) + 1)]
-    terms = {a: reps.coefficient((a[0],) + _descending(a[1:])) for a in alphas}
-    return LPoly(reps.n, reps.weight, terms)
+    for _ in range(n):
+        alphas = [a + (e,) for a in alphas for e in range(d - sum(a) + 1)]
+    keys = {a: (a[0],) + _descending(a[1:]) for a in alphas}
+    read = set(keys.values())
+    for alpha, _ in reps.items():
+        if alpha not in read:
+            raise InvariantViolation(
+                f"term key {alpha} is not (a_1, a_2 >= ... >= a_{n}) "
+                f"with |alpha| <= {d}"
+            )
+    return LPoly(n, d, {a: reps.coefficient(key) for a, key in keys.items()})
 
 
 def validate_volume(g: int, n: int, p: LPoly) -> None:
     """Check the structural invariants of a volume polynomial.
 
     Weight d = 3g-3+n (every coefficient a rational multiple of
-    pi^(2(d-|alpha|)) with |alpha| <= d), a term for each of the C(d+n, n)
-    such alpha, strictly positive coefficients, and symmetry under label
-    permutations: each coefficient equals the one at its key sorted in
-    decreasing order.  Raises InvariantViolation on any failure.
+    pi^(2(d-|alpha|))), keys of n non-negative exponents with |alpha| <= d
+    and C(d+n, n) of them, so a term for each such alpha, strictly
+    positive coefficients, and symmetry under label permutations: each
+    coefficient equals the one at its key sorted in decreasing order.
+    Raises InvariantViolation on any failure.
     """
     d = moduli_dim(g, n)
     if p.n != n:
@@ -251,8 +263,13 @@ def validate_volume(g: int, n: int, p: LPoly) -> None:
         raise InvariantViolation(
             f"V_{{{g},{n}}} has {len(p)} terms, expected {comb(d + n, n)}"
         )
-    # no key exceeds the weight, so p has every alpha: this is full symmetry
+    # every key in range and C(d+n, n) of them, so p has every alpha: the
+    # sorted-key test is then full symmetry
     for alpha, q in p.items():
+        if len(alpha) != n or min(alpha, default=0) < 0 or sum(alpha) > d:
+            raise InvariantViolation(
+                f"V_{{{g},{n}}} has a term at {alpha}, outside |alpha| <= {d}"
+            )
         if q <= 0:
             raise InvariantViolation(
                 f"V_{{{g},{n}}}: coefficient of {alpha} is not positive"

@@ -377,6 +377,24 @@ def test_cache_exponents_and_pi_power_must_be_integers(tmp_path, capsys, index, 
     assert_one_line_error(code, err, "malformed", "must be integers")
 
 
+@pytest.mark.parametrize(
+    "fields,words",
+    [
+        ({"alpha": [1, 0, 0]}, "has length 3, expected 4"),
+        ({"alpha": [-1, 2, 0, 0]}, "negative exponent"),
+        # its pi power -2 is the one the weight implies
+        ({"alpha": [3, 0, 0, 0], "pi_power": -2}, "exceeds the weight 1"),
+    ],
+)
+def test_cache_exponents_out_of_range_rejected(tmp_path, capsys, fields, words):
+    def edit(records):
+        records[-1].update(fields)
+
+    path = v04_cache_with(tmp_path, capsys, edit)
+    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_one_line_error(code, err, "malformed", words)
+
+
 @pytest.mark.parametrize("key", ["0,2", "-1,5", "1,0", "01,3"])
 def test_cache_key_not_a_stable_signature_rejected(tmp_path, capsys, key):
     path = tmp_path / "cache.json"

@@ -31,15 +31,19 @@ def test_zero_coefficients_pruned():
     assert len(p) == 1
 
 
+def record(alpha, pi_power, coeff="1"):
+    return {"alpha": list(alpha), "pi_power": pi_power, "coeff": coeff}
+
+
 def test_key_length_enforced():
-    with pytest.raises(ValueError):
-        LPoly(2, 1, {(1,): 1})
+    with pytest.raises(ValueError, match="has length 1, expected 2"):
+        LPoly.from_records(2, 1, [record((1,), 0)])
 
 
 def test_key_beyond_weight_rejected():
     # L1^4 in a weight-1 polynomial would need pi^(-2)
-    with pytest.raises(ValueError):
-        LPoly(2, 1, {(2, 0): 1})
+    with pytest.raises(ValueError, match="exceeds the weight 1"):
+        LPoly.from_records(2, 1, [record((2, 0), -2)])
 
 
 def test_unit_multiplication():

@@ -11,6 +11,7 @@ from wpvol.recursion import (
     BASE_SIGNATURES,
     InvariantViolation,
     VolumeTable,
+    _expand,
     a_con_term,
     a_dcon_term,
     b_term,
@@ -230,6 +231,29 @@ def test_validator_rejects_inhomogeneous_pi_power():
     bad = LPoly(3, 1, {(0, 0, 0): 1})
     with pytest.raises(InvariantViolation):
         validate_volume(0, 3, bad)
+
+
+def test_validator_rejects_key_beyond_the_weight(table):
+    # five positive terms, but L_1^4 where the constant term belongs
+    terms = dict(table.volume(0, 4).items())
+    del terms[(0, 0, 0, 0)]
+    terms[(2, 0, 0, 0)] = Fraction(1)
+    with pytest.raises(InvariantViolation, match="outside"):
+        validate_volume(0, 4, LPoly(4, 1, terms))
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        (2, 0, 0),  # beyond the weight
+        (0, 0, 1),  # increasing rest: not an orbit key
+        (0, 0),  # wrong length
+    ],
+)
+def test_expand_rejects_a_key_it_would_not_read(key):
+    reps = LPoly(3, 1, {(0, 0, 0): Fraction(1), key: Fraction(1)})
+    with pytest.raises(InvariantViolation, match="term key"):
+        _expand(reps)
 
 
 def test_top_coefficient_matches_correlator(table):
