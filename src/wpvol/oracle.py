@@ -14,12 +14,19 @@ x^(2k+1) H(x, t) <= 2 x^(2k+1) e^((t-x)/2), so for T >= 4(2k+1) the
 discarded tail of the single integral is at most 8 T^(2k+1) e^((t-T)/2);
 an analogous product bound covers the double integral.  T is grown until
 the bound drops below 1e-13.
+
+The double moments G_{i,j} share their integrand H(x+y, t) for a fixed t,
+so :func:`quad_double_moments` builds one grid per (t, panel width) at
+the largest truncation of the requested pairs and contracts it with each
+pair's weights.  T is therefore shared per (t, pair set), while each
+pair's tail is bounded at that T with its own (i, j); every bound
+decreases in T beyond 2(2 max(i,j)+1) <= 22, well below any truncation, so
+it stays under 1e-13.  A one-pair call uses the pair's own T.
 """
 from __future__ import annotations
 
 import math
 import random
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,6 +37,7 @@ __all__ = [
     "QuadResult",
     "quad_moment",
     "quad_double_moment",
+    "quad_double_moments",
     "kernel_identity_report",
     "moment_validation_report",
 ]
@@ -88,11 +96,20 @@ def _panel_rule(T: float, width: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _fermi(a: np.ndarray) -> np.ndarray:
+    # 1/(1+e^(a/2)) = exp(-logaddexp(0, a/2)), stable for any magnitude;
+    # overwrites and returns a
+    a *= 0.5
+    np.logaddexp(0.0, a, out=a)
+    np.negative(a, out=a)
+    return np.exp(a, out=a)
+
+
 def _h_values(u: np.ndarray, t: float) -> np.ndarray:
-    # 1/(1+e^a) = exp(-logaddexp(0, a)), stable for any magnitude
-    return np.exp(-np.logaddexp(0.0, (u + t) / 2.0)) + np.exp(
-        -np.logaddexp(0.0, (u - t) / 2.0)
-    )
+    # two buffers the size of u, however large the grid
+    h = _fermi(np.add(u, t))
+    h += _fermi(np.subtract(u, t))
+    return h
 
 
 def quad_moment(k: int, t: float) -> QuadResult:
@@ -113,23 +130,38 @@ def quad_moment(k: int, t: float) -> QuadResult:
     return QuadResult(results[1], abs(results[1] - results[0]) + tail, T)
 
 
+def quad_double_moments(pairs: list[tuple[int, int]], t: float) -> list[QuadResult]:
+    """Tensor quadrature of int int x^(2i+1) y^(2j+1) H(x+y, t) dx dy for
+    every (i, j) in ``pairs``, on one grid per panel width.
+
+    Documented domain i + j <= 5, t <= 10.  T is the largest of the pairs'
+    own truncations; each result carries its own coarse/fine difference
+    plus its own tail bound at that T, and ``truncation`` is T.
+    """
+    T = max(
+        _truncation(lambda u: _double_tail_log(u, i, j, t), max(i, j), t) for i, j in pairs
+    )
+    powers = {e for pair in pairs for e in pair}
+
+    passes = []
+    for width in (_PANEL, _PANEL / 2.0):
+        x, w = _panel_rule(T, width)
+        grid = _h_values(x[:, None] + x[None, :], t)
+        f = {e: w * x ** (2 * e + 1) for e in powers}
+        fg = {e: f[e] @ grid for e in powers}
+        passes.append([float(fg[i] @ f[j]) for i, j in pairs])
+    return [
+        QuadResult(fine, abs(fine - coarse) + math.exp(_double_tail_log(T, i, j, t)), T)
+        for (i, j), coarse, fine in zip(pairs, *passes)
+    ]
+
+
 def quad_double_moment(i: int, j: int, t: float) -> QuadResult:
     """Tensor quadrature of int int x^(2i+1) y^(2j+1) H(x+y, t) dx dy.
 
-    Documented domain i + j <= 5, t <= 10.
+    The one-pair :func:`quad_double_moments`, at the pair's own truncation.
     """
-    tail_log = lambda T: _double_tail_log(T, i, j, t)  # noqa: E731
-    T = _truncation(tail_log, max(i, j), t)
-    tail = math.exp(tail_log(T))
-
-    results = []
-    for width in (_PANEL, _PANEL / 2.0):
-        x, wx = _panel_rule(T, width)
-        grid = _h_values(x[:, None] + x[None, :], t)
-        fx = wx * x ** (2 * i + 1)
-        fy = wx * x ** (2 * j + 1)
-        results.append(float(fx @ grid @ fy))
-    return QuadResult(results[1], abs(results[1] - results[0]) + tail, T)
+    return quad_double_moments([(i, j)], t)[0]
 
 
 def _record(check: str, dev: float, tol: float, where: str) -> dict:
@@ -198,19 +230,27 @@ def moment_validation_report() -> list[dict]:
 
     from .kernels import h_double_moment, h_moment
 
-    def records(name: str, exact, quad: Callable[[float], QuadResult]) -> list[dict]:
+    def records(name: str, exact, quad: dict[float, QuadResult]) -> list[dict]:
         out = []
         for t in _TS:
             ref = exact.eval_rational([Fraction(t)]).to_float()
-            dev = abs(quad(t).value - ref) / max(1.0, abs(ref))
+            dev = abs(quad[t].value - ref) / max(1.0, abs(ref))
             out.append(_record(f"{name}({t}) quadrature", dev, _MOMENT_TOL, f"t={t}"))
         return out
 
+    # one batched quadrature per t: every G_{i,j} shares its H(x+y, t) grids
+    pairs = [(i, j) for i in range(_MAX_DOUBLE + 1) for j in range(_MAX_DOUBLE + 1 - i)]
+    double = {
+        (i, j, t): result
+        for t in _TS
+        for (i, j), result in zip(pairs, quad_double_moments(pairs, t))
+    }
+
     reports = []
     for k in range(_MAX_K + 1):
-        reports += records(f"F_{2 * k + 1}", h_moment(k), partial(quad_moment, k))
-    for i in range(_MAX_DOUBLE + 1):
-        for j in range(_MAX_DOUBLE + 1 - i):
-            quad = partial(quad_double_moment, i, j)
-            reports += records(f"G_{{{i},{j}}}", h_double_moment(i, j), quad)
+        quad = {t: quad_moment(k, t) for t in _TS}
+        reports += records(f"F_{2 * k + 1}", h_moment(k), quad)
+    for i, j in pairs:
+        quad = {t: double[i, j, t] for t in _TS}
+        reports += records(f"G_{{{i},{j}}}", h_double_moment(i, j), quad)
     return reports

@@ -21,7 +21,7 @@ from wpvol.intersect import (
 )
 from wpvol.kernels import h_double_moment, h_moment
 from wpvol.lpoly import LPoly
-from wpvol.oracle import kernel_identity_report, quad_double_moment, quad_moment
+from wpvol.oracle import kernel_identity_report, quad_double_moments, quad_moment
 from wpvol.recursion import (
     VolumeTable,
     iter_signatures,
@@ -167,13 +167,11 @@ def test_criterion_6_kernel_oracle():
             ref = exact.eval_rational([Fraction(t)]).to_float()
             got = quad_moment(k, t)
             ok = ok and abs(got.value - ref) / max(1.0, abs(ref)) < 1e-8
-    for i in range(6):
-        for j in range(6 - i):
-            exact = h_double_moment(i, j)
-            for t in (0.0, 1.0, 5.0):
-                ref = exact.eval_rational([Fraction(t)]).to_float()
-                got = quad_double_moment(i, j, t)
-                ok = ok and abs(got.value - ref) / max(1.0, abs(ref)) < 1e-8
+    pairs = [(i, j) for i in range(6) for j in range(6 - i)]
+    for t in (0.0, 1.0, 5.0):
+        for (i, j), got in zip(pairs, quad_double_moments(pairs, t)):
+            ref = h_double_moment(i, j).eval_rational([Fraction(t)]).to_float()
+            ok = ok and abs(got.value - ref) / max(1.0, abs(ref)) < 1e-8
     for rec in kernel_identity_report():
         ok = ok and rec["pass"]
     report(6, "closed-form kernels match quadrature; D/R/H identities in bound", ok)

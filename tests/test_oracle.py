@@ -4,7 +4,18 @@ from fractions import Fraction
 import pytest
 
 from wpvol.kernels import h_double_moment, h_moment
-from wpvol.oracle import kernel_identity_report, quad_double_moment, quad_moment
+from wpvol import oracle
+from wpvol.oracle import (
+    kernel_identity_report,
+    moment_validation_report,
+    quad_double_moment,
+    quad_double_moments,
+    quad_moment,
+)
+
+# the G_{i,j} that moment_validation_report checks, in its order
+REPORT_PAIRS = [(i, j) for i in range(6) for j in range(6 - i)]
+REPORT_TS = (0.0, 1.0, 5.0)
 
 
 def exact_moment_float(k, t):
@@ -85,6 +96,60 @@ def test_double_error_estimate_bounds_truth(i, j, t):
     ref = exact_double_float(i, j, t)
     got = quad_double_moment(i, j, t)
     assert abs(got.value - ref) <= got.abs_err + 1e-14 * abs(ref)
+
+
+# ----------------------------------------------------------------------
+# batched double integral: one grid per (t, panel width) for every pair
+
+
+@pytest.fixture(scope="module")
+def batched():
+    return {
+        t: dict(zip(REPORT_PAIRS, quad_double_moments(REPORT_PAIRS, t)))
+        for t in REPORT_TS + (10.0,)
+    }
+
+
+@pytest.mark.parametrize("t", REPORT_TS + (10.0,))
+def test_batched_error_estimate_bounds_truth(batched, t):
+    for (i, j), got in batched[t].items():
+        ref = exact_double_float(i, j, t)
+        assert abs(got.value - ref) <= got.abs_err + 1e-14 * abs(ref), (i, j)
+
+
+@pytest.mark.parametrize("i,j,t", [(0, 0, 0.0), (1, 4, 1.0), (2, 3, 5.0), (5, 0, 10.0)])
+def test_batched_value_matches_one_pair_call(batched, i, j, t):
+    assert batched[t][i, j].value == pytest.approx(quad_double_moment(i, j, t).value, rel=1e-12)
+
+
+def test_batched_symmetric_in_the_pair():
+    pairs = REPORT_PAIRS + [(j, i) for i, j in REPORT_PAIRS]
+    got = dict(zip(pairs, quad_double_moments(pairs, 1.5)))
+    for i, j in REPORT_PAIRS:
+        assert got[i, j].value == pytest.approx(got[j, i].value, rel=1e-12), (i, j)
+
+
+@pytest.mark.parametrize("t", REPORT_TS + (10.0,))
+def test_batched_truncation_covers_every_pair(batched, t):
+    (shared,) = {got.truncation for got in batched[t].values()}
+    for i, j in REPORT_PAIRS:
+        own = oracle._truncation(lambda T: oracle._double_tail_log(T, i, j, t), max(i, j), t)
+        assert shared >= own, (i, j)
+
+
+def test_moment_report_records_pinned():
+    """The record list verify kernels prints: 27 F and 63 G checks."""
+    expected = [
+        (f"F_{2 * k + 1}({t}) quadrature", f"t={t}", 1e-8) for k in range(9) for t in REPORT_TS
+    ] + [
+        (f"G_{{{i},{j}}}({t}) quadrature", f"t={t}", 1e-8) for i, j in REPORT_PAIRS for t in REPORT_TS
+    ]
+    report = moment_validation_report()
+    assert [(r["check"], r["grid"], r["tolerance"]) for r in report] == expected
+    assert len(report) == 90
+    assert report[0]["check"] == "F_1(0.0) quadrature"
+    assert report[-1]["check"] == "G_{5,0}(5.0) quadrature"
+    assert all(r["pass"] for r in report)
 
 
 # ----------------------------------------------------------------------
