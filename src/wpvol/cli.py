@@ -11,7 +11,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Structured
 output goes to stdout, diagnostics to stderr.  A persistent cache file can
-be supplied with ``--cache`` or the WPVOL_CACHE environment variable.
+be supplied with ``--cache``.
 """
 from __future__ import annotations
 
@@ -166,7 +166,7 @@ def _check_parent_dir(path: str) -> None:
 def _cached_table(args):
     """The command's volume table, loaded from the cache file if there is
     one; written back, atomically, only when the command added entries."""
-    path = args.cache or os.environ.get("WPVOL_CACHE")
+    path = args.cache
     if path:
         _check_parent_dir(path)
     table = load_cache(path) if path and os.path.exists(path) else VolumeTable()
@@ -297,19 +297,15 @@ def cmd_diag_zograf(args) -> int:
     return 0
 
 
-def _kernel_suite() -> list[dict]:
-    # imported here so that only the oracle suite loads numpy
-    from .oracle import kernel_identity_report, moment_validation_report
-
-    return moment_validation_report() + kernel_identity_report()
-
-
 def cmd_verify(args) -> int:
     failures = 0
     results_json: list[dict] = []
 
     if args.relation in ("kernels", "all"):
-        for rec in _kernel_suite():
+        # imported here so that only the oracle suite loads numpy
+        from .oracle import kernel_identity_report, moment_validation_report
+
+        for rec in moment_validation_report() + kernel_identity_report():
             failures += 0 if rec["pass"] else 1
             if args.format == "json":
                 results_json.append(rec)
@@ -422,6 +418,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # before any work: a negative bound would check or build nothing
+        if getattr(args, "max_dim", 0) < 0:
+            raise UsageError(f"--max-dim must be non-negative, got {args.max_dim}")
         return args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

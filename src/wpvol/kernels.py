@@ -6,7 +6,8 @@ The kernel is the rational exponential function
 
 together with the companion functions D and R on R^3 whose x-derivatives
 reduce to H.  The volume recursion only ever consumes two moment
-integrals of H, both even polynomials in t:
+integrals of H, both even polynomials in t, and this module holds them
+exactly; no float is computed here:
 
     F_{2k+1}(t) = int_0^oo x^(2k+1) H(x, t) dx
     G_{i,j}(t)  = int_0^oo int_0^oo x^(2i+1) y^(2j+1) H(x+y, t) dx dy
@@ -19,15 +20,11 @@ F has exact closed form
 with zeta(0) = -1/2, and G reduces to F through the Beta integral:
 G_{i,j} = (2i+1)! (2j+1)! / (2i+2j+3)! * F_{2i+2j+3}.  Both closed forms
 are validated against independent quadrature in the test suite before
-anything downstream relies on them.
-
-The numeric evaluators use overflow-safe exponential rewrites; the
-displayed formulas break down in double precision for arguments around
-1400 and beyond.
+anything downstream relies on them.  H, D and R themselves are evaluated
+only by :mod:`wpvol.oracle`.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -36,62 +33,10 @@ from .exact import zeta_even
 from .lpoly import LPoly
 
 __all__ = [
-    "kernel_h",
-    "kernel_d",
-    "kernel_r",
     "h_moment",
     "h_double_moment",
     "shift_symmetrize",
 ]
-
-
-def _logistic(u: float) -> float:
-    # 1 / (1 + e^u) without overflow for large |u|
-    if u >= 0.0:
-        t = math.exp(-u)
-        return t / (1.0 + t)
-    return 1.0 / (1.0 + math.exp(u))
-
-
-def _logaddexp(p: float, q: float) -> float:
-    if p < q:
-        p, q = q, p
-    return p + math.log1p(math.exp(q - p))
-
-
-def _log_cosh(u: float) -> float:
-    u = abs(u)
-    return u - math.log(2.0) + math.log1p(math.exp(-2.0 * u))
-
-
-def kernel_h(x: float, y: float) -> float:
-    """H(x, y), evaluated in a numerically stable form.
-
-    Even in y; H(0, 0) = 1.
-    """
-    return _logistic((x + y) / 2.0) + _logistic((x - y) / 2.0)
-
-
-def kernel_d(x: float, y: float, z: float) -> float:
-    """D(x, y, z) = 2 log( (e^(x/2) + e^((y+z)/2)) / (e^(-x/2) + e^((y+z)/2)) ).
-
-    Satisfies dD/dx = H(y + z, x) and D(0,0,0) = 0.
-    """
-    b = (y + z) / 2.0
-    return 2.0 * (_logaddexp(x / 2.0, b) - _logaddexp(-x / 2.0, b))
-
-
-def kernel_r(x: float, y: float, z: float) -> float:
-    """R(x, y, z) = x - log( (cosh(y/2) + cosh((x+z)/2))
-                            / (cosh(y/2) + cosh((x-z)/2)) ).
-
-    Satisfies 2 dR/dx = H(z, x + y) + H(z, x - y) and R(0,0,0) = 0, and
-    the gap identity R(x,y,z) + R(x,z,y) = x + D(x,y,z).
-    """
-    lc_y = _log_cosh(y / 2.0)
-    num = _logaddexp(lc_y, _log_cosh((x + z) / 2.0))
-    den = _logaddexp(lc_y, _log_cosh((x - z) / 2.0))
-    return x - (num - den)
 
 
 @lru_cache(maxsize=None)

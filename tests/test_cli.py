@@ -468,3 +468,42 @@ def test_import_cli_does_not_load_numpy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "all", "--max-dim", "-1"],
+        ["verify", "kernels", "--max-dim", "-1", "--format", "json"],
+        ["table", "--max-dim", "-1"],
+    ],
+)
+def test_negative_max_dim_rejected_before_work(tmp_path, capsys, monkeypatch, argv):
+    from wpvol import oracle
+
+    def no_kernel_work():
+        raise AssertionError("the kernel suite ran before the arguments were checked")
+
+    forbid_table_work(monkeypatch)
+    monkeypatch.setattr(oracle, "moment_validation_report", no_kernel_work)
+    cache = tmp_path / "cache.json"
+    cache.write_text("not a cache")
+    out = tmp_path / "table.json"
+    argv = argv + (["--out", str(out)] if argv[0] == "table" else [])
+    code, stdout, err = run(capsys, *argv, "--cache", str(cache))
+    assert stdout == ""
+    assert_one_line_error(code, err, "--max-dim must be non-negative")
+    assert cache.read_text() == "not a cache"
+    assert not out.exists()
+
+
+def test_wpvol_cache_environment_variable_is_ignored(tmp_path, capsys, monkeypatch):
+    unread = tmp_path / "unread.json"
+    unread.write_text("not a cache")
+    unwritten = tmp_path / "unwritten.json"
+    for path in (unread, unwritten):
+        monkeypatch.setenv("WPVOL_CACHE", str(path))
+        code, out, _ = run(capsys, "volume", "0", "4")
+        assert code == 0 and "2*pi^2" in out
+    assert unread.read_text() == "not a cache"
+    assert not unwritten.exists()

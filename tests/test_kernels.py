@@ -1,57 +1,10 @@
-import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wpvol.exact import PiPoly
-from wpvol.kernels import (
-    h_double_moment,
-    h_moment,
-    kernel_d,
-    kernel_h,
-    kernel_r,
-    shift_symmetrize,
-)
+from wpvol.kernels import h_double_moment, h_moment, shift_symmetrize
 from wpvol.lpoly import LPoly
-
-
-# ----------------------------------------------------------------------
-# numeric kernel evaluations
-
-
-def test_h_at_origin():
-    assert kernel_h(0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
-
-
-@settings(max_examples=60)
-@given(st.floats(-50, 50), st.floats(-50, 50))
-def test_h_even_in_second_argument(x, y):
-    assert kernel_h(x, y) == pytest.approx(kernel_h(x, -y), rel=1e-12, abs=1e-300)
-
-
-def test_h_far_tail():
-    assert kernel_h(50.0, 0.0) == pytest.approx(2.0 * math.exp(-25.0), rel=1e-10)
-
-
-def test_h_no_overflow_for_huge_arguments():
-    assert kernel_h(3000.0, 10.0) >= 0.0
-    assert math.isfinite(kernel_d(2900.0, 100.0, 50.0))
-    assert math.isfinite(kernel_r(2900.0, 100.0, 50.0))
-
-
-def test_d_and_r_vanish_at_origin():
-    assert kernel_d(0.0, 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert kernel_r(0.0, 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
-
-
-@settings(max_examples=80)
-@given(st.floats(0, 10), st.floats(0, 10), st.floats(0, 10))
-def test_gap_identity(x, y, z):
-    lhs = kernel_r(x, y, z) + kernel_r(x, z, y)
-    rhs = x + kernel_d(x, y, z)
-    assert abs(lhs - rhs) < 1e-10
 
 
 # ----------------------------------------------------------------------

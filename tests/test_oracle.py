@@ -1,12 +1,18 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpvol.kernels import h_double_moment, h_moment
 from wpvol import oracle
 from wpvol.oracle import (
+    kernel_d,
+    kernel_h,
     kernel_identity_report,
+    kernel_r,
     moment_validation_report,
     quad_double_moment,
     quad_double_moments,
@@ -24,6 +30,47 @@ def exact_moment_float(k, t):
 
 def exact_double_float(i, j, t):
     return h_double_moment(i, j).eval_rational([Fraction(t)]).to_float()
+
+
+# ----------------------------------------------------------------------
+# array kernel evaluations
+
+
+def test_h_at_origin():
+    assert kernel_h(np.zeros(3), np.zeros(3)) == pytest.approx(1.0, abs=1e-15)
+
+
+@settings(max_examples=60)
+@given(st.floats(-50, 50), st.floats(-50, 50))
+def test_h_even_in_second_argument(x, y):
+    x, y = np.array([x]), np.array([y])
+    assert kernel_h(x, y) == pytest.approx(kernel_h(x, -y), rel=1e-12, abs=1e-300)
+
+
+def test_h_far_tail():
+    assert kernel_h(np.array([50.0]), 0.0) == pytest.approx(2.0 * math.exp(-25.0), rel=1e-10)
+
+
+def test_h_no_overflow_for_huge_arguments():
+    # a RuntimeWarning from numpy fails the test suite
+    assert np.all(kernel_h(np.array([3000.0, -3000.0]), 10.0) >= 0.0)
+    assert np.all(np.isfinite(kernel_d(np.array([2900.0, -2900.0]), 100.0, 50.0)))
+    assert np.all(np.isfinite(kernel_r(np.array([2900.0, -2900.0]), 100.0, 50.0)))
+
+
+def test_d_and_r_vanish_at_origin():
+    zero = np.zeros(3)
+    assert kernel_d(zero, zero, zero) == pytest.approx(0.0, abs=1e-15)
+    assert kernel_r(zero, zero, zero) == pytest.approx(0.0, abs=1e-15)
+
+
+@settings(max_examples=80)
+@given(st.floats(0, 10), st.floats(0, 10), st.floats(0, 10))
+def test_gap_identity(x, y, z):
+    x, y, z = np.array([x]), np.array([y]), np.array([z])
+    lhs = kernel_r(x, y, z) + kernel_r(x, z, y)
+    rhs = x + kernel_d(x, y, z)
+    assert np.all(np.abs(lhs - rhs) < 1e-10)
 
 
 # ----------------------------------------------------------------------
@@ -82,13 +129,6 @@ def test_quad_double_beta_reduction_instance():
     assert got.value == pytest.approx(exact_moment_float(2, 1.0) / 20, rel=1e-10)
 
 
-@pytest.mark.parametrize("i,j", [(i, j) for i in range(6) for j in range(6 - i)])
-@pytest.mark.parametrize("t", [0.0, 1.0, 5.0])
-def test_double_closed_form_matches_quadrature(i, j, t):
-    """The gate for the Beta-reduction closed form."""
-    ref = exact_double_float(i, j, t)
-    got = quad_double_moment(i, j, t)
-    assert abs(got.value - ref) / max(1.0, abs(ref)) < 1e-8
 
 
 @pytest.mark.parametrize("i,j,t", [(0, 0, 0.0), (2, 3, 5.0), (5, 0, 10.0)])
@@ -108,6 +148,15 @@ def batched():
         t: dict(zip(REPORT_PAIRS, quad_double_moments(REPORT_PAIRS, t)))
         for t in REPORT_TS + (10.0,)
     }
+
+
+@pytest.mark.parametrize("i,j", REPORT_PAIRS)
+@pytest.mark.parametrize("t", REPORT_TS)
+def test_double_closed_form_matches_quadrature(batched, i, j, t):
+    """The gate for the Beta-reduction closed form."""
+    ref = exact_double_float(i, j, t)
+    got = batched[t][i, j]
+    assert abs(got.value - ref) / max(1.0, abs(ref)) < 1e-8
 
 
 @pytest.mark.parametrize("t", REPORT_TS + (10.0,))
