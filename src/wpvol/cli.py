@@ -115,18 +115,36 @@ def _atomic_write(path: str):
 
 
 def save_cache(table: VolumeTable, path: str) -> None:
-    payload = {
+    header = {
         "format": CACHE_FORMAT,
         "version": CACHE_VERSION,
         "tool": f"wpvol {__version__}",
         "convention": CONVENTION,
-        "entries": table.to_entries(),
     }
     with _atomic_write(path) as fh:
-        # streamed: joining the text first adds about 12 MB to the peak
-        # memory of a dimension-6 build
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        # the bytes json.dump({**header, "entries": table.to_entries()}, fh,
+        # indent=2) writes, plus "\n"; one write per record, with no records built
+        fh.write("{\n")
+        for key, value in header.items():
+            fh.write(f'  "{key}": {json.dumps(value)},\n')
+        fh.write('  "entries": {')
+        sep = "\n"
+        for (g, n), poly in table.items():
+            fh.write(f'{sep}    "{g},{n}": [')
+            rsep = "\n"  # volumes have n >= 1, so alpha is never empty
+            for alpha, q in poly.sorted_items():
+                exps = ",\n          ".join(map(str, alpha))
+                fh.write(
+                    f"{rsep}      {{\n"
+                    f'        "alpha": [\n          {exps}\n        ],\n'
+                    f'        "pi_power": {2 * (poly.weight - sum(alpha))},\n'
+                    f'        "coeff": "{rat_to_str(q)}"\n'
+                    f"      }}"
+                )
+                rsep = ",\n"
+            fh.write("\n    ]" if poly else "]")
+            sep = ",\n"
+        fh.write("\n  }\n}\n" if table.signatures() else "}\n}\n")
 
 
 def load_cache(path: str) -> VolumeTable:
@@ -298,6 +316,13 @@ def cmd_diag_zograf(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # before any work: every relation suite has an instance at dimension 1
+    # and none at dimension 0, where passing would mean checking nothing
+    if args.relation != "kernels" and args.max_dim < 1:
+        raise UsageError(
+            f"verify {args.relation} --max-dim {args.max_dim} checks no relation "
+            "instance; use --max-dim 1 or more"
+        )
     failures = 0
     results_json: list[dict] = []
 

@@ -16,12 +16,22 @@ V_{1,1} = pi^2/12 + L^2/48.  The halving accounts for the elliptic
 involution; the recursion consumes the halved value everywhere, and
 :meth:`VolumeTable.true_volume` doubles only the (1,1) report.
 
-Each term computes on plain rationals.  Volumes and kernel moments are
-homogeneous in (L^2, pi^2), so the coefficient of L^(2 alpha) in V_{g,n}
-or in its derivative is q * pi^(2(3g-3+n-|alpha|)): an :class:`LPoly`
-stores q and its weight 3g-3+n implies the power of pi.  The double
-moment is applied through its Beta reduction to F_{2(a+b)+3}, so input
-products are summed per (a + b, remaining exponents) before F is expanded.
+Volumes and kernel moments are homogeneous in (L^2, pi^2), so the
+coefficient of L^(2 alpha) in V_{g,n} or in its derivative is
+q * pi^(2(3g-3+n-|alpha|)): an :class:`LPoly` stores the rational q and
+its weight 3g-3+n implies the power of pi.  The double moment is applied
+through its Beta reduction to F_{2(a+b)+3}, so input products are summed
+per (a + b, remaining exponents) before F is expanded.
+
+The terms sum on Python ints and build one ``Fraction`` per output key.
+Each input volume is read through an integer view: numerators N over one
+common denominator D, the LCM of its coefficients' denominators.  A^dcon
+and B read the free-1 view, rest -> [(a, N (2a+1)!)] with D, which
+:class:`VolumeTable` builds once per entry on first read; A^con reads its
+input's free-2 view once and does not keep it.  The kernel rationals are
+integer numerators over their own LCM.  A^dcon sums each splitting over
+D1 D2 and brings the splittings to the LCM of those products; B sums over
+D times the kernel LCM.
 
 V_{g,n} is symmetric in its labels, so the terms return only the keys
 (a_1, a_2 >= ... >= a_n), one per orbit of the labels 2..n, and read only
@@ -44,7 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Iterator, Tuple
 
 from .kernels import h_double_moment, h_moment, shift_symmetrize
@@ -112,50 +122,72 @@ def stable_splittings(g: int, n: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]
     )
 
 
+def _over_lcm(pairs) -> Tuple[int, tuple]:
+    # (E, ((key, e), ...)) with e / E the rational at key, E the LCM of
+    # the denominators
+    den = lcm(*{q.denominator for _, q in pairs})
+    return den, tuple((key, q.numerator * (den // q.denominator)) for key, q in pairs)
+
+
 @lru_cache(maxsize=None)
-def _double_moment_rationals(s: int) -> Tuple[Tuple[int, Fraction], ...]:
-    # (m, f) with (1/2) G_{a,b}(t) = (2a+1)! (2b+1)! sum_m f t^(2m) pi^(2(s+2-m))
-    # for every a + b = s: by the Beta reduction G_{a,b} / ((2a+1)! (2b+1)!)
-    # depends on a + b only, so read it at a = 0 and fold in the global 1/2
+def _double_moment_rationals(s: int) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+    # (E, ((m, e), ...)) with (1/2) G_{a,b}(t) = (2a+1)! (2b+1)! sum_m (e/E)
+    # t^(2m) pi^(2(s+2-m)) for every a + b = s: by the Beta reduction
+    # G_{a,b} / ((2a+1)! (2b+1)!) depends on a + b only, so read it at a = 0
+    # and fold in the global 1/2
     scale = Fraction(1, 2 * factorial(2 * s + 1))
-    return tuple((m, f * scale) for (m,), f in h_double_moment(0, s).items())
+    return _over_lcm([(m, f * scale) for (m,), f in h_double_moment(0, s).items()])
 
 
 @lru_cache(maxsize=None)
-def _shifted_moment_rationals(a: int) -> Tuple[Tuple[int, int, Fraction], ...]:
-    # (r, s, f) for (F_{2a+1}(L1 + Lj) + F_{2a+1}(L1 - Lj)) / 2, whose
-    # L1^(2r) Lj^(2s) coefficient is f * pi^(2(a+1-r-s))
-    return tuple((r, s, f) for (r, s), f in shift_symmetrize(h_moment(a)).items())
+def _shifted_moment_rationals(a: int) -> Tuple[int, Tuple[Tuple[MultiIndex, int], ...]]:
+    # (E, (((r, s), e), ...)) for (F_{2a+1}(L1 + Lj) + F_{2a+1}(L1 - Lj)) / 2
+    # divided by the (2a+1)! that the free-1 view carries: its L1^(2r) Lj^(2s)
+    # coefficient is (2a+1)! (e/E) pi^(2(a+1-r-s))
+    scale = Fraction(1, factorial(2 * a + 1))
+    return _over_lcm([(rs, f * scale) for rs, f in shift_symmetrize(h_moment(a)).items()])
 
 
-def _add(acc: dict, key, q: Fraction) -> None:
-    prev = acc.get(key)
-    acc[key] = q if prev is None else prev + q
+def _common_kernels(kernels: dict) -> Tuple[int, dict]:
+    # kernels[k] = (E_k, ((key, e), ...)) brought over E = lcm of the E_k
+    den = lcm(*(e for e, _ in kernels.values()))
+    return den, {
+        k: [(key, e * (den // ek)) for key, e in row] for k, (ek, row) in kernels.items()
+    }
 
 
 def _descending(rest: MultiIndex) -> MultiIndex:
     return tuple(sorted(rest, reverse=True))
 
 
-def _representatives(p: LPoly, free: int) -> list[Tuple[MultiIndex, Fraction]]:
-    # terms whose exponents after the first ``free`` do not increase
-    return [(a, q) for a, q in p.items() if a[free:] == _descending(a[free:])]
+def _integer_representatives(p: LPoly, free: int) -> Tuple[int, list]:
+    # (D, [(alpha, N), ...]) for the terms whose exponents after the first
+    # ``free`` do not increase: coefficient N / D, D the LCM of their
+    # denominators
+    reps = [(a, q) for a, q in p.items() if a[free:] == _descending(a[free:])]
+    return _over_lcm(reps)
 
 
 def _apply_double_moment(
-    n: int, weight: int, sums: dict[MultiIndex, dict[int, Fraction]]
+    n: int, weight: int, sums: dict[MultiIndex, dict[int, int]], den: int
 ) -> LPoly:
     """Expand (1/2) G through F once per (a + b, rest) key.
 
-    ``sums[rest][s]`` holds sum q (2a+1)! (2b+1)! over the input products
-    x^2a y^2b with a + b = s and labels 2..n carrying exponents ``rest``.
+    ``sums[rest][s] / den`` is sum q (2a+1)! (2b+1)! over the input
+    products x^2a y^2b with a + b = s and labels 2..n carrying exponents
+    ``rest``.
     """
-    acc: dict[MultiIndex, Fraction] = {}
+    e, kernels = _common_kernels(
+        {s: _double_moment_rationals(s) for row in sums.values() for s in row}
+    )
+    acc: dict[MultiIndex, int] = {}
     for rest, row in sums.items():
         for s, x in row.items():
-            for m, f in _double_moment_rationals(s):
-                _add(acc, (m,) + rest, x * f)
-    return LPoly(n, weight, acc)
+            for m, f in kernels[s]:
+                key = (m,) + rest
+                acc[key] = acc.get(key, 0) + x * f
+    den *= e
+    return LPoly(n, weight, {key: Fraction(x, den) for key, x in acc.items()})
 
 
 def a_con_term(g: int, n: int, table: "VolumeTable") -> LPoly:
@@ -167,21 +199,13 @@ def a_con_term(g: int, n: int, table: "VolumeTable") -> LPoly:
     """
     if g < 1 or not is_stable(g - 1, n + 1):
         return LPoly.zero(n, moduli_dim(g, n))
-    sums: dict[MultiIndex, dict[int, Fraction]] = {}
-    for alpha, q in _representatives(table.volume(g - 1, n + 1), 2):
+    den, reps = _integer_representatives(table.volume(g - 1, n + 1), 2)
+    sums: dict[MultiIndex, dict[int, int]] = {}
+    for alpha, x in reps:
         a, b = alpha[0], alpha[1]
         row = sums.setdefault(alpha[2:], {})
-        _add(row, a + b, q * (factorial(2 * a + 1) * factorial(2 * b + 1)))
-    return _apply_double_moment(n, moduli_dim(g, n), sums)
-
-
-def _by_rest(p: LPoly) -> list[Tuple[MultiIndex, list]]:
-    # terms x^2a m(rest) with rest non-increasing, as rest -> [(a, q (2a+1)!)]
-    groups: dict[MultiIndex, list] = {}
-    for alpha, q in _representatives(p, 1):
-        a = alpha[0]
-        groups.setdefault(alpha[1:], []).append((a, q * factorial(2 * a + 1)))
-    return list(groups.items())
+        row[a + b] = row.get(a + b, 0) + x * factorial(2 * a + 1) * factorial(2 * b + 1)
+    return _apply_double_moment(n, moduli_dim(g, n), sums, den)
 
 
 def a_dcon_term(g: int, n: int, table: "VolumeTable") -> LPoly:
@@ -190,21 +214,27 @@ def a_dcon_term(g: int, n: int, table: "VolumeTable") -> LPoly:
     Ordered stable splittings with the global 1/2 prefactor.  The product
     of terms with rests rest1 and rest2 stands for every way to deal the
     labels of the merged rest onto the pieces: prod_v C(count_v(rest),
-    count_v(rest1)) of them.
+    count_v(rest1)) of them.  A splitting's products are integers over
+    D1 D2, brought to the LCM of D1 D2 over all splittings.
     """
-    sums: dict[MultiIndex, dict[int, Fraction]] = {}
-    for (g1, k1), (g2, k2) in stable_splittings(g, n):
-        terms2 = _by_rest(table.volume(g2, k2 + 1))
-        for rest1, p1 in _by_rest(table.volume(g1, k1 + 1)):
-            for rest2, p2 in terms2:
+    views = [
+        (table._free1_view(g1, k1 + 1), table._free1_view(g2, k2 + 1))
+        for (g1, k1), (g2, k2) in stable_splittings(g, n)
+    ]
+    den = lcm(*(d1 * d2 for (d1, _), (d2, _) in views))
+    sums: dict[MultiIndex, dict[int, int]] = {}
+    for (d1, groups1), (d2, groups2) in views:
+        c = den // (d1 * d2)
+        for rest1, p1 in groups1:
+            for rest2, p2 in groups2:
                 rest = _descending(rest1 + rest2)
-                w = prod(comb(rest.count(v), rest1.count(v)) for v in set(rest1))
+                w = c * prod(comb(rest.count(v), rest1.count(v)) for v in set(rest1))
                 row = sums.setdefault(rest, {})
                 for a, x in p1:
                     wx = w * x
                     for b, y in p2:
-                        _add(row, a + b, wx * y)
-    return _apply_double_moment(n, moduli_dim(g, n), sums)
+                        row[a + b] = row.get(a + b, 0) + wx * y
+    return _apply_double_moment(n, moduli_dim(g, n), sums, den)
 
 
 def b_term(g: int, n: int, table: "VolumeTable") -> LPoly:
@@ -216,13 +246,23 @@ def b_term(g: int, n: int, table: "VolumeTable") -> LPoly:
     """
     if n < 2:
         return LPoly.zero(n, moduli_dim(g, n))
-    acc: dict[MultiIndex, Fraction] = {}
-    for alpha, q in _representatives(table.volume(g, n - 1), 1):
-        rest = alpha[1:]
-        for r, s, f in _shifted_moment_rationals(alpha[0]):
-            merged = _descending(rest + (s,))
-            _add(acc, (r,) + merged, q * f * merged.count(s))
-    return LPoly(n, moduli_dim(g, n), acc)
+    den, groups = table._free1_view(g, n - 1)
+    e, kernels = _common_kernels(
+        {a: _shifted_moment_rationals(a) for _, p in groups for a, _ in p}
+    )
+    acc: dict[MultiIndex, int] = {}
+    for rest, p in groups:
+        placed: dict[int, Tuple[MultiIndex, int]] = {}
+        for a, x in p:
+            for (r, s), f in kernels[a]:
+                if s not in placed:
+                    merged = _descending(rest + (s,))
+                    placed[s] = (merged, merged.count(s))
+                merged, count = placed[s]
+                key = (r,) + merged
+                acc[key] = acc.get(key, 0) + x * f * count
+    den *= e
+    return LPoly(n, moduli_dim(g, n), {key: Fraction(x, den) for key, x in acc.items()})
 
 
 def _expand(reps: LPoly) -> LPoly:
@@ -270,11 +310,13 @@ def validate_volume(g: int, n: int, p: LPoly) -> None:
             raise InvariantViolation(
                 f"V_{{{g},{n}}} has a term at {alpha}, outside |alpha| <= {d}"
             )
-        if q <= 0:
+        # a Fraction's denominator is positive
+        if q.numerator <= 0:
             raise InvariantViolation(
                 f"V_{{{g},{n}}}: coefficient of {alpha} is not positive"
             )
-        if p.coefficient(_descending(alpha)) != q:
+        key = _descending(alpha)
+        if key != alpha and p.coefficient(key) != q:
             raise InvariantViolation(f"V_{{{g},{n}}} is not label-symmetric")
 
 
@@ -303,6 +345,7 @@ class VolumeTable:
 
     def __init__(self):
         self._entries: dict[Tuple[int, int], LPoly] = {}
+        self._free1: dict[Tuple[int, int], Tuple[int, list]] = {}
 
     def __contains__(self, sig: Tuple[int, int]) -> bool:
         return sig in self._entries
@@ -315,6 +358,21 @@ class VolumeTable:
         if (g, n) not in self._entries:
             self._entries[(g, n)] = self._compute(g, n)
         return self._entries[(g, n)]
+
+    def _free1_view(self, g: int, n: int) -> Tuple[int, list]:
+        """V_{g,n}'s terms x^2a m(rest) with rest non-increasing, as
+        (D, [(rest, [(a, N (2a+1)!), ...]), ...]) where the coefficient is
+        N / D and D the LCM of the denominators.  A^dcon and B read it;
+        it is built on first read and reused."""
+        view = self._free1.get((g, n))
+        if view is None:
+            den, reps = _integer_representatives(self.volume(g, n), 1)
+            groups: dict[MultiIndex, list[Tuple[int, int]]] = {}
+            for alpha, x in reps:
+                a = alpha[0]
+                groups.setdefault(alpha[1:], []).append((a, x * factorial(2 * a + 1)))
+            view = self._free1[(g, n)] = (den, list(groups.items()))
+        return view
 
     def true_volume(self, g: int, n: int) -> LPoly:
         """The geometric Weil-Petersson volume: doubles only V_{1,1}."""
@@ -351,12 +409,13 @@ class VolumeTable:
     # ------------------------------------------------------------------
     # serialization
 
+    def items(self) -> Iterator[Tuple[Tuple[int, int], LPoly]]:
+        """((g, n), volume) pairs in canonical order, computing nothing."""
+        return ((sig, self._entries[sig]) for sig in self.signatures())
+
     def to_entries(self) -> dict[str, list[dict]]:
         """Canonically ordered map ``"g,n" -> term records``."""
-        return {
-            f"{g},{n}": self._entries[(g, n)].to_records()
-            for g, n in self.signatures()
-        }
+        return {f"{g},{n}": p.to_records() for (g, n), p in self.items()}
 
     @classmethod
     def from_entries(cls, entries: dict[str, list[dict]]) -> "VolumeTable":

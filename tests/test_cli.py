@@ -194,6 +194,24 @@ def test_usage_error_exit_code(capsys):
 # cache files
 
 
+def test_cache_writer_matches_stdlib_encoder(tmp_path):
+    from wpvol import cli
+    from wpvol.recursion import VolumeTable
+
+    table = VolumeTable()
+    table.ensure(7)
+    path = tmp_path / "table.json"
+    cli.save_cache(table, str(path))
+    payload = {
+        "format": cli.CACHE_FORMAT,
+        "version": cli.CACHE_VERSION,
+        "tool": f"wpvol {cli.__version__}",
+        "convention": cli.CONVENTION,
+        "entries": table.to_entries(),
+    }
+    assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
+
 def test_table_export_and_reload_byte_identical(tmp_path, capsys):
     out1 = tmp_path / "cache1.json"
     out2 = tmp_path / "cache2.json"
@@ -495,6 +513,39 @@ def test_negative_max_dim_rejected_before_work(tmp_path, capsys, monkeypatch, ar
     assert_one_line_error(code, err, "--max-dim must be non-negative")
     assert cache.read_text() == "not a cache"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "relation", ["string", "dilaton", "dvv", "do-string", "do-dilaton", "all"]
+)
+def test_relation_suite_without_instances_rejected_before_work(
+    tmp_path, capsys, monkeypatch, relation
+):
+    # at --max-dim 0 no suite has an instance: a pass would check nothing
+    from wpvol import oracle
+
+    def no_kernel_work():
+        raise AssertionError("the kernel suite ran before the arguments were checked")
+
+    forbid_table_work(monkeypatch)
+    monkeypatch.setattr(oracle, "moment_validation_report", no_kernel_work)
+    cache = tmp_path / "cache.json"
+    cache.write_text("not a cache")
+    argv = ["verify", relation, "--max-dim", "0", "--cache", str(cache)]
+    code, stdout, err = run(capsys, *argv)
+    assert stdout == ""
+    assert_one_line_error(code, err, f"verify {relation} --max-dim 0", "no relation")
+    assert cache.read_text() == "not a cache"
+
+
+def test_kernel_suite_needs_no_dimension(capsys, monkeypatch):
+    from wpvol import oracle
+
+    forbid_table_work(monkeypatch)
+    monkeypatch.setattr(oracle, "moment_validation_report", lambda: [])
+    monkeypatch.setattr(oracle, "kernel_identity_report", lambda: [])
+    code, _, err = run(capsys, "verify", "kernels", "--max-dim", "0")
+    assert code == 0 and err == ""
 
 
 def test_wpvol_cache_environment_variable_is_ignored(tmp_path, capsys, monkeypatch):

@@ -186,6 +186,19 @@ def test_compact_genus_three(table):
     assert compact_volume(table, 3) == PiPoly.monomial(6, Fraction(176557, 1209600))
 
 
+def test_compact_genus_seven_and_eight():
+    # recorded from the recursion that summed every input product as a
+    # Fraction; both genera run the integer accumulation past the genus
+    # the acceptance suite and the benchmark reach
+    t = VolumeTable()
+    assert compact_volume(t, 7).as_str() == (
+        "57836500609415964441264863965730519/14128121232007335641088000000*pi^36"
+    )
+    assert compact_volume(t, 8).as_str() == (
+        "1368123622965616841128459067826888556813/1421122782748973173309440000000*pi^42"
+    )
+
+
 def test_compact_needs_genus_two(table):
     with pytest.raises(ValueError):
         compact_volume(table, 1)

@@ -300,6 +300,15 @@ def test_entries_round_trip(table):
     assert reloaded.to_entries() == entries
 
 
+@pytest.mark.parametrize("sig", [(2, 2), (1, 4)])
+def test_terms_read_loaded_and_computed_tables_alike(table5, sig):
+    # the integer views are built on first read, here from parsed records
+    reloaded = VolumeTable.from_entries(table5.to_entries())
+    fresh = VolumeTable()
+    for term in (a_con_term, a_dcon_term, b_term):
+        assert term(*sig, reloaded) == term(*sig, fresh) == term(*sig, table5)
+
+
 def test_from_entries_revalidates():
     bad = {"0,3": [{"alpha": [0, 0, 0], "pi_power": 0, "coeff": "-1"}]}
     with pytest.raises(InvariantViolation):
