@@ -255,6 +255,8 @@ def cmd_intersect(args) -> int:
         raise UsageError("alpha must have at least one entry")
     if any(a < 0 for a in alpha):
         raise UsageError("psi exponents must be non-negative")
+    if args.kappa is not None and args.kappa < 0:
+        raise UsageError(f"the kappa_1 power --kappa must be non-negative, got {args.kappa}")
     if not is_stable(g, n):
         raise UsageError(f"({g},{n}) is not a stable signature")
     d = moduli_dim(g, n)

@@ -103,7 +103,7 @@ def intersection_number(
     m = d - total
     # the internal coefficient is the number over 2^|alpha| alpha! m!: the
     # halved V_{1,1} absorbs the 2^(d11) of the true volume
-    q = table.volume(g, n).coefficient(alpha) * (
+    q = table.coefficient(g, alpha) * (
         2**total * prod(factorial(a) for a in alpha) * factorial(m)
     )
     return IntersectionValue(PiPoly.monomial(m, q), q / 2**m, m)
@@ -123,7 +123,7 @@ def psi_correlator(table: VolumeTable, g: int, alpha: Sequence[int]) -> Rat:
     ):
         return Fraction(0)
     # the m = 0 case of intersection_number, without building the PiPoly
-    return table.volume(g, n).coefficient(alpha) * (
+    return table.coefficient(g, alpha) * (
         2 ** sum(alpha) * prod(factorial(a) for a in alpha)
     )
 

@@ -9,8 +9,8 @@ with multi-index keys alpha = (a_1, ..., a_n), |alpha| <= w, and plain
 rational coefficients q_alpha.  Volumes V_{g,n} have weight 3g-3+n and
 the kernel moment F_{2k+1} has weight k+1, so the power of pi never needs
 storing.  Every operation has a fixed effect on the weight: ``+`` needs
-equal weights and ``*`` adds them; differentiation lowers it by one and
-integration raises it by one.
+equal weights; differentiation lowers it by one and integration raises
+it by one.
 
 Only even polynomials are representable: an exponent vector alpha always
 means ``prod_i L_i^(2 a_i)``, so evenness is an invariant of the
@@ -21,9 +21,9 @@ as (variable * even part) pairs by :meth:`LPoly.integrate_back` and
 The canonical term order used for serialization and rendering is graded
 lexicographic on alpha.
 
-An LPoly has no notion of label symmetry: volumes are symmetric, and
-:func:`wpvol.recursion.validate_volume` checks that on the stored terms,
-one lookup of the sorted key per term.
+An LPoly has no notion of label symmetry: a volume table stores each
+volume on one key per label orbit, and
+:func:`wpvol.recursion.validate_volume` checks the symmetry.
 
 The constructor trusts its caller and only drops zero coefficients.  Each
 invariant is checked once, where its kind of data enters:
@@ -146,20 +146,6 @@ class LPoly:
     def scale(self, c: Union[Rat, int]) -> "LPoly":
         """Multiply every coefficient by the rational c."""
         return LPoly(self.n, self.weight, {a: q * c for a, q in self._terms.items()})
-
-    def __mul__(self, other: "LPoly") -> "LPoly":
-        """Product of two even polynomials over the same variable list; the
-        weights add."""
-        if not isinstance(other, LPoly):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("cannot multiply polynomials over different variable counts")
-        terms: dict[MultiIndex, Fraction] = {}
-        for a1, q1 in self._terms.items():
-            for a2, q2 in other._terms.items():
-                key = tuple(x + y for x, y in zip(a1, a2))
-                terms[key] = terms.get(key, 0) + q1 * q2
-        return LPoly(self.n, self.weight + other.weight, terms)
 
     # ------------------------------------------------------------------
     # calculus

@@ -23,39 +23,31 @@ its weight 3g-3+n implies the power of pi.  The double moment is applied
 through its Beta reduction to F_{2(a+b)+3}, so input products are summed
 per (a + b, remaining exponents) before F is expanded.
 
+V_{g,n} is symmetric in its labels, so :class:`VolumeTable` stores it
+only on the keys (a_1, a_2 >= ... >= a_n), one per orbit of the labels
+2..n, which the terms return.  Only ``volume``, ``true_volume`` and
+``items`` expand; ``coefficient`` reads one stored term.
+
 The terms sum on Python ints and build one ``Fraction`` per output key.
-Each input volume is read through an integer view: numerators N over one
-common denominator D, the LCM of its coefficients' denominators.  A^dcon
-and B read the free-1 view, rest -> [(a, N (2a+1)!)] with D, which
-:class:`VolumeTable` builds once per entry on first read; A^con reads its
-input's free-2 view once and does not keep it.  The kernel rationals are
-integer numerators over their own LCM.  A^dcon sums each splitting over
-D1 D2 and brings the splittings to the LCM of those products; B sums over
-D times the kernel LCM.
+Each input volume is read through its free-1 view, rest -> [(a, N
+(2a+1)!)] over D, the LCM of its denominators, which the table builds
+once per entry; A^con takes b out of each rest, once per distinct value.
+A^dcon sums each splitting over D1 D2, brought to the LCM of those
+products; B sums over D times the kernel LCM.
 
-V_{g,n} is symmetric in its labels, so the terms return only the keys
-(a_1, a_2 >= ... >= a_n), one per orbit of the labels 2..n, and read only
-such terms of their inputs.  The derivative is integrated back once and
-then expanded to every alpha with |alpha| <= 3g-3+n; a term key that the
-expansion would not read is an error, not a dropped term.
-
-Every entry, computed or loaded, is validated: its weight is 3g-3+n
-(which fixes every pi power), every key has n non-negative exponents with
-|alpha| <= 3g-3+n, it has a term for every such alpha, every coefficient
-is positive, and it is symmetric under all label permutations, L_1
-included.  Symmetry is checked with one lookup per term: since every
-alpha is present, it suffices that each coefficient equals the one at its
-sorted key (a_1 >= ... >= a_n).  On a computed volume, whose terms were
-expanded from the keys (a_1, a_2 >= ... >= a_n), this compares L_1 with
-the other labels.  A violation aborts; with exact arithmetic any mismatch
-is a logic bug.
+Every entry, computed or loaded, passes :func:`validate_volume`: weight
+3g-3+n (which fixes every pi power), and at each orbit key a positive
+coefficient equal to the one at its fully sorted key (L_1 against the
+other labels).  A loaded entry, which has every term, must also equal
+the expansion of its orbit keys (L_2..L_n, missing or extra terms).  A
+violation aborts; with exact arithmetic any mismatch is a logic bug.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
-from typing import Iterator, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from .kernels import h_double_moment, h_moment, shift_symmetrize
 from .lpoly import LPoly, MultiIndex
@@ -160,14 +152,6 @@ def _descending(rest: MultiIndex) -> MultiIndex:
     return tuple(sorted(rest, reverse=True))
 
 
-def _integer_representatives(p: LPoly, free: int) -> Tuple[int, list]:
-    # (D, [(alpha, N), ...]) for the terms whose exponents after the first
-    # ``free`` do not increase: coefficient N / D, D the LCM of their
-    # denominators
-    reps = [(a, q) for a, q in p.items() if a[free:] == _descending(a[free:])]
-    return _over_lcm(reps)
-
-
 def _apply_double_moment(
     n: int, weight: int, sums: dict[MultiIndex, dict[int, int]], den: int
 ) -> LPoly:
@@ -195,16 +179,21 @@ def a_con_term(g: int, n: int, table: "VolumeTable") -> LPoly:
 
     Each term x^2a y^2b m(L_2..L_n) of V_{g-1,n+1} with non-increasing
     exponents in m contributes (1/2) coeff G_{a,b}(L_1) m; absent when
-    (g-1, n+1) is unstable.
+    (g-1, n+1) is unstable.  By symmetry it is the stored term at (a, b
+    and m sorted): each stored rest gives one (b, m) per distinct value b.
     """
     if g < 1 or not is_stable(g - 1, n + 1):
         return LPoly.zero(n, moduli_dim(g, n))
-    den, reps = _integer_representatives(table.volume(g - 1, n + 1), 2)
+    den, groups = table._free1_view(g - 1, n + 1)
     sums: dict[MultiIndex, dict[int, int]] = {}
-    for alpha, x in reps:
-        a, b = alpha[0], alpha[1]
-        row = sums.setdefault(alpha[2:], {})
-        row[a + b] = row.get(a + b, 0) + x * factorial(2 * a + 1) * factorial(2 * b + 1)
+    for stored, p in groups:
+        for i, b in enumerate(stored):
+            if i and stored[i - 1] == b:
+                continue
+            row = sums.setdefault(stored[:i] + stored[i + 1 :], {})
+            fb = factorial(2 * b + 1)
+            for a, x in p:
+                row[a + b] = row.get(a + b, 0) + x * fb
     return _apply_double_moment(n, moduli_dim(g, n), sums, den)
 
 
@@ -265,59 +254,77 @@ def b_term(g: int, n: int, table: "VolumeTable") -> LPoly:
     return LPoly(n, moduli_dim(g, n), {key: Fraction(x, den) for key, x in acc.items()})
 
 
-def _expand(reps: LPoly) -> LPoly:
+def _orbit_keys(n: int, d: int) -> list[MultiIndex]:
+    # every (a_1, a_2 >= ... >= a_n) with |alpha| <= d: each exponent of the
+    # rest is at most the one before it and the weight left
+    rests = [()]
+    for _ in range(n - 1):
+        rests = [
+            r + (e,) for r in rests for e in range(min(r[-1:] + (d - sum(r),)) + 1)
+        ]
+    return [(a,) + r for r in rests for a in range(d - sum(r) + 1)]
+
+
+@lru_cache(maxsize=None)
+def _orderings(rest: MultiIndex) -> Tuple[MultiIndex, ...]:
+    # every distinct ordering of the non-increasing rest: each distinct value
+    # first, then each ordering of the others; ((),) for the empty rest
+    return tuple(
+        (v,) + tail
+        for i, v in enumerate(rest)
+        if not i or rest[i - 1] != v
+        for tail in _orderings(rest[:i] + rest[i + 1 :])
+    ) or ((),)
+
+
+def _expand(stored: LPoly) -> LPoly:
     """The polynomial symmetric in L_2..L_n whose terms on the keys
-    (a_1, a_2 >= ... >= a_n) are those of ``reps``; any other key in
-    ``reps`` raises InvariantViolation."""
-    n, d = reps.n, reps.weight
-    alphas = [()]
-    for _ in range(n):
-        alphas = [a + (e,) for a in alphas for e in range(d - sum(a) + 1)]
-    keys = {a: (a[0],) + _descending(a[1:]) for a in alphas}
-    read = set(keys.values())
-    for alpha, _ in reps.items():
-        if alpha not in read:
-            raise InvariantViolation(
-                f"term key {alpha} is not (a_1, a_2 >= ... >= a_{n}) "
-                f"with |alpha| <= {d}"
-            )
-    return LPoly(n, d, {a: reps.coefficient(key) for a, key in keys.items()})
+    (a_1, a_2 >= ... >= a_n) are those of ``stored``."""
+    terms = {key[:1] + r: q for key, q in stored.items() for r in _orderings(key[1:])}
+    return LPoly(stored.n, stored.weight, terms)
 
 
-def validate_volume(g: int, n: int, p: LPoly) -> None:
-    """Check the structural invariants of a volume polynomial.
+def validate_volume(g: int, n: int, p: LPoly) -> LPoly:
+    """Check a volume polynomial's structural invariants and return its
+    terms on the keys (a_1, a_2 >= ... >= a_n), the form the table stores.
 
-    Weight d = 3g-3+n (every coefficient a rational multiple of
-    pi^(2(d-|alpha|))), keys of n non-negative exponents with |alpha| <= d
-    and C(d+n, n) of them, so a term for each such alpha, strictly
-    positive coefficients, and symmetry under label permutations: each
-    coefficient equals the one at its key sorted in decreasing order.
-    Raises InvariantViolation on any failure.
+    Weight d = 3g-3+n (which fixes every pi power) and n variables.  At
+    each such key with |alpha| <= d, a positive coefficient equal to the
+    one at the fully sorted key (symmetry in L_1).  When p has other terms
+    too, it must equal the expansion of those keys: symmetric in L_2..L_n,
+    with every alpha with |alpha| <= d and no other.  Raises
+    InvariantViolation on any failure.
     """
     d = moduli_dim(g, n)
     if p.n != n:
         raise InvariantViolation(f"V_{{{g},{n}}} has {p.n} variables, expected {n}")
     if p.weight != d:
         raise InvariantViolation(f"V_{{{g},{n}}} has weight {p.weight}, expected {d}")
-    if len(p) != comb(d + n, n):
-        raise InvariantViolation(
-            f"V_{{{g},{n}}} has {len(p)} terms, expected {comb(d + n, n)}"
-        )
-    # every key in range and C(d+n, n) of them, so p has every alpha: the
-    # sorted-key test is then full symmetry
-    for alpha, q in p.items():
-        if len(alpha) != n or min(alpha, default=0) < 0 or sum(alpha) > d:
-            raise InvariantViolation(
-                f"V_{{{g},{n}}} has a term at {alpha}, outside |alpha| <= {d}"
-            )
-        # a Fraction's denominator is positive
+    terms = {}
+    for key in _orbit_keys(n, d):
+        q = p.coefficient(key)
+        # an absent term reads as 0; a Fraction's denominator is positive
         if q.numerator <= 0:
             raise InvariantViolation(
-                f"V_{{{g},{n}}}: coefficient of {alpha} is not positive"
+                f"V_{{{g},{n}}}: coefficient of {key} is not positive"
+                if q
+                else f"V_{{{g},{n}}} has no term at {key}"
             )
-        key = _descending(alpha)
-        if key != alpha and p.coefficient(key) != q:
+        top = _descending(key)
+        if top != key and p.coefficient(top) != q:
             raise InvariantViolation(f"V_{{{g},{n}}} is not label-symmetric")
+        terms[key] = q
+    # p is the expansion when each term equals its orbit key's (so its alpha
+    # is in range) and all C(d+n, n) alphas are there
+    if len(p) != len(terms) and (
+        len(p) != comb(d + n, n)
+        or any(terms.get(a[:1] + _descending(a[1:])) != q for a, q in p.items())
+    ):
+        raise InvariantViolation(
+            f"V_{{{g},{n}}} differs from the label-symmetric expansion of its "
+            f"keys (a_1, a_2 >= ... >= a_{n}) to every |alpha| <= {d}"
+        )
+    return LPoly(n, d, terms)
 
 
 def iter_signatures(max_dim: int) -> Iterator[Tuple[int, int]]:
@@ -339,6 +346,7 @@ def iter_signatures(max_dim: int) -> Iterator[Tuple[int, int]]:
 class VolumeTable:
     """Memoized map from (g, n) to the internal-convention volume.
 
+    Each entry is stored on its keys (a_1, a_2 >= ... >= a_n) only.
     Entries are computed on demand, dependencies first, and validated
     when computed or loaded.  Completed entries are immutable.
     """
@@ -353,22 +361,31 @@ class VolumeTable:
     def signatures(self) -> list[Tuple[int, int]]:
         return sorted(self._entries, key=lambda s: (moduli_dim(*s), s))
 
-    def volume(self, g: int, n: int) -> LPoly:
-        """V_{g,n} in the internal convention (halved at (1,1))."""
+    def _stored(self, g: int, n: int) -> LPoly:
+        # V_{g,n} on its keys (a_1, a_2 >= ... >= a_n), computed on first read
         if (g, n) not in self._entries:
             self._entries[(g, n)] = self._compute(g, n)
         return self._entries[(g, n)]
 
+    def volume(self, g: int, n: int) -> LPoly:
+        """V_{g,n} in the internal convention (halved at (1,1)), expanded."""
+        return _expand(self._stored(g, n))
+
+    def coefficient(self, g: int, alpha: Sequence[int]) -> Fraction:
+        """The rational coefficient of L^(2 alpha) in V_{g,len(alpha)}."""
+        key = tuple(alpha[:1]) + _descending(alpha[1:])
+        return self._stored(g, len(key)).coefficient(key)
+
     def _free1_view(self, g: int, n: int) -> Tuple[int, list]:
-        """V_{g,n}'s terms x^2a m(rest) with rest non-increasing, as
-        (D, [(rest, [(a, N (2a+1)!), ...]), ...]) where the coefficient is
-        N / D and D the LCM of the denominators.  A^dcon and B read it;
-        it is built on first read and reused."""
+        """V_{g,n}'s stored terms x^2a m(rest) as (D, [(rest, [(a, N
+        (2a+1)!), ...]), ...]) where the coefficient is N / D and D the LCM
+        of the denominators.  The terms read it; it is built on first read
+        and reused."""
         view = self._free1.get((g, n))
         if view is None:
-            den, reps = _integer_representatives(self.volume(g, n), 1)
+            den, terms = _over_lcm(list(self._stored(g, n).items()))
             groups: dict[MultiIndex, list[Tuple[int, int]]] = {}
-            for alpha, x in reps:
+            for alpha, x in terms:
                 a = alpha[0]
                 groups.setdefault(alpha[1:], []).append((a, x * factorial(2 * a + 1)))
             view = self._free1[(g, n)] = (den, list(groups.items()))
@@ -390,28 +407,23 @@ class VolumeTable:
         if not is_stable(g, n):
             raise ValueError(f"({g},{n}) is not a stable signature")
         if (g, n) in BASE_SIGNATURES:
-            poly = base_volume(g, n)
-        else:
-            derivative = (
-                a_con_term(g, n, self)
-                + a_dcon_term(g, n, self)
-                + b_term(g, n, self)
-            )
-            poly = _expand(derivative.integrate_back())
-        validate_volume(g, n, poly)
-        return poly
+            return validate_volume(g, n, base_volume(g, n))
+        derivative = (
+            a_con_term(g, n, self) + a_dcon_term(g, n, self) + b_term(g, n, self)
+        )
+        return validate_volume(g, n, derivative.integrate_back())
 
     def ensure(self, max_dim: int) -> None:
         """Compute every stable (g, n), n >= 1, with 3g-3+n <= max_dim."""
         for sig in iter_signatures(max_dim):
-            self.volume(*sig)
+            self._stored(*sig)
 
     # ------------------------------------------------------------------
     # serialization
 
     def items(self) -> Iterator[Tuple[Tuple[int, int], LPoly]]:
-        """((g, n), volume) pairs in canonical order, computing nothing."""
-        return ((sig, self._entries[sig]) for sig in self.signatures())
+        """((g, n), expanded volume) pairs in canonical order, computing nothing."""
+        return ((sig, _expand(self._entries[sig])) for sig in self.signatures())
 
     def to_entries(self) -> dict[str, list[dict]]:
         """Canonically ordered map ``"g,n" -> term records``."""
@@ -430,6 +442,5 @@ class VolumeTable:
                     f"entry {key!r} is not a stable signature g,n with n >= 1"
                 )
             poly = LPoly.from_records(n, moduli_dim(g, n), records)
-            validate_volume(g, n, poly)
-            table._entries[(g, n)] = poly
+            table._entries[(g, n)] = validate_volume(g, n, poly)
         return table

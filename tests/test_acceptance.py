@@ -74,11 +74,8 @@ def test_criterion_1_golden_volumes():
     ok = ok and t.true_volume(0, 4) == v04
 
     # expanded form of (L^2+4pi^2)(L^2+12pi^2)(5L^4+384pi^2L^2+6960pi^4)/2211840
-    L2 = LPoly.monomial(1, (1,))
-    golden_21 = (
-        (L2 + LPoly(1, 1, {(0,): 4}))
-        * (L2 + LPoly(1, 1, {(0,): 12}))
-        * LPoly(1, 2, {(2,): 5, (1,): 384, (0,): 6960})
+    golden_21 = LPoly(
+        1, 4, {(4,): 5, (3,): 464, (2,): 13344, (1,): 129792, (0,): 334080}
     ).scale(Fraction(1, 2211840))
     ok = ok and t.true_volume(2, 1) == golden_21
 

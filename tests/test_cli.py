@@ -343,7 +343,20 @@ def test_cache_missing_a_term_rejected(tmp_path, capsys):
     del payload["entries"]["0,4"][0]
     path.write_text(json.dumps(payload))
     code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
-    assert_one_line_error(code, err, "has 4 terms, expected 5")
+    assert_one_line_error(code, err, "has no term at (0, 0, 0, 0)")
+
+
+def test_cache_asymmetric_off_the_orbit_keys_rejected(tmp_path, capsys):
+    # V_{0,5} with L_3^2 weighted unlike L_2^2: every key (a_1, a_2 >= ...
+    # >= a_5) still holds the true coefficient
+    path = tmp_path / "cache.json"
+    run(capsys, "table", "--max-dim", "2", "--out", str(path))
+    payload = json.loads(path.read_text())
+    (record,) = [r for r in payload["entries"]["0,5"] if r["alpha"] == [0, 0, 1, 0, 0]]
+    record["coeff"] = "7"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "volume", "0", "5", "--cache", str(path))
+    assert_one_line_error(code, err, "V_{0,5} differs from the label-symmetric expansion")
 
 
 def v04_cache_with(tmp_path, capsys, edit):
@@ -432,6 +445,7 @@ def forbid_table_work(monkeypatch):
 
     monkeypatch.setattr(VolumeTable, "volume", no_work)
     monkeypatch.setattr(VolumeTable, "ensure", no_work)
+    monkeypatch.setattr(VolumeTable, "_stored", no_work)
 
 
 def test_negative_genus_rejected_before_work(capsys, monkeypatch):
@@ -445,6 +459,7 @@ def test_negative_genus_rejected_before_work(capsys, monkeypatch):
     [
         (["-1", "0", "0", "0", "0", "0"], "(-1,5) is not a stable signature"),
         (["0", "-1", "2", "0", "0"], "psi exponents must be non-negative"),
+        (["1", "1", "--kappa", "-1"], "--kappa must be non-negative, got -1"),
     ],
 )
 def test_intersect_negative_arguments_rejected_before_work(capsys, monkeypatch, argv, words):

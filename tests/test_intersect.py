@@ -199,6 +199,19 @@ def test_compact_genus_seven_and_eight():
     )
 
 
+def test_compact_genus_nine_and_ten():
+    # recorded from the table that stored every expanded term
+    t = VolumeTable()
+    assert compact_volume(t, 9).as_str() == (
+        "18023847789626070555169453784661940895203207456841/"
+        "58595524689402363572010772070400000000*pi^48"
+    )
+    assert compact_volume(t, 10).as_str() == (
+        "520811852699359762235894950288481163939560114229291813433061/"
+        "4062091095426925249868785625755287552000000000*pi^54"
+    )
+
+
 def test_compact_needs_genus_two(table):
     with pytest.raises(ValueError):
         compact_volume(table, 1)

@@ -46,16 +46,6 @@ def test_key_beyond_weight_rejected():
         LPoly.from_records(2, 1, [record((2, 0), -2)])
 
 
-def test_unit_multiplication():
-    v = v04()
-    assert LPoly.one(4) * v == v
-
-
-def test_weights_add_under_multiplication():
-    assert (v04() * v04()).weight == 2
-    assert (v04() * v04()).coefficient((0, 0, 0, 0)) == 4
-
-
 def test_addition_needs_equal_weights():
     with pytest.raises(ValueError):
         v04() + LPoly.one(4)

@@ -11,7 +11,6 @@ from wpvol.recursion import (
     BASE_SIGNATURES,
     InvariantViolation,
     VolumeTable,
-    _expand,
     a_con_term,
     a_dcon_term,
     b_term,
@@ -152,19 +151,17 @@ def test_true_volume_doubles_only_torus(table):
 
 
 def test_genus_one_two_boundaries_factored_form(table):
-    # (4 pi^2 + L1^2 + L2^2)(12 pi^2 + L1^2 + L2^2) / 192
-    s = LPoly.monomial(2, (1, 0)) + LPoly.monomial(2, (0, 1))
-    f1 = s + LPoly(2, 1, {(0, 0): 4})
-    f2 = s + LPoly(2, 1, {(0, 0): 12})
-    assert table.true_volume(1, 2) == (f1 * f2).scale(Fraction(1, 192))
+    # (4 pi^2 + L1^2 + L2^2)(12 pi^2 + L1^2 + L2^2) / 192, with
+    # s = L1^2 + L2^2 expanded: s^2 + 16 pi^2 s + 48 pi^4
+    terms = {(2, 0): 1, (1, 1): 2, (0, 2): 1, (1, 0): 16, (0, 1): 16, (0, 0): 48}
+    want = LPoly(2, 2, terms).scale(Fraction(1, 192))
+    assert table.true_volume(1, 2) == want
 
 
 def test_genus_two_one_boundary_golden(table):
-    L2 = LPoly.monomial(1, (1,))
-    f1 = L2 + LPoly(1, 1, {(0,): 4})
-    f2 = L2 + LPoly(1, 1, {(0,): 12})
-    f3 = LPoly(1, 2, {(2,): 5, (1,): 384, (0,): 6960})
-    golden = (f1 * f2 * f3).scale(Fraction(1, 2211840))
+    # (L^2 + 4 pi^2)(L^2 + 12 pi^2)(5 L^4 + 384 pi^2 L^2 + 6960 pi^4) / 2211840
+    terms = {(4,): 5, (3,): 464, (2,): 13344, (1,): 129792, (0,): 334080}
+    golden = LPoly(1, 4, terms).scale(Fraction(1, 2211840))
     assert table.true_volume(2, 1) == golden
 
 
@@ -196,11 +193,15 @@ def test_homogeneity_details(table):
 
 def test_validator_rejects_broken_symmetry(table):
     # every term present and positive, but one label weighted differently:
-    # first L_1, then L_3 against an unchanged L_2
-    for key in [(1, 0, 0, 0), (0, 0, 1, 0)]:
+    # L_1, caught at its orbit key, then L_3 against an unchanged L_2,
+    # caught against the expansion
+    for key, words in [
+        ((1, 0, 0, 0), "not label-symmetric"),
+        ((0, 0, 1, 0), "differs from the label-symmetric expansion"),
+    ]:
         terms = dict(table.volume(0, 4).items())
         terms[key] = Fraction(1)
-        with pytest.raises(InvariantViolation, match="not label-symmetric"):
+        with pytest.raises(InvariantViolation, match=words):
             validate_volume(0, 4, LPoly(4, 1, terms))
 
 
@@ -209,10 +210,15 @@ def test_validator_rejects_missing_terms(table):
     terms = dict(table.volume(0, 4).items())
     del terms[(0, 0, 0, 0)]
     bad = LPoly(4, 1, terms)
-    with pytest.raises(InvariantViolation, match="has 4 terms, expected 5"):
+    with pytest.raises(InvariantViolation, match=r"has no term at \(0, 0, 0, 0\)"):
         validate_volume(0, 4, bad)
-    with pytest.raises(InvariantViolation, match="has 0 terms, expected 5"):
+    with pytest.raises(InvariantViolation, match=r"has no term at \(0, 0, 0, 0\)"):
         validate_volume(0, 4, LPoly.zero(4, 1))
+    # and without the L_3^2 term, which no orbit key reads
+    del terms[(0, 0, 1, 0)]
+    terms[(0, 0, 0, 0)] = Fraction(2)
+    with pytest.raises(InvariantViolation, match="differs from the label-symmetric"):
+        validate_volume(0, 4, LPoly(4, 1, terms))
 
 
 def test_validator_rejects_wrong_arity():
@@ -222,7 +228,7 @@ def test_validator_rejects_wrong_arity():
 
 def test_validator_rejects_negative_coefficient():
     bad = LPoly(3, 0, {(0, 0, 0): -1})
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="not positive"):
         validate_volume(0, 3, bad)
 
 
@@ -234,26 +240,64 @@ def test_validator_rejects_inhomogeneous_pi_power():
 
 
 def test_validator_rejects_key_beyond_the_weight(table):
-    # five positive terms, but L_1^4 where the constant term belongs
+    # every term of V_{0,4}, plus L_1^4 where a weight-1 volume has none
     terms = dict(table.volume(0, 4).items())
-    del terms[(0, 0, 0, 0)]
     terms[(2, 0, 0, 0)] = Fraction(1)
-    with pytest.raises(InvariantViolation, match="outside"):
+    with pytest.raises(InvariantViolation, match="to every \\|alpha\\| <= 1"):
         validate_volume(0, 4, LPoly(4, 1, terms))
 
 
 @pytest.mark.parametrize(
     "key",
     [
-        (2, 0, 0),  # beyond the weight
-        (0, 0, 1),  # increasing rest: not an orbit key
-        (0, 0),  # wrong length
+        (2, 0, 0, 0),  # beyond the weight
+        (0, 0, 0, 1),  # increasing rest: not an orbit key
+        (0, 0, 0),  # wrong length
     ],
 )
-def test_expand_rejects_a_key_it_would_not_read(key):
-    reps = LPoly(3, 1, {(0, 0, 0): Fraction(1), key: Fraction(1)})
-    with pytest.raises(InvariantViolation, match="term key"):
-        _expand(reps)
+def test_validator_rejects_a_key_the_terms_never_produce(table, key):
+    # V_{0,4} as the terms produce it, on its keys (a_1, a_2 >= a_3 >= a_4),
+    # plus one key that is not among them
+    terms = {
+        a: q
+        for a, q in table.volume(0, 4).items()
+        if list(a[1:]) == sorted(a[1:], reverse=True)
+    }
+    terms[key] = Fraction(1)
+    with pytest.raises(InvariantViolation, match="differs from the label-symmetric"):
+        validate_volume(0, 4, LPoly(4, 1, terms))
+
+
+def test_validator_returns_the_stored_form(table):
+    full = table.volume(1, 3)
+    stored = validate_volume(1, 3, full)
+    assert stored == validate_volume(1, 3, stored)
+    assert all(list(a[1:]) == sorted(a[1:], reverse=True) for a, _ in stored.items())
+
+
+def test_table_stores_one_key_per_orbit():
+    t = VolumeTable()
+    t.ensure(6)
+    stored = [t._stored(*sig) for sig in t.signatures()]
+    assert sum(len(p) for p in stored) == 411
+    for p in stored:
+        for alpha, _ in p.items():
+            assert list(alpha[1:]) == sorted(alpha[1:], reverse=True)
+
+
+def test_coefficient_reads_every_alpha(table5):
+    # each volume has a term at every alpha with |alpha| <= d, a set closed
+    # under permutations, so this reads every alpha in every order
+    from math import comb
+
+    for g, n in iter_signatures(5):
+        d = moduli_dim(g, n)
+        v = table5.volume(g, n)
+        assert len(v) == comb(d + n, n)
+        for alpha, q in v.items():
+            assert table5.coefficient(g, alpha) == q
+            assert v.coefficient(sorted(alpha, reverse=True)) == q
+        assert table5.coefficient(g, (d + 1,) + (0,) * (n - 1)) == 0
 
 
 def test_top_coefficient_matches_correlator(table):
