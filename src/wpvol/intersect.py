@@ -18,29 +18,34 @@ Verified identities:
 * dilaton:  <tau_1 tau_alpha> = (2g - 2 + n) <tau_alpha>,
 * the coefficient-level Virasoro (DVV) recursion, with genus bookkeeping
   mirroring the three recursion terms,
-* Do's boundary-removal equations relating V_{g,n+1} at L_{n+1} = 2 pi i
+* Do's boundary-removal equations relating V_{g,n+1} at one length 2 pi i
   to V_{g,n}, which also produce the closed-surface volumes V_{g,0}.
 
 The Do equations compare polynomials in the intersection-normalized
 (internal) convention: the forgetful-map identities behind them live on
 intersection numbers, so the (1,1) instance needs the halved torus
-volume.  The common factor 2 pi i in the dilaton equation is cancelled
-symbolically: both sides are compared inside Q[pi^2], keeping the scalar
-ring real and exact.
+volume.  Both sides are symmetric in the remaining lengths, so 2 pi i is
+substituted for L_1, the label the stored keys (a_1, a_2 >= ... >= a_n)
+single out, and the sides are compared at every fully sorted key beta
+from stored coefficients alone.  L_1^(2a) becomes (-4)^a pi^(2a), so
+each side keeps its weight and stays in Q[pi^2]; the common factor
+2 pi i of the dilaton equation cancels symbolically against
+dV/dL_1 = L_1 Q, keeping the scalar ring real and exact.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import factorial, prod
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from itertools import combinations_with_replacement, product
+from math import comb, factorial, prod
+from typing import Optional, Sequence, Tuple, Union
 
 from .exact import PiPoly, Rat, rat_to_str
 from .lpoly import LPoly
-from .recursion import VolumeTable, is_stable, iter_signatures, moduli_dim
+from .recursion import VolumeTable, _expand, is_stable, iter_signatures, moduli_dim
 
 __all__ = [
     "IntersectionValue",
@@ -142,24 +147,25 @@ def genus0_correlator(alpha: Sequence[int]) -> Rat:
 # relation checks
 
 
-def _poly_str(p: LPoly) -> str:
-    if p.is_zero():
+def _side_str(side: Union[Rat, LPoly]) -> str:
+    if not isinstance(side, LPoly):
+        return rat_to_str(side)
+    if side.is_zero():
         return "0"
+    # a polynomial side is held on its fully sorted keys
+    p = _expand(side, 0)
     return "; ".join(
         f"L^{list(alpha)}: {p.pi_coefficient(alpha).as_str()}"
         for alpha, _ in p.sorted_items()
     )
 
 
-def _side_str(side: Union[Rat, LPoly]) -> str:
-    return _poly_str(side) if isinstance(side, LPoly) else rat_to_str(side)
-
-
 @dataclass(frozen=True)
 class CheckRecord:
     """Outcome of one relation instance, with its exact sides: rationals,
-    or polynomials for the Do equations.  The sides are rendered as text
-    only when ``lhs``, ``rhs`` or :meth:`to_json` is read."""
+    or for the Do equations symmetric polynomials on their fully sorted
+    keys.  The sides are expanded and rendered as text only when ``lhs``,
+    ``rhs`` or :meth:`to_json` is read."""
 
     relation: str
     g: int
@@ -213,13 +219,6 @@ def check_dilaton(table: VolumeTable, g: int, alpha: Sequence[int]) -> CheckReco
     return CheckRecord("dilaton", g, n, alpha, lhs == rhs, lhs, rhs)
 
 
-def _subsets(labels: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    for mask in range(1 << len(labels)):
-        left = tuple(v for b, v in enumerate(labels) if mask >> b & 1)
-        right = tuple(v for b, v in enumerate(labels) if not mask >> b & 1)
-        yield left, right
-
-
 def check_dvv(table: VolumeTable, g: int, k: Sequence[int]) -> CheckRecord:
     """The coefficient-level Virasoro (DVV) recursion at (g, k).
 
@@ -242,14 +241,27 @@ def check_dvv(table: VolumeTable, g: int, k: Sequence[int]) -> CheckRecord:
     k1, rest = k[0], k[1:]
     lhs = _double_factorial(2 * k1 + 1) * psi_correlator(table, g, k)
 
+    # label subsets of the rest come as sub-multisets, c_v of each distinct
+    # value v, standing for prod_v C(count_v, c_v) subsets
+    counts = Counter(rest)
+    splits = [
+        (
+            tuple(v for v, c in zip(counts, cs) for _ in range(c)),
+            tuple(v for v, c in zip(counts, cs) for _ in range(counts[v] - c)),
+            prod(comb(counts[v], c) for v, c in zip(counts, cs)),
+        )
+        for cs in product(*(range(c + 1) for c in counts.values()))
+    ]
+
     rhs = Fraction(0)
-    for j, kj in enumerate(rest):
+    for kj, count in counts.items():
         if k1 + kj == 0:
             continue  # would need tau_{-1}
-        merged = (k1 + kj - 1,) + rest[:j] + rest[j + 1 :]
-        rhs += Fraction(
+        merged = list(rest)
+        merged.remove(kj)
+        rhs += count * Fraction(
             _double_factorial(2 * (k1 + kj) - 1), _double_factorial(2 * kj - 1)
-        ) * psi_correlator(table, g, merged)
+        ) * psi_correlator(table, g, [k1 + kj - 1] + merged)
 
     half = Fraction(1, 2)
     for i in range(k1 - 1):
@@ -259,38 +271,65 @@ def check_dvv(table: VolumeTable, g: int, k: Sequence[int]) -> CheckRecord:
             rhs += w * psi_correlator(table, g - 1, (i, j) + rest)
         for g1 in range(g + 1):
             g2 = g - g1
-            for left, right in _subsets(rest):
+            for left, right, ways in splits:
                 a = psi_correlator(table, g1, (i,) + left)
                 if not a:
                     continue
-                rhs += w * a * psi_correlator(table, g2, (j,) + right)
+                rhs += w * ways * a * psi_correlator(table, g2, (j,) + right)
 
     return CheckRecord("dvv", g, n, k, lhs == rhs, lhs, rhs)
 
 
+def _sorted_keys(n: int, weight: int) -> list[Tuple[int, ...]]:
+    # every non-increasing key of length n with |beta| <= weight
+    return [beta for t in range(weight + 1) for beta in _sorted_compositions(t, n)]
+
+
+def _at_two_pi_i(
+    table: VolumeTable, g: int, beta: Tuple[int, ...], derivative: bool = False
+) -> Rat:
+    # the L^(2 beta) coefficient of V_{g,n+1}(2 pi i, L), or with derivative of
+    # Q(2 pi i, L) where dV/dL_1 = L_1 Q: L_1^(2a) becomes (-4)^a pi^(2a), and
+    # 2a L_1^(2a-2) in Q
+    d = int(derivative)
+    return sum(
+        (2 * a) ** d * (-4) ** (a - d) * table.coefficient(g, (a,) + beta)
+        for a in range(d, moduli_dim(g, len(beta) + 1) - sum(beta) + 1)
+    )
+
+
 def check_do_string(table: VolumeTable, g: int, n: int) -> CheckRecord:
     """Do's boundary-removal string equation
-    V_{g,n+1}(L, 2 pi i) = sum_k int L_k V_{g,n}(L) dL_k,
+    V_{g,n+1}(2 pi i, L) = sum_k int L_k V_{g,n}(L) dL_k,
     compared in the intersection-normalized convention with integration
-    constant zero."""
-    lhs = table.volume(g, n + 1).subst_two_pi_i(n)
-    rhs = LPoly.zero(n, lhs.weight)
-    v = table.volume(g, n)
-    for j in range(n):
-        rhs = rhs + v.antiderivative(j)
+    constant zero.
+
+    At a sorted key beta the right side is sum over distinct values v >= 1
+    of beta of count_v(beta) V_{g,n}[beta - e_v] / (2v)."""
+    d = moduli_dim(g, n + 1)
+    lhs, rhs = {}, {}
+    for b in _sorted_keys(n, d):
+        lhs[b] = _at_two_pi_i(table, g, b)
+        rhs[b] = sum(
+            b.count(v) * table.coefficient(g, b[:i] + (v - 1,) + b[i + 1 :]) / (2 * v)
+            for i, v in enumerate(b)
+            if v and (not i or b[i - 1] != v)
+        )
+    lhs, rhs = LPoly(n, d, lhs), LPoly(n, d, rhs)
     return CheckRecord("do-string", g, n, None, lhs == rhs, lhs, rhs)
 
 
 def check_do_dilaton(table: VolumeTable, g: int, n: int) -> CheckRecord:
     """Do's boundary-removal dilaton equation
-    dV_{g,n+1}/dL_{n+1}(L, 2 pi i) = 2 pi i (2g - 2 + n) V_{g,n}(L).
+    dV_{g,n+1}/dL_1(2 pi i, L) = 2 pi i (2g - 2 + n) V_{g,n}(L).
 
     Both sides are 2 pi i times an element of Q[pi^2]; the factor is
     cancelled symbolically and the Q[pi^2] parts compared exactly.
     """
-    q = table.volume(g, n + 1).partial_factor(n)
-    lhs = q.subst_two_pi_i(n)
-    rhs = table.volume(g, n).scale(2 * g - 2 + n)
+    d = moduli_dim(g, n)
+    keys = _sorted_keys(n, d)
+    lhs = LPoly(n, d, {b: _at_two_pi_i(table, g, b, derivative=True) for b in keys})
+    rhs = LPoly(n, d, {b: (2 * g - 2 + n) * table.coefficient(g, b) for b in keys})
     return CheckRecord("do-dilaton", g, n, None, lhs == rhs, lhs, rhs)
 
 
@@ -302,8 +341,8 @@ def compact_volume(table: VolumeTable, g: int) -> PiPoly:
     """
     if g < 2:
         raise ValueError("closed surfaces need genus >= 2")
-    q = table.true_volume(g, 1).partial_factor(0)
-    return q.subst_two_pi_i(0).as_pipoly() * Fraction(1, 2 * g - 2)
+    q = _at_two_pi_i(table, g, (), derivative=True)
+    return PiPoly.monomial(moduli_dim(g, 0), q / (2 * g - 2))
 
 
 def zograf_ratio(table: VolumeTable, g: int, n: int) -> float:

@@ -8,15 +8,13 @@ polynomial homogeneous of weight w in (L^2, pi^2):
 with multi-index keys alpha = (a_1, ..., a_n), |alpha| <= w, and plain
 rational coefficients q_alpha.  Volumes V_{g,n} have weight 3g-3+n and
 the kernel moment F_{2k+1} has weight k+1, so the power of pi never needs
-storing.  Every operation has a fixed effect on the weight: ``+`` needs
-equal weights; differentiation lowers it by one and integration raises
-it by one.
+storing.  ``+`` needs equal weights, and :meth:`LPoly.integrate_back`
+keeps the weight.
 
 Only even polynomials are representable: an exponent vector alpha always
 means ``prod_i L_i^(2 a_i)``, so evenness is an invariant of the
-representation.  Odd intermediates such as L_1 * V or dV/dL_j are handled
-as (variable * even part) pairs by :meth:`LPoly.integrate_back` and
-:meth:`LPoly.partial_factor`.
+representation.  The odd intermediate L_1 * V is handled as a (variable
+* even part) pair by :meth:`LPoly.integrate_back`.
 
 The canonical term order used for serialization and rendering is graded
 lexicographic on alpha.
@@ -163,47 +161,6 @@ class LPoly:
         }
         return LPoly(self.n, self.weight, terms)
 
-    def partial_factor(self, j: int) -> "LPoly":
-        """Return Q with dp/dL_j = L_j * Q; the weight drops by one.
-
-        Term L_j^(2k) maps to 2k * L_j^(2k-2); the derivative of an even
-        polynomial is L_j times an even polynomial.
-        """
-        self._check_var(j)
-        terms: dict[MultiIndex, Fraction] = {}
-        for alpha, q in self._terms.items():
-            k = alpha[j]
-            if k:
-                terms[alpha[:j] + (k - 1,) + alpha[j + 1 :]] = q * (2 * k)
-        return LPoly(self.n, self.weight - 1, terms)
-
-    def antiderivative(self, j: int) -> "LPoly":
-        """The integral of L_j * p with respect to L_j (constant 0):
-        L_j^(2a) maps to L_j^(2a+2) / (2a + 2); the weight rises by one."""
-        self._check_var(j)
-        terms: dict[MultiIndex, Fraction] = {}
-        for alpha, q in self._terms.items():
-            a = alpha[j]
-            terms[alpha[:j] + (a + 1,) + alpha[j + 1 :]] = q * Fraction(1, 2 * a + 2)
-        return LPoly(self.n, self.weight + 1, terms)
-
-    def subst_two_pi_i(self, j: int) -> "LPoly":
-        """Substitute L_j = 2*pi*i exactly, i.e. L_j^2 = -4 pi^2.
-
-        Each L_j^(2k) becomes (-4)^k pi^(2k), so the weight is unchanged;
-        the result has one fewer variable.
-        """
-        self._check_var(j)
-        terms: dict[MultiIndex, Fraction] = {}
-        for alpha, q in self._terms.items():
-            key = alpha[:j] + alpha[j + 1 :]
-            terms[key] = terms.get(key, 0) + q * (-4) ** alpha[j]
-        return LPoly(self.n - 1, self.weight, terms)
-
-    def _check_var(self, j: int) -> None:
-        if j < 0 or j >= self.n:
-            raise ValueError(f"variable index {j} out of range for n={self.n}")
-
     # ------------------------------------------------------------------
     # evaluation
 
@@ -218,12 +175,6 @@ class LPoly:
             scalar = prod((v ** (2 * a) for v, a in zip(vals, alpha)), start=q)
             acc[k] = acc.get(k, 0) + scalar
         return PiPoly(acc)
-
-    def as_pipoly(self) -> PiPoly:
-        """Convert a 0-variable polynomial to its constant coefficient."""
-        if self.n != 0:
-            raise ValueError("only a 0-variable polynomial is a plain constant")
-        return self.pi_coefficient(())
 
     # ------------------------------------------------------------------
     # serialization

@@ -265,22 +265,30 @@ def _orbit_keys(n: int, d: int) -> list[MultiIndex]:
     return [(a,) + r for r in rests for a in range(d - sum(r) + 1)]
 
 
-@lru_cache(maxsize=None)
-def _orderings(rest: MultiIndex) -> Tuple[MultiIndex, ...]:
+def _orderings(rest: MultiIndex, memo: dict) -> Tuple[MultiIndex, ...]:
     # every distinct ordering of the non-increasing rest: each distinct value
-    # first, then each ordering of the others; ((),) for the empty rest
-    return tuple(
-        (v,) + tail
-        for i, v in enumerate(rest)
-        if not i or rest[i - 1] != v
-        for tail in _orderings(rest[:i] + rest[i + 1 :])
-    ) or ((),)
+    # first, then each ordering of the others; ((),) for the empty rest.
+    # ``memo`` holds the rests one expansion has met, and goes with it
+    out = memo.get(rest)
+    if out is None:
+        out = memo[rest] = tuple(
+            (v,) + tail
+            for i, v in enumerate(rest)
+            if not i or rest[i - 1] != v
+            for tail in _orderings(rest[:i] + rest[i + 1 :], memo)
+        ) or ((),)
+    return out
 
 
-def _expand(stored: LPoly) -> LPoly:
-    """The polynomial symmetric in L_2..L_n whose terms on the keys
-    (a_1, a_2 >= ... >= a_n) are those of ``stored``."""
-    terms = {key[:1] + r: q for key, q in stored.items() for r in _orderings(key[1:])}
+def _expand(stored: LPoly, fixed: int = 1) -> LPoly:
+    """The polynomial symmetric in all labels after the first ``fixed``
+    whose terms at keys non-increasing after them are those of ``stored``."""
+    memo: dict = {}
+    terms = {
+        key[:fixed] + r: q
+        for key, q in stored.items()
+        for r in _orderings(key[fixed:], memo)
+    }
     return LPoly(stored.n, stored.weight, terms)
 
 

@@ -184,6 +184,22 @@ def test_stdout_golden_digest(capsys):
     assert h.hexdigest() == GOLDEN_DIGEST
 
 
+# The relation suites to dimension 7, recorded from the checks that
+# expanded every volume (Do) and dealt labels by bit mask (DVV); the
+# orbit-keyed checks must print the same bytes.
+RELATION_DIGEST_D7 = "197969e403dcf5a0e509b909b002be0fd496f56f49077077eb5c780e815b130f"
+
+
+def test_relation_suites_dimension_seven_golden_digest(capsys):
+    h = hashlib.sha256()
+    for relation in ("string", "dilaton", "dvv", "do-string", "do-dilaton"):
+        argv = ["verify", relation, "--max-dim", "7", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        h.update(" ".join(argv).encode() + b"\n" + out.encode())
+    assert h.hexdigest() == RELATION_DIGEST_D7
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wpvol.exact import PiPoly
+from wpvol.lpoly import LPoly
 from wpvol.intersect import (
     check_dilaton,
     check_do_dilaton,
@@ -166,16 +167,64 @@ def test_dvv_genus_two(table):
 
 
 def test_do_string_three_boundaries(table):
-    assert check_do_string(table, 0, 3).passed
+    # V_{0,4}(2 pi i, L) = (L_1^2 + L_2^2 + L_3^2) / 2, which is
+    # sum_k int L_k V_{0,3} dL_k; each side is held on its sorted keys
+    rec = check_do_string(table, 0, 3)
+    assert rec.passed
+    assert rec.lhs_value == rec.rhs_value == LPoly(3, 1, {(1, 0, 0): Fraction(1, 2)})
+    assert rec.lhs == rec.rhs == "L^[0, 0, 1]: 1/2; L^[0, 1, 0]: 1/2; L^[1, 0, 0]: 1/2"
+
+
+def test_do_string_kills_torus_volume(table):
+    # V_{1,1}(2 pi i) = 0: the string equation with no length left
+    rec = check_do_string(table, 1, 0)
+    assert rec.passed and rec.lhs_value.is_zero() and rec.lhs == "0"
 
 
 def test_do_dilaton_three_boundaries(table):
-    assert check_do_dilaton(table, 0, 3).passed
+    # dV_{0,4}/dL_1 = L_1 * 1, and 2g - 2 + n = 1
+    rec = check_do_dilaton(table, 0, 3)
+    assert rec.passed and rec.lhs == rec.rhs == "L^[0, 0, 0]: 1"
 
 
 def test_do_equations_at_torus(table):
-    assert check_do_string(table, 1, 1).passed
-    assert check_do_dilaton(table, 1, 1).passed
+    # int L V_{1,1} dL with the halved V_{1,1} = pi^2/12 + L^2/48
+    rec = check_do_string(table, 1, 1)
+    assert rec.passed and rec.rhs == "L^[1]: 1/24*pi^2; L^[2]: 1/192"
+    rec = check_do_dilaton(table, 1, 1)
+    assert rec.passed and rec.rhs == "L^[0]: 1/12*pi^2; L^[1]: 1/48"
+
+
+def perturbed_table(sig, orbit, eps=Fraction(1, 10**9)):
+    """A dimension-3 table, loaded from its own entries after adding eps to
+    the coefficient of V_{sig} at every ordering of ``orbit``: still
+    label-symmetric and well-formed, but wrong."""
+    t = VolumeTable()
+    t.ensure(3)
+    entries = t.to_entries()
+    key = "{},{}".format(*sig)
+    for rec in entries[key]:
+        if sorted(rec["alpha"]) == sorted(orbit):
+            rec["coeff"] = str(Fraction(rec["coeff"]) + eps)
+    return VolumeTable.from_entries(entries)
+
+
+def test_perturbed_coefficients_pass_validation_but_fail_do_equations():
+    clean = perturbed_table((0, 6), (1, 1, 0, 0, 0, 0), eps=0)
+    assert check_do_string(clean, 0, 5).passed
+    assert check_do_dilaton(clean, 0, 5).passed
+    # V_{0,6} is the volume whose boundary both Do equations remove
+    wrong = perturbed_table((0, 6), (1, 1, 0, 0, 0, 0))
+    assert not check_do_string(wrong, 0, 5).passed
+    assert not check_do_dilaton(wrong, 0, 5).passed
+
+
+def test_perturbed_lower_volume_fails_do_string():
+    # V_{0,5} is integrated on the right of do-string at (0, 5)
+    wrong = perturbed_table((0, 5), (1, 1, 0, 0, 0))
+    rec = check_do_string(wrong, 0, 5)
+    assert not rec.passed and rec.lhs != rec.rhs
+    assert not all(r.passed for r in run_relation_suite(wrong, "do-string", 3))
 
 
 def test_compact_genus_two(table):

@@ -76,62 +76,6 @@ def test_integrate_back_recovers_torus_volume():
     assert derivative.integrate_back() == v11_true()
 
 
-def test_partial_factor_of_constant_is_zero():
-    assert LPoly.one(2).partial_factor(0).is_zero()
-
-
-def test_partial_factor_torus():
-    q = v11_true().partial_factor(0)
-    assert q == LPoly(1, 0, {(0,): Fraction(1, 12)})
-
-
-def test_partial_factor_four_boundaries():
-    q = v04().partial_factor(3)
-    assert q == LPoly.one(4)
-
-
-def test_subst_single_variable():
-    p = LPoly.monomial(2, (0, 1))
-    assert p.subst_two_pi_i(1) == LPoly(1, 1, {(0,): -4})
-
-
-def test_subst_into_four_boundary_volume():
-    got = v04().subst_two_pi_i(3)
-    want = LPoly(
-        3,
-        1,
-        {
-            (1, 0, 0): Fraction(1, 2),
-            (0, 1, 0): Fraction(1, 2),
-            (0, 0, 1): Fraction(1, 2),
-        },
-    )
-    assert got == want
-
-
-def test_subst_kills_torus_volume():
-    assert v11_true().subst_two_pi_i(0).is_zero()
-
-
-def test_antiderivative_of_one():
-    got = LPoly.one(1).antiderivative(0)
-    assert got == LPoly.monomial(1, (1,), Fraction(1, 2))
-
-
-def test_antiderivative_quadratic():
-    got = LPoly.monomial(1, (1,)).antiderivative(0)
-    assert got == LPoly.monomial(1, (2,), Fraction(1, 4))
-
-
-def test_string_identity_for_three_boundaries():
-    # sum_k int L_k V_{0,3} dL_k equals V_{0,4} at L_4 = 2 pi i
-    one3 = LPoly.one(3)
-    total = LPoly.zero(3, 1)
-    for k in range(3):
-        total = total + one3.antiderivative(k)
-    assert total == v04().subst_two_pi_i(3)
-
-
 # ----------------------------------------------------------------------
 # properties
 
@@ -156,21 +100,6 @@ def test_integrate_back_round_trip(q):
     assert p.integrate_back() == q
 
 
-@settings(max_examples=50)
-@given(lpolys(2), lpolys(2), rationals)
-def test_subst_commutes_with_add_and_scale(a, b, c):
-    assert (a + b).subst_two_pi_i(0) == a.subst_two_pi_i(0) + b.subst_two_pi_i(0)
-    assert a.scale(c).subst_two_pi_i(0) == a.subst_two_pi_i(0).scale(c)
-
-
-@settings(max_examples=50)
-@given(lpolys(2))
-def test_antiderivative_then_partial_recovers(p):
-    for k in (0, 1):
-        assert p.antiderivative(k).weight == p.weight + 1
-        assert p.antiderivative(k).partial_factor(k) == p
-
-
 @settings(max_examples=40)
 @given(lpolys(2))
 def test_record_round_trip_is_exact(p):
@@ -181,7 +110,6 @@ def test_record_round_trip_is_exact(p):
     keys = [(sum(r["alpha"]), tuple(r["alpha"])) for r in records]
     assert keys == sorted(set(keys))
     assert all(r["pi_power"] == 2 * (p.weight - sum(r["alpha"])) for r in records)
-
 
 
 # ----------------------------------------------------------------------
