@@ -310,9 +310,15 @@ def cmd_diag_zograf(args) -> int:
     n = args.n
     if n < 0:
         raise UsageError("the number of boundaries --n must be non-negative")
+    first = 1 if n >= 1 else 2
+    if args.gmax < first:
+        raise UsageError(
+            f"--gmax {args.gmax} is below the first genus {first} for --n {n}; "
+            "the table would be empty"
+        )
     with _cached_table(args) as table:
         print("# g  ratio V_{g,n}(0) / [(4 pi^2)^(2g+n-3) (2g+n-3)! / sqrt(g pi)]")
-        for g in range(1 if n >= 1 else 2, args.gmax + 1):
+        for g in range(first, args.gmax + 1):
             print(f"{g}  {zograf_ratio(table, g, n):.6f}")
     return 0
 

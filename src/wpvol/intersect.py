@@ -350,14 +350,17 @@ def zograf_ratio(table: VolumeTable, g: int, n: int) -> float:
     asymptotic (4 pi^2)^(2g+n-3) (2g+n-3)! / sqrt(g pi).
 
     Informational only; the asymptotic regime is far beyond desk scale.
+    For n >= 1, V_{g,n}(0) is the one stored coefficient at alpha = 0,
+    doubled at (1, 1) as in ``true_volume``.
     """
     if n == 0:
-        value = compact_volume(table, g).to_float()
+        value = compact_volume(table, g)
     else:
-        value = table.true_volume(g, n).pi_coefficient((0,) * n).to_float()
+        q = table.coefficient(g, (0,) * n) * (2 if (g, n) == (1, 1) else 1)
+        value = PiPoly.monomial(moduli_dim(g, n), q)
     m = 2 * g + n - 3
     predicted = (4 * math.pi**2) ** m * factorial(m) / math.sqrt(g * math.pi)
-    return value / predicted
+    return value.to_float() / predicted
 
 
 # ----------------------------------------------------------------------

@@ -17,13 +17,19 @@ discarded tail of the single integral is at most 8 T^(2k+1) e^((t-T)/2);
 an analogous product bound covers the double integral.  T is grown until
 the bound drops below 1e-13.
 
-The double moments G_{i,j} share their integrand H(x+y, t) for a fixed t,
-so :func:`quad_double_moments` builds one grid per (t, panel width) at
-the largest truncation of the requested pairs and contracts it with each
-pair's weights.  T is therefore shared per (t, pair set), while each
-pair's tail is bounded at that T with its own (i, j); every bound
-decreases in T beyond 2(2 max(i,j)+1) <= 22, well below any truncation, so
-it stays under 1e-13.  A one-pair call uses the pair's own T.
+Both quadratures use one rule: P equal panels of width h = T/P with
+the same 24 Gauss-Legendre nodes, node (p, k) at (p + u_k) h.  The
+double moments G_{i,j} share their integrand H(x+y, t) for a fixed t, and
+on that rule H at a node pair depends only on the panel-index sum p + q
+and the in-panel nodes k, l.  :func:`quad_double_moments` therefore
+evaluates H once per panel-index sum, on 2P - 1 blocks of 24 x 24
+points, and contracts the block-Hankel matrix they form with every
+pair's weights; the N x N grid of node pairs is never formed.  T is the
+largest truncation of the requested pairs and so is shared per (t, pair
+set), while each pair's tail is bounded at that T with its own (i, j);
+every bound decreases in T beyond 2(2 max(i,j)+1) <= 22, well below any
+truncation, so it stays under 1e-13.  A one-pair call uses the pair's own
+T.
 """
 from __future__ import annotations
 
@@ -46,6 +52,8 @@ __all__ = [
 ]
 
 _NODES = 24  # Gauss-Legendre nodes per panel
+_X0, _W0 = np.polynomial.legendre.leggauss(_NODES)  # on [-1, 1]
+_U0 = (1.0 + _X0) / 2.0  # the nodes on [0, 1]
 _PANEL = 8.0  # coarse panel width; the refined pass halves it
 _LOG_TAIL_TARGET = math.log(1e-13)
 # moment_validation_report: F_{2k+1} for k <= _MAX_K and G_{i,j} for
@@ -87,16 +95,17 @@ def _truncation(log_tail: Callable[[float], float], k: int, t: float) -> float:
     return T
 
 
-def _panel_rule(T: float, width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on [0, T]."""
+def _panel_rule(T: float, width: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """P equal Gauss-Legendre panels on [0, T], P = ceil(T / width): the
+    count P and the nodes (p + u_k) T/P and their weights, panel by
+    panel."""
     count = max(1, math.ceil(T / width))
     edges = np.linspace(0.0, T, count + 1)
-    x0, w0 = np.polynomial.legendre.leggauss(_NODES)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
-    nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    weights = (half[:, None] * w0[None, :]).ravel()
-    return nodes, weights
+    nodes = (mid[:, None] + half[:, None] * _X0[None, :]).ravel()
+    weights = (half[:, None] * _W0[None, :]).ravel()
+    return count, nodes, weights
 
 
 def _fermi(a: np.ndarray) -> np.ndarray:
@@ -153,14 +162,15 @@ def quad_moment(k: int, t: float) -> QuadResult:
 
     results = []
     for width in (_PANEL, _PANEL / 2.0):
-        x, w = _panel_rule(T, width)
+        _, x, w = _panel_rule(T, width)
         results.append(float(np.dot(w, x ** (2 * k + 1) * kernel_h(x, t))))
     return QuadResult(results[1], abs(results[1] - results[0]) + tail, T)
 
 
 def quad_double_moments(pairs: list[tuple[int, int]], t: float) -> list[QuadResult]:
     """Tensor quadrature of int int x^(2i+1) y^(2j+1) H(x+y, t) dx dy for
-    every (i, j) in ``pairs``, on one grid per panel width.
+    every (i, j) in ``pairs``, with one H block per panel-index sum and
+    panel width.
 
     Documented domain i + j <= 5, t <= 10.  T is the largest of the pairs'
     own truncations; each result carries its own coarse/fine difference
@@ -169,15 +179,22 @@ def quad_double_moments(pairs: list[tuple[int, int]], t: float) -> list[QuadResu
     T = max(
         _truncation(lambda u: _double_tail_log(u, i, j, t), max(i, j), t) for i, j in pairs
     )
-    powers = {e for pair in pairs for e in pair}
+    powers = sorted({e for pair in pairs for e in pair})
+    row = {e: r for r, e in enumerate(powers)}
 
     passes = []
     for width in (_PANEL, _PANEL / 2.0):
-        x, w = _panel_rule(T, width)
-        grid = kernel_h(x[:, None] + x[None, :], t)
-        f = {e: w * x ** (2 * e + 1) for e in powers}
-        fg = {e: f[e] @ grid for e in powers}
-        passes.append([float(fg[i] @ f[j]) for i, j in pairs])
+        count, x, w = _panel_rule(T, width)
+        h = T / count
+        # H at node pair ((p, k), (q, l)) is blocks[p + q, k, l]
+        sums = np.arange(2 * count - 1, dtype=float)[:, None, None] + _U0[:, None] + _U0
+        blocks = kernel_h(sums * h, t)
+        f = np.stack([w * x ** (2 * e + 1) for e in powers])
+        fg = np.empty_like(f)
+        for q in range(count):
+            # rows (p, k) of the grid's panel column q: a contiguous view
+            fg[:, q * _NODES : (q + 1) * _NODES] = f @ blocks[q : q + count].reshape(-1, _NODES)
+        passes.append([float(fg[row[i]] @ f[row[j]]) for i, j in pairs])
     return [
         QuadResult(fine, abs(fine - coarse) + math.exp(_double_tail_log(T, i, j, t)), T)
         for (i, j), coarse, fine in zip(pairs, *passes)
@@ -252,7 +269,7 @@ def moment_validation_report() -> list[dict]:
             out.append(_record(f"{name}({t}) quadrature", dev, _MOMENT_TOL, f"t={t}"))
         return out
 
-    # one batched quadrature per t: every G_{i,j} shares its H(x+y, t) grids
+    # one batched quadrature per t: every G_{i,j} shares its H(x+y, t) blocks
     pairs = [(i, j) for i in range(_MAX_DOUBLE + 1) for j in range(_MAX_DOUBLE + 1 - i)]
     double = {
         (i, j, t): result

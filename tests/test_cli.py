@@ -123,6 +123,22 @@ def test_diag_zograf_closed_surfaces(capsys):
     assert all(float(l.split()[1]) > 0 for l in lines)
 
 
+# recorded when zograf_ratio read V_{g,n}(0) off the expanded true volume
+ZOGRAF_GOLDEN = {
+    0: ["2  1.215190", "3  1.121881", "4  1.086050", "5  1.066666"],
+    1: ["1  2.915570", "2  1.152487", "3  1.093494", "4  1.068010", "5  1.053509"],
+    2: ["1  1.093339", "2  1.042538", "3  1.029671", "4  1.023178", "5  1.018999"],
+}
+
+
+@pytest.mark.parametrize("n", sorted(ZOGRAF_GOLDEN))
+def test_diag_zograf_stdout_pinned(capsys, n):
+    code, out, _ = run(capsys, "diag-zograf", "--gmax", "5", "--n", str(n))
+    assert code == 0
+    header = "# g  ratio V_{g,n}(0) / [(4 pi^2)^(2g+n-3) (2g+n-3)! / sqrt(g pi)]"
+    assert out.splitlines() == [header] + ZOGRAF_GOLDEN[n]
+
+
 # ----------------------------------------------------------------------
 # verify
 
@@ -490,6 +506,21 @@ def test_diag_zograf_negative_boundary_count_rejected_before_work(capsys, monkey
     code, out, err = run(capsys, "diag-zograf", "--n", "-1")
     assert out == ""
     assert_one_line_error(code, err, "--n must be non-negative")
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (["--gmax", "-1"], "--gmax -1 is below the first genus 1 for --n 1"),
+        (["--gmax", "0"], "--gmax 0 is below the first genus 1 for --n 1"),
+        (["--gmax", "1", "--n", "0"], "--gmax 1 is below the first genus 2 for --n 0"),
+    ],
+)
+def test_diag_zograf_empty_genus_range_rejected_before_work(capsys, monkeypatch, argv, words):
+    forbid_table_work(monkeypatch)
+    code, out, err = run(capsys, "diag-zograf", *argv)
+    assert out == ""
+    assert_one_line_error(code, err, words)
 
 
 def test_cache_in_missing_directory_rejected_before_work(tmp_path, capsys, monkeypatch):

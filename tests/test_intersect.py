@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -286,6 +287,24 @@ def test_correlators_positive_in_range(table):
 
         for alpha in _sorted_compositions(d, n):
             assert psi_correlator(table, g, alpha) > 0
+
+
+def test_zograf_ratio_reads_one_coefficient(table, monkeypatch):
+    # V_{g,n}(0) read off the expanded true volume, doubled at (1, 1)
+    at_zero = {
+        (g, n): table.true_volume(g, n).pi_coefficient((0,) * n).to_float()
+        for g, n in [(1, 1), (1, 3), (2, 2)]
+    }
+
+    def no_expansion(*args):
+        raise AssertionError("zograf_ratio expanded a volume")
+
+    monkeypatch.setattr(VolumeTable, "volume", no_expansion)
+    monkeypatch.setattr(VolumeTable, "true_volume", no_expansion)
+    for (g, n), value in at_zero.items():
+        m = 2 * g + n - 3
+        predicted = (4 * math.pi**2) ** m * math.factorial(m) / math.sqrt(g * math.pi)
+        assert zograf_ratio(table, g, n) == value / predicted
 
 
 def test_zograf_ratio_finite_positive(table):
