@@ -222,6 +222,12 @@ def cmd_volume(args) -> int:
         poly = table.volume(g, n) if args.internal_convention else table.true_volume(g, n)
     if values is not None:
         exact = poly.eval_rational(values)
+        try:
+            approx = exact.to_float()
+        except OverflowError:
+            raise UsageError(
+                f"the value at --lengths {args.lengths} is too large for a float"
+            ) from None
         if args.format == "json":
             print(
                 json.dumps(
@@ -230,14 +236,14 @@ def cmd_volume(args) -> int:
                         "n": n,
                         "lengths": [rat_to_str(v) for v in values],
                         "value": exact.to_records(),
-                        "float": exact.to_float(),
+                        "float": approx,
                     },
                     indent=2,
                 )
             )
         else:
             render = render_pipoly_latex if args.format == "latex" else PiPoly.as_str
-            print(f"{render(exact)} = {exact.to_float():.12g}")
+            print(f"{render(exact)} = {approx:.12g}")
     elif args.format == "json":
         print(json.dumps({"g": g, "n": n, "terms": poly.to_records()}, indent=2))
     elif args.format == "latex":

@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, prod
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import PiPoly, Rat, rat_to_str
 from .lpoly import LPoly
@@ -77,8 +76,7 @@ def _double_factorial(m: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class IntersectionValue:
+class IntersectionValue(NamedTuple):
     """An intersection number in both normalizations.
 
     ``omega`` is int psi^alpha omega^m as a single pi-monomial;
@@ -160,8 +158,7 @@ def _side_str(side: Union[Rat, LPoly]) -> str:
     )
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """Outcome of one relation instance, with its exact sides: rationals,
     or for the Do equations symmetric polynomials on their fully sorted
     keys.  The sides are expanded and rendered as text only when ``lhs``,

@@ -28,7 +28,10 @@ invariant is checked once, where its kind of data enters:
 :meth:`LPoly.from_records` checks records read from outside (integer
 exponents, keys of length n within the weight, the implied pi power, a
 rational coefficient), and :func:`wpvol.recursion.validate_volume` checks
-every volume, computed or loaded.
+every volume, computed or loaded.  ``from_records`` parses each distinct
+coefficient string once, so the records of one volume's orbit share one
+``Fraction`` and the volume check compares them by identity; it keeps a
+zero coefficient, for the volume check to reject.
 """
 from __future__ import annotations
 
@@ -44,6 +47,13 @@ MultiIndex = Tuple[int, ...]
 _ZERO = Fraction(0)
 
 
+def _not_integers(rec: dict) -> ValueError:
+    return ValueError(
+        f"term {rec['alpha']!r} with pi power {rec['pi_power']!r}: "
+        "exponents and pi powers must be integers"
+    )
+
+
 def grlex_key(alpha: MultiIndex) -> Tuple[int, MultiIndex]:
     """Sort key for the graded-lexicographic term order."""
     return (sum(alpha), alpha)
@@ -54,7 +64,8 @@ class LPoly:
     in (L^2, pi^2), stored as rational coefficients.
 
     Instances are immutable after construction and no stored coefficient
-    is zero.  The caller passes ``Fraction`` coefficients and keys of
+    is zero, except a zero record kept by :meth:`from_records`.  The
+    caller passes ``Fraction`` coefficients and keys of
     length ``n`` with non-negative entries and |alpha| <= weight; nothing
     re-checks them here.
     """
@@ -201,25 +212,32 @@ class LPoly:
         Exponents and ``pi_power`` must be integers and ``coeff`` a string
         naming a rational.  Rejects an alpha that is not n non-negative
         exponents with |alpha| <= weight, a record whose pi power is not the
-        one its alpha implies, and an alpha listed twice."""
+        one its alpha implies, and an alpha listed twice.
+
+        Each distinct coefficient string is parsed once, and records with
+        equal strings share one ``Fraction``.  A zero coefficient, which
+        :meth:`to_records` never writes, is kept rather than dropped, so
+        that :func:`wpvol.recursion.validate_volume` can name it."""
         terms: dict[MultiIndex, Fraction] = {}
+        parsed: dict[str, Fraction] = {}
         for rec in records:
             alpha, pi_power, coeff = tuple(rec["alpha"]), rec["pi_power"], rec["coeff"]
             # type(), not isinstance(): JSON true and false are not exponents
-            if any(type(x) is not int for x in alpha + (pi_power,)):
-                raise ValueError(
-                    f"term {rec['alpha']!r} with pi power {pi_power!r}: "
-                    "exponents and pi powers must be integers"
-                )
+            if type(pi_power) is not int:
+                raise _not_integers(rec)
+            for x in alpha:
+                if type(x) is not int:
+                    raise _not_integers(rec)
             if len(alpha) != n:
                 raise ValueError(
                     f"term {list(alpha)} has length {len(alpha)}, expected {n}"
                 )
-            if any(a < 0 for a in alpha):
+            if alpha and min(alpha) < 0:
                 raise ValueError(f"term {list(alpha)} has a negative exponent")
-            if sum(alpha) > weight:
+            total = sum(alpha)
+            if total > weight:
                 raise ValueError(f"term {list(alpha)} exceeds the weight {weight}")
-            implied = 2 * (weight - sum(alpha))
+            implied = 2 * (weight - total)
             if pi_power != implied:
                 raise ValueError(
                     f"term {list(alpha)} has pi power {pi_power}, expected {implied}"
@@ -230,10 +248,15 @@ class LPoly:
                 raise ValueError(
                     f"term {list(alpha)} has coefficient {coeff!r}, not a string"
                 )
-            try:
-                terms[alpha] = rat_from_str(coeff)
-            except ZeroDivisionError:
-                raise ValueError(
-                    f"term {list(alpha)} has coefficient {coeff!r} with denominator 0"
-                ) from None
-        return cls(n, weight, terms)
+            q = parsed.get(coeff)
+            if q is None:
+                try:
+                    q = parsed[coeff] = rat_from_str(coeff)
+                except ZeroDivisionError:
+                    raise ValueError(
+                        f"term {list(alpha)} has coefficient {coeff!r} with denominator 0"
+                    ) from None
+            terms[alpha] = q
+        poly = cls(n, weight)
+        poly._terms = terms
+        return poly

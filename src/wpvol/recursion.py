@@ -38,16 +38,19 @@ products; B sums over D times the kernel LCM.
 Every entry, computed or loaded, passes :func:`validate_volume`: weight
 3g-3+n (which fixes every pi power), and at each orbit key a positive
 coefficient equal to the one at its fully sorted key (L_1 against the
-other labels).  A loaded entry, which has every term, must also equal
-the expansion of its orbit keys (L_2..L_n, missing or extra terms).  A
-violation aborts; with exact arithmetic any mismatch is a logic bug.
+other labels).  A loaded entry must also hold every term and equal the
+expansion of its orbit keys (L_2..L_n, missing, zero or extra terms).
+Its records share one ``Fraction`` per distinct coefficient string, so a
+term is compared with its orbit key's by identity, and as a rational
+only when the strings differ.  A violation aborts; with exact arithmetic
+any mismatch is a logic bug.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .kernels import h_double_moment, h_moment, shift_symmetrize
 from .lpoly import LPoly, MultiIndex
@@ -292,46 +295,67 @@ def _expand(stored: LPoly, fixed: int = 1) -> LPoly:
     return LPoly(stored.n, stored.weight, terms)
 
 
-def validate_volume(g: int, n: int, p: LPoly) -> LPoly:
+def _expansion_mismatch(
+    stored: dict[MultiIndex, Fraction], given: dict[MultiIndex, Fraction], count: int
+) -> Optional[str]:
+    # how ``given`` differs from the expansion of ``stored`` to ``count``
+    # terms, or None; a term is compared as a rational only when it is not
+    # its key's object
+    memo: dict = {}
+    for key, q in stored.items():
+        head = key[:1]
+        for rest in _orderings(key[1:], memo):
+            alpha = head + rest
+            x = given.get(alpha)
+            if x is not q and x != q:
+                if x is None:
+                    return f"it has no term at {alpha}"
+                if x <= 0:
+                    return f"coefficient of {alpha} is not positive"
+                return f"coefficient of {alpha} is not that of {key}"
+    if len(given) != count:
+        return f"it has {len(given)} terms, not {count}"
+    return None
+
+
+def validate_volume(g: int, n: int, p: LPoly, expanded: bool = False) -> LPoly:
     """Check a volume polynomial's structural invariants and return its
     terms on the keys (a_1, a_2 >= ... >= a_n), the form the table stores.
 
     Weight d = 3g-3+n (which fixes every pi power) and n variables.  At
     each such key with |alpha| <= d, a positive coefficient equal to the
-    one at the fully sorted key (symmetry in L_1).  When p has other terms
-    too, it must equal the expansion of those keys: symmetric in L_2..L_n,
-    with every alpha with |alpha| <= d and no other.  Raises
-    InvariantViolation on any failure.
+    one at the fully sorted key (symmetry in L_1).  When ``expanded`` (a
+    volume read from outside), or when p has other terms too, p must equal
+    the expansion of those keys: symmetric in L_2..L_n, with a term at
+    every alpha with |alpha| <= d and no other; the message names the
+    first alpha that is missing, not positive or unequal to its key's.
+    Raises InvariantViolation on any failure.
     """
     d = moduli_dim(g, n)
     if p.n != n:
         raise InvariantViolation(f"V_{{{g},{n}}} has {p.n} variables, expected {n}")
     if p.weight != d:
         raise InvariantViolation(f"V_{{{g},{n}}} has weight {p.weight}, expected {d}")
+    given = dict(p.items())
     terms = {}
     for key in _orbit_keys(n, d):
-        q = p.coefficient(key)
-        # an absent term reads as 0; a Fraction's denominator is positive
+        q = given.get(key)
+        if q is None:
+            raise InvariantViolation(f"V_{{{g},{n}}} has no term at {key}")
+        # a Fraction's denominator is positive
         if q.numerator <= 0:
-            raise InvariantViolation(
-                f"V_{{{g},{n}}}: coefficient of {key} is not positive"
-                if q
-                else f"V_{{{g},{n}}} has no term at {key}"
-            )
+            raise InvariantViolation(f"V_{{{g},{n}}}: coefficient of {key} is not positive")
         top = _descending(key)
-        if top != key and p.coefficient(top) != q:
+        if top != key and given.get(top) != q:
             raise InvariantViolation(f"V_{{{g},{n}}} is not label-symmetric")
         terms[key] = q
-    # p is the expansion when each term equals its orbit key's (so its alpha
-    # is in range) and all C(d+n, n) alphas are there
-    if len(p) != len(terms) and (
-        len(p) != comb(d + n, n)
-        or any(terms.get(a[:1] + _descending(a[1:])) != q for a, q in p.items())
-    ):
-        raise InvariantViolation(
-            f"V_{{{g},{n}}} differs from the label-symmetric expansion of its "
-            f"keys (a_1, a_2 >= ... >= a_{n}) to every |alpha| <= {d}"
-        )
+    if expanded or len(given) != len(terms):
+        mismatch = _expansion_mismatch(terms, given, comb(d + n, n))
+        if mismatch:
+            raise InvariantViolation(
+                f"V_{{{g},{n}}} differs from the label-symmetric expansion of its "
+                f"keys (a_1, a_2 >= ... >= a_{n}) to every |alpha| <= {d}: {mismatch}"
+            )
     return LPoly(n, d, terms)
 
 
@@ -439,8 +463,8 @@ class VolumeTable:
 
     @classmethod
     def from_entries(cls, entries: dict[str, list[dict]]) -> "VolumeTable":
-        """Rebuild a table from serialized entries, validating each one
-        before it is trusted."""
+        """Rebuild a table from serialized entries, validating each one,
+        with every term it must hold, before it is trusted."""
         table = cls()
         for key, records in entries.items():
             g_str, n_str = key.split(",")
@@ -450,5 +474,5 @@ class VolumeTable:
                     f"entry {key!r} is not a stable signature g,n with n >= 1"
                 )
             poly = LPoly.from_records(n, moduli_dim(g, n), records)
-            table._entries[(g, n)] = validate_volume(g, n, poly)
+            table._entries[(g, n)] = validate_volume(g, n, poly, expanded=True)
         return table

@@ -55,6 +55,16 @@ def test_volume_evaluated_at_zero(capsys):
     assert "1.64493" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_volume_too_large_for_a_float_rejected(capsys, fmt):
+    # the exact value exists, but its float overflowed with a traceback
+    code, out, err = run(
+        capsys, "volume", "0", "4", "--lengths", "1e400,1,1,1", "--format", fmt
+    )
+    assert out == ""
+    assert_one_line_error(code, err, "--lengths 1e400,1,1,1 is too large for a float")
+
+
 def test_volume_unstable_rejected(capsys):
     code, _, err = run(capsys, "volume", "0", "2")
     assert code == 2 and "stable" in err
@@ -469,6 +479,79 @@ def test_cache_key_not_a_stable_signature_rejected(tmp_path, capsys, key):
     assert_one_line_error(code, err, "malformed", f"entry '{key}' is not a stable signature")
 
 
+@pytest.mark.parametrize(
+    "zero,drop,words",
+    [
+        # each of these loaded with exit 0 and printed a wrong V_{0,4}
+        ([0, 0, 1, 0], None, "coefficient of (0, 0, 1, 0) is not positive"),
+        (None, [0, 0, 0, 1], "has no term at (0, 0, 0, 1)"),
+        ([0, 0, 1, 0], [0, 0, 0, 1], "coefficient of (0, 0, 1, 0) is not positive"),
+        # a zero at an orbit key is named as a zero, not as a missing term
+        ([0, 1, 0, 0], None, "V_{0,4}: coefficient of (0, 1, 0, 0) is not positive"),
+    ],
+    ids=["zero", "missing", "zero-and-missing", "zero-at-an-orbit-key"],
+)
+def test_cache_needs_every_term_with_a_positive_coefficient(
+    tmp_path, capsys, zero, drop, words
+):
+    def edit(records):
+        for rec in records:
+            if rec["alpha"] == zero:
+                rec["coeff"] = "0"
+        records[:] = [rec for rec in records if rec["alpha"] != drop]
+
+    path = v04_cache_with(tmp_path, capsys, edit)
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert out == ""
+    assert_one_line_error(code, err, "rejected invalid table data", "V_{0,4}", words)
+
+
+def test_cache_holding_only_the_orbit_keys_rejected(tmp_path, capsys):
+    # the form the table stores, but a cache file holds every term
+    def edit(records):
+        keys = ([0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0])
+        records[:] = [rec for rec in records if rec["alpha"] in keys]
+
+    path = v04_cache_with(tmp_path, capsys, edit)
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert out == ""
+    assert_one_line_error(code, err, "has no term at (0, 0, 1, 0)")
+
+
+def test_cache_equal_noncanonical_coefficients_off_the_orbit_keys_load(tmp_path, capsys):
+    # "2/4" and " 1/2" name the 1/2 of the orbit key (0, 1, 0, 0) without
+    # being its string, so they are compared as rationals
+    def edit(records):
+        for rec in records:
+            if rec["alpha"] == [0, 0, 1, 0]:
+                rec["coeff"] = "2/4"
+            if rec["alpha"] == [0, 0, 0, 1]:
+                rec["coeff"] = " 1/2"
+
+    path = v04_cache_with(tmp_path, capsys, edit)
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert code == 0 and err == ""
+    assert (code, out) == run(capsys, "volume", "0", "4")[:2]
+
+
+@pytest.mark.parametrize(
+    "coeff,words",
+    [("1/x", "Invalid literal for Fraction: '1/x'"), ("1/0", "'1/0' with denominator 0")],
+)
+def test_cache_malformed_coefficient_off_the_orbit_keys_rejected(
+    tmp_path, capsys, coeff, words
+):
+    def edit(records):
+        for rec in records:
+            if rec["alpha"] == [0, 0, 0, 1]:
+                rec["coeff"] = coeff
+
+    path = v04_cache_with(tmp_path, capsys, edit)
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert out == ""
+    assert_one_line_error(code, err, "malformed", words)
+
+
 def forbid_table_work(monkeypatch):
     from wpvol.recursion import VolumeTable
 
@@ -543,11 +626,16 @@ def test_unwritable_output_maps_to_usage_error(tmp_path, capsys):
 def test_import_cli_does_not_load_numpy():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, wpvol.cli; print('numpy' in sys.modules)"
+    # numpy is for the oracle only; dataclasses would pull in inspect, ast
+    # and dis, about 10 ms of every process's start-up
+    probe = (
+        "import sys, wpvol.cli; "
+        "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize(

@@ -353,6 +353,37 @@ def test_terms_read_loaded_and_computed_tables_alike(table5, sig):
         assert term(*sig, reloaded) == term(*sig, fresh) == term(*sig, table5)
 
 
+def test_from_entries_parses_each_distinct_coefficient_once(monkeypatch):
+    from wpvol import lpoly
+
+    t = VolumeTable()
+    t.ensure(6)
+    entries = t.to_entries()
+    parses = []
+
+    def counting(s):
+        parses.append(s)
+        return Fraction(s)
+
+    monkeypatch.setattr(lpoly, "rat_from_str", counting)
+    reloaded = VolumeTable.from_entries(entries)
+    # one parse per distinct string of each entry: at most one per orbit
+    # key (411), not one per record (8 117)
+    distinct = sum(len({r["coeff"] for r in recs}) for recs in entries.values())
+    assert sum(map(len, entries.values())) == 8117
+    assert len(parses) == distinct <= 411
+    assert reloaded.to_entries() == entries
+
+
+def test_validator_needs_every_term_when_expanded(table):
+    # V_{0,4} on its orbit keys is the stored form, but not a whole volume
+    stored = validate_volume(0, 4, table.volume(0, 4))
+    assert validate_volume(0, 4, stored) == stored
+    with pytest.raises(InvariantViolation, match=r"has no term at \(0, 0, 1, 0\)"):
+        validate_volume(0, 4, stored, expanded=True)
+    assert validate_volume(0, 4, table.volume(0, 4), expanded=True) == stored
+
+
 def test_from_entries_revalidates():
     bad = {"0,3": [{"alpha": [0, 0, 0], "pi_power": 0, "coeff": "-1"}]}
     with pytest.raises(InvariantViolation):
