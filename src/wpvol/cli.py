@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -33,7 +34,13 @@ from .intersect import (
     zograf_ratio,
 )
 from .lpoly import LPoly
-from .recursion import InvariantViolation, VolumeTable, is_stable, moduli_dim
+from .recursion import (
+    InvariantViolation,
+    VolumeTable,
+    exponent_tuples,
+    is_stable,
+    moduli_dim,
+)
 
 CACHE_FORMAT = "wp-volume-table"
 CACHE_VERSION = 1
@@ -123,26 +130,38 @@ def save_cache(table: VolumeTable, path: str) -> None:
     }
     with _atomic_write(path) as fh:
         # the bytes json.dump({**header, "entries": table.to_entries()}, fh,
-        # indent=2) writes, plus "\n"; one write per record, with no records built
+        # indent=2) writes, plus "\n", from the stored keys: in graded-lex
+        # order an entry's records are, for t = 0..d and a_1 = 0..t, every
+        # rest summing to t - a_1 in lex order, each with the coefficient
+        # stored at (a_1,) + the rest sorted descending
         fh.write("{\n")
         for key, value in header.items():
             fh.write(f'  "{key}": {json.dumps(value)},\n')
         fh.write('  "entries": {')
         sep = "\n"
-        for (g, n), poly in table.items():
+        for (g, n), stored in table.items():
+            d = stored.weight
+            coeffs: dict[tuple, dict[int, str]] = {}
+            for key, q in stored.items():
+                coeffs.setdefault(key[1:], {})[key[0]] = rat_to_str(q)
+            # each rest's exponent text and stored coefficients, by |rest|
+            texts = [f",\n          {e}" for e in range(d + 1)]
+            by_sum: list[list] = [[] for _ in range(d + 1)]
+            for rest in exponent_tuples(n - 1, d):
+                exps = "".join(map(texts.__getitem__, rest))
+                by_sum[sum(rest)].append((exps, coeffs[tuple(sorted(rest, reverse=True))]))
             fh.write(f'{sep}    "{g},{n}": [')
-            rsep = "\n"  # volumes have n >= 1, so alpha is never empty
-            for alpha, q in poly.sorted_items():
-                exps = ",\n          ".join(map(str, alpha))
-                fh.write(
-                    f"{rsep}      {{\n"
-                    f'        "alpha": [\n          {exps}\n        ],\n'
-                    f'        "pi_power": {2 * (poly.weight - sum(alpha))},\n'
-                    f'        "coeff": "{rat_to_str(q)}"\n'
-                    f"      }}"
-                )
-                rsep = ",\n"
-            fh.write("\n    ]" if poly else "]")
+            for t in range(d + 1):
+                # t = 0 holds one record, the entry's first
+                rsep = ",\n" if t else "\n"
+                tail = f'\n        ],\n        "pi_power": {2 * (d - t)},\n        "coeff": "'
+                for a in range(t + 1):
+                    # no rest sums to t - a > 0 when n = 1
+                    head = f'{rsep}      {{\n        "alpha": [\n          {a}'
+                    fh.writelines(
+                        f'{head}{exps}{tail}{row[a]}"\n      }}' for exps, row in by_sum[t - a]
+                    )
+            fh.write("\n    ]")
             sep = ",\n"
         fh.write("\n  }\n}\n" if table.signatures() else "}\n}\n")
 
@@ -173,11 +192,15 @@ def load_cache(path: str) -> VolumeTable:
         raise UsageError(f"{path}: malformed cache entry: {exc!r}") from None
 
 
-def _check_parent_dir(path: str) -> None:
-    # fail before any computation, not when the result is written
+def _check_path(path: str) -> None:
+    # fail before any computation, not when the file is read or written: a
+    # directory, FIFO or device at the path would fail the rename, block the
+    # read or be replaced by a regular file
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise UsageError(f"{path}: directory {parent} does not exist")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise UsageError(f"{path}: exists and is not a regular file")
 
 
 @contextmanager
@@ -186,7 +209,7 @@ def _cached_table(args):
     one; written back, atomically, only when the command added entries."""
     path = args.cache
     if path:
-        _check_parent_dir(path)
+        _check_path(path)
     table = load_cache(path) if path and os.path.exists(path) else VolumeTable()
     known = len(table.signatures())
     yield table
@@ -198,6 +221,15 @@ def _cached_table(args):
 # subcommands
 
 
+def _digit_limit() -> int:
+    # the most digits Python converts between int and text; 0 for no limit
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _shown(text: str) -> str:
+    return text if len(text) <= 40 else f"{text[:20]}...({len(text)} characters)"
+
+
 def _parse_lengths(text: str, n: int) -> list[Fraction]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
@@ -205,6 +237,13 @@ def _parse_lengths(text: str, n: int) -> list[Fraction]:
     try:
         values = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
+        limit = _digit_limit()
+        runs = [len(digits) for p in parts for digits in re.findall(r"\d+", p)]
+        if limit and max(runs, default=0) > limit:
+            raise UsageError(
+                f"--lengths {_shown(text)}: a length has more than {limit} digits, "
+                "too many for Python to read"
+            ) from None
         raise UsageError(f"bad length list: {exc}") from None
     if any(v < 0 for v in values):
         raise UsageError("boundary lengths must be non-negative")
@@ -228,9 +267,9 @@ def cmd_volume(args) -> int:
             raise UsageError(
                 f"the value at --lengths {args.lengths} is too large for a float"
             ) from None
-        if args.format == "json":
-            print(
-                json.dumps(
+        try:
+            if args.format == "json":
+                text = json.dumps(
                     {
                         "g": g,
                         "n": n,
@@ -240,10 +279,20 @@ def cmd_volume(args) -> int:
                     },
                     indent=2,
                 )
-            )
-        else:
-            render = render_pipoly_latex if args.format == "latex" else PiPoly.as_str
-            print(f"{render(exact)} = {approx:.12g}")
+            else:
+                render = render_pipoly_latex if args.format == "latex" else PiPoly.as_str
+                text = f"{render(exact)} = {approx:.12g}"
+        except ValueError:
+            # an integer past the digit limit cannot be written out
+            limit = _digit_limit()
+            if not limit:
+                raise
+            raise UsageError(
+                f"--lengths {_shown(args.lengths)}: the exact value has more than "
+                f"{limit} digits in a numerator or denominator, too many for Python "
+                "to write out"
+            ) from None
+        print(text)
     elif args.format == "json":
         print(json.dumps({"g": g, "n": n, "terms": poly.to_records()}, indent=2))
     elif args.format == "latex":
@@ -304,7 +353,7 @@ def cmd_compact(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _check_parent_dir(args.out)
+    _check_path(args.out)
     with _cached_table(args) as table:
         table.ensure(args.max_dim)
         save_cache(table, args.out)

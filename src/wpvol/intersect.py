@@ -44,7 +44,14 @@ from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import PiPoly, Rat, rat_to_str
 from .lpoly import LPoly
-from .recursion import VolumeTable, _expand, is_stable, iter_signatures, moduli_dim
+from .recursion import (
+    VolumeTable,
+    _expand,
+    exponent_tuples,
+    is_stable,
+    iter_signatures,
+    moduli_dim,
+)
 
 __all__ = [
     "IntersectionValue",
@@ -277,11 +284,6 @@ def check_dvv(table: VolumeTable, g: int, k: Sequence[int]) -> CheckRecord:
     return CheckRecord("dvv", g, n, k, lhs == rhs, lhs, rhs)
 
 
-def _sorted_keys(n: int, weight: int) -> list[Tuple[int, ...]]:
-    # every non-increasing key of length n with |beta| <= weight
-    return [beta for t in range(weight + 1) for beta in _sorted_compositions(t, n)]
-
-
 def _at_two_pi_i(
     table: VolumeTable, g: int, beta: Tuple[int, ...], derivative: bool = False
 ) -> Rat:
@@ -305,7 +307,7 @@ def check_do_string(table: VolumeTable, g: int, n: int) -> CheckRecord:
     of beta of count_v(beta) V_{g,n}[beta - e_v] / (2v)."""
     d = moduli_dim(g, n + 1)
     lhs, rhs = {}, {}
-    for b in _sorted_keys(n, d):
+    for b in exponent_tuples(n, d, non_increasing=True):
         lhs[b] = _at_two_pi_i(table, g, b)
         rhs[b] = sum(
             b.count(v) * table.coefficient(g, b[:i] + (v - 1,) + b[i + 1 :]) / (2 * v)
@@ -324,7 +326,7 @@ def check_do_dilaton(table: VolumeTable, g: int, n: int) -> CheckRecord:
     cancelled symbolically and the Q[pi^2] parts compared exactly.
     """
     d = moduli_dim(g, n)
-    keys = _sorted_keys(n, d)
+    keys = exponent_tuples(n, d, non_increasing=True)
     lhs = LPoly(n, d, {b: _at_two_pi_i(table, g, b, derivative=True) for b in keys})
     rhs = LPoly(n, d, {b: (2 * g - 2 + n) * table.coefficient(g, b) for b in keys})
     return CheckRecord("do-dilaton", g, n, None, lhs == rhs, lhs, rhs)

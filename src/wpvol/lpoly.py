@@ -8,13 +8,13 @@ polynomial homogeneous of weight w in (L^2, pi^2):
 with multi-index keys alpha = (a_1, ..., a_n), |alpha| <= w, and plain
 rational coefficients q_alpha.  Volumes V_{g,n} have weight 3g-3+n and
 the kernel moment F_{2k+1} has weight k+1, so the power of pi never needs
-storing.  ``+`` needs equal weights, and :meth:`LPoly.integrate_back`
-keeps the weight.
+storing.  :meth:`LPoly.integrate_back` keeps the weight.
 
 Only even polynomials are representable: an exponent vector alpha always
 means ``prod_i L_i^(2 a_i)``, so evenness is an invariant of the
 representation.  The odd intermediate L_1 * V is handled as a (variable
-* even part) pair by :meth:`LPoly.integrate_back`.
+* even part) pair by :meth:`LPoly.integrate_back`; the recursion sums its
+terms on integers and folds the same division into each stored key.
 
 The canonical term order used for serialization and rendering is graded
 lexicographic on alpha.
@@ -83,10 +83,6 @@ class LPoly:
     # constructors
 
     @classmethod
-    def zero(cls, n: int, weight: int) -> "LPoly":
-        return cls(n, weight)
-
-    @classmethod
     def one(cls, n: int) -> "LPoly":
         return cls(n, 0, {(0,) * n: Fraction(1)})
 
@@ -137,20 +133,6 @@ class LPoly:
 
     # ------------------------------------------------------------------
     # arithmetic
-
-    def __add__(self, other: "LPoly") -> "LPoly":
-        if not isinstance(other, LPoly):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("cannot add polynomials over different variable counts")
-        if self.weight != other.weight:
-            raise ValueError(
-                f"cannot add polynomials of weights {self.weight} and {other.weight}"
-            )
-        terms = dict(self._terms)
-        for alpha, q in other._terms.items():
-            terms[alpha] = terms.get(alpha, 0) + q
-        return LPoly(self.n, self.weight, terms)
 
     def scale(self, c: Union[Rat, int]) -> "LPoly":
         """Multiply every coefficient by the rational c."""

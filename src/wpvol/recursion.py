@@ -26,14 +26,17 @@ per (a + b, remaining exponents) before F is expanded.
 V_{g,n} is symmetric in its labels, so :class:`VolumeTable` stores it
 only on the keys (a_1, a_2 >= ... >= a_n), one per orbit of the labels
 2..n, which the terms return.  Only ``volume``, ``true_volume`` and
-``items`` expand; ``coefficient`` reads one stored term.
+``to_entries`` expand; ``coefficient`` reads one stored term, and
+``items`` yields the stored form.
 
-The terms sum on Python ints and build one ``Fraction`` per output key.
-Each input volume is read through its free-1 view, rest -> [(a, N
-(2a+1)!)] over D, the LCM of its denominators, which the table builds
-once per entry; A^con takes b out of each rest, once per distinct value.
-A^dcon sums each splitting over D1 D2, brought to the LCM of those
-products; B sums over D times the kernel LCM.
+The terms sum on Python ints and return their sums as (den, {key:
+numerator}).  Each input volume is read through its free-1 view, rest ->
+[(a, N (2a+1)!)] over D, the LCM of its denominators, which the table
+builds once per entry; A^con takes b out of each rest, once per distinct
+value.  A^dcon sums each splitting over D1 D2, brought to the LCM of
+those products; B sums over D times the kernel LCM.  ``_compute`` brings
+the three terms to one LCM and builds one ``Fraction`` per stored key,
+x / (den (2a_1+1)), which also integrates back.
 
 Every entry, computed or loaded, passes :func:`validate_volume`: weight
 3g-3+n (which fixes every pi power), and at each orbit key a positive
@@ -67,9 +70,13 @@ __all__ = [
     "InvariantViolation",
     "validate_volume",
     "iter_signatures",
+    "exponent_tuples",
 ]
 
 BASE_SIGNATURES = {(0, 3), (1, 1)}
+
+# (den, {key: x}): the rational x / den at each key, den > 0
+Numerators = Tuple[int, dict[MultiIndex, int]]
 
 
 class InvariantViolation(RuntimeError):
@@ -156,13 +163,13 @@ def _descending(rest: MultiIndex) -> MultiIndex:
 
 
 def _apply_double_moment(
-    n: int, weight: int, sums: dict[MultiIndex, dict[int, int]], den: int
-) -> LPoly:
+    sums: dict[MultiIndex, dict[int, int]], den: int
+) -> Numerators:
     """Expand (1/2) G through F once per (a + b, rest) key.
 
     ``sums[rest][s] / den`` is sum q (2a+1)! (2b+1)! over the input
     products x^2a y^2b with a + b = s and labels 2..n carrying exponents
-    ``rest``.
+    ``rest``.  Returns the term as integer numerators over one denominator.
     """
     e, kernels = _common_kernels(
         {s: _double_moment_rationals(s) for row in sums.values() for s in row}
@@ -173,11 +180,10 @@ def _apply_double_moment(
             for m, f in kernels[s]:
                 key = (m,) + rest
                 acc[key] = acc.get(key, 0) + x * f
-    den *= e
-    return LPoly(n, weight, {key: Fraction(x, den) for key, x in acc.items()})
+    return den * e, acc
 
 
-def a_con_term(g: int, n: int, table: "VolumeTable") -> LPoly:
+def a_con_term(g: int, n: int, table: "VolumeTable") -> Numerators:
     """Connected pants-removal term, on the keys (a_1, a_2 >= ... >= a_n).
 
     Each term x^2a y^2b m(L_2..L_n) of V_{g-1,n+1} with non-increasing
@@ -186,7 +192,7 @@ def a_con_term(g: int, n: int, table: "VolumeTable") -> LPoly:
     and m sorted): each stored rest gives one (b, m) per distinct value b.
     """
     if g < 1 or not is_stable(g - 1, n + 1):
-        return LPoly.zero(n, moduli_dim(g, n))
+        return 1, {}
     den, groups = table._free1_view(g - 1, n + 1)
     sums: dict[MultiIndex, dict[int, int]] = {}
     for stored, p in groups:
@@ -197,10 +203,10 @@ def a_con_term(g: int, n: int, table: "VolumeTable") -> LPoly:
             fb = factorial(2 * b + 1)
             for a, x in p:
                 row[a + b] = row.get(a + b, 0) + x * fb
-    return _apply_double_moment(n, moduli_dim(g, n), sums, den)
+    return _apply_double_moment(sums, den)
 
 
-def a_dcon_term(g: int, n: int, table: "VolumeTable") -> LPoly:
+def a_dcon_term(g: int, n: int, table: "VolumeTable") -> Numerators:
     """Disconnected pants-removal term, on the keys (a_1, a_2 >= ... >= a_n).
 
     Ordered stable splittings with the global 1/2 prefactor.  The product
@@ -226,10 +232,10 @@ def a_dcon_term(g: int, n: int, table: "VolumeTable") -> LPoly:
                     wx = w * x
                     for b, y in p2:
                         row[a + b] = row.get(a + b, 0) + wx * y
-    return _apply_double_moment(n, moduli_dim(g, n), sums, den)
+    return _apply_double_moment(sums, den)
 
 
-def b_term(g: int, n: int, table: "VolumeTable") -> LPoly:
+def b_term(g: int, n: int, table: "VolumeTable") -> Numerators:
     """Second-boundary term, on the keys (a_1, a_2 >= ... >= a_n).
 
     For each j >= 2, terms x^2a m of V_{g,n-1} contribute coeff * shifted
@@ -237,7 +243,7 @@ def b_term(g: int, n: int, table: "VolumeTable") -> LPoly:
     every j whose L_j carries s: as many as s occurs in the merged rest.
     """
     if n < 2:
-        return LPoly.zero(n, moduli_dim(g, n))
+        return 1, {}
     den, groups = table._free1_view(g, n - 1)
     e, kernels = _common_kernels(
         {a: _shifted_moment_rationals(a) for _, p in groups for a, _ in p}
@@ -253,19 +259,28 @@ def b_term(g: int, n: int, table: "VolumeTable") -> LPoly:
                 merged, count = placed[s]
                 key = (r,) + merged
                 acc[key] = acc.get(key, 0) + x * f * count
-    den *= e
-    return LPoly(n, moduli_dim(g, n), {key: Fraction(x, den) for key, x in acc.items()})
+    return den * e, acc
+
+
+def exponent_tuples(k: int, d: int, non_increasing: bool = False) -> list[MultiIndex]:
+    """Every k-tuple of non-negative exponents with sum at most d, in
+    lexicographic order; only the non-increasing ones if ``non_increasing``."""
+    out: list[MultiIndex] = [()]
+    for _ in range(k):
+        out = [
+            r + (e,)
+            for r in out
+            # at most the weight left, and the last exponent if non-increasing
+            for e in range(min(r[-1:] * non_increasing + (d - sum(r),)) + 1)
+        ]
+    return out
 
 
 def _orbit_keys(n: int, d: int) -> list[MultiIndex]:
-    # every (a_1, a_2 >= ... >= a_n) with |alpha| <= d: each exponent of the
-    # rest is at most the one before it and the weight left
-    rests = [()]
-    for _ in range(n - 1):
-        rests = [
-            r + (e,) for r in rests for e in range(min(r[-1:] + (d - sum(r),)) + 1)
-        ]
-    return [(a,) + r for r in rests for a in range(d - sum(r) + 1)]
+    # every (a_1, a_2 >= ... >= a_n) with |alpha| <= d
+    return [
+        (a,) + r for r in exponent_tuples(n - 1, d, True) for a in range(d - sum(r) + 1)
+    ]
 
 
 def _orderings(rest: MultiIndex, memo: dict) -> Tuple[MultiIndex, ...]:
@@ -440,10 +455,17 @@ class VolumeTable:
             raise ValueError(f"({g},{n}) is not a stable signature")
         if (g, n) in BASE_SIGNATURES:
             return validate_volume(g, n, base_volume(g, n))
-        derivative = (
-            a_con_term(g, n, self) + a_dcon_term(g, n, self) + b_term(g, n, self)
-        )
-        return validate_volume(g, n, derivative.integrate_back())
+        # d/dL_1 (L_1 V) = A^con + A^dcon + B over one LCM; integrating back
+        # divides the L_1^(2a) term by 2a + 1
+        terms = (a_con_term(g, n, self), a_dcon_term(g, n, self), b_term(g, n, self))
+        den = lcm(*(term_den for term_den, _ in terms))
+        acc: dict[MultiIndex, int] = {}
+        for term_den, sums in terms:
+            c = den // term_den
+            for key, x in sums.items():
+                acc[key] = acc.get(key, 0) + x * c
+        volume = {key: Fraction(x, den * (2 * key[0] + 1)) for key, x in acc.items()}
+        return validate_volume(g, n, LPoly(n, moduli_dim(g, n), volume))
 
     def ensure(self, max_dim: int) -> None:
         """Compute every stable (g, n), n >= 1, with 3g-3+n <= max_dim."""
@@ -454,12 +476,13 @@ class VolumeTable:
     # serialization
 
     def items(self) -> Iterator[Tuple[Tuple[int, int], LPoly]]:
-        """((g, n), expanded volume) pairs in canonical order, computing nothing."""
-        return ((sig, _expand(self._entries[sig])) for sig in self.signatures())
+        """((g, n), V_{g,n} on its keys (a_1, a_2 >= ... >= a_n)) pairs in
+        canonical order, computing nothing."""
+        return ((sig, self._entries[sig]) for sig in self.signatures())
 
     def to_entries(self) -> dict[str, list[dict]]:
-        """Canonically ordered map ``"g,n" -> term records``."""
-        return {f"{g},{n}": p.to_records() for (g, n), p in self.items()}
+        """Canonically ordered map ``"g,n" -> term records``, expanded."""
+        return {f"{g},{n}": _expand(p).to_records() for (g, n), p in self.items()}
 
     @classmethod
     def from_entries(cls, entries: dict[str, list[dict]]) -> "VolumeTable":

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -63,6 +64,34 @@ def test_volume_too_large_for_a_float_rejected(capsys, fmt):
     )
     assert out == ""
     assert_one_line_error(code, err, "--lengths 1e400,1,1,1 is too large for a float")
+
+
+def digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or limit >= 5001:
+        pytest.skip("no integer digit limit below 5001 digits")
+    return limit
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_exact_value_past_the_digit_limit_names_lengths(capsys, fmt):
+    # the float exists, but the exact value's 6001-digit denominator cannot
+    # be written out; the message named sys.set_int_max_str_digits()
+    limit = digit_limit()
+    code, out, err = run(
+        capsys, "volume", "0", "4", "--lengths", "1e-3000,1,1,1", "--format", fmt
+    )
+    assert out == ""
+    assert_one_line_error(code, err, "--lengths 1e-3000,1,1,1", f"more than {limit} digits")
+    assert "set_int_max_str_digits" not in err
+
+
+def test_length_past_the_digit_limit_names_lengths(capsys):
+    limit = digit_limit()
+    code, out, err = run(capsys, "volume", "0", "4", "--lengths", "1" * 5001 + ",1,1,1")
+    assert out == ""
+    assert_one_line_error(code, err, "--lengths 111", f"more than {limit} digits")
+    assert "set_int_max_str_digits" not in err
 
 
 def test_volume_unstable_rejected(capsys):
@@ -236,13 +265,9 @@ def test_usage_error_exit_code(capsys):
 # cache files
 
 
-def test_cache_writer_matches_stdlib_encoder(tmp_path):
+def assert_writes_stdlib_bytes(table, path):
     from wpvol import cli
-    from wpvol.recursion import VolumeTable
 
-    table = VolumeTable()
-    table.ensure(7)
-    path = tmp_path / "table.json"
     cli.save_cache(table, str(path))
     payload = {
         "format": cli.CACHE_FORMAT,
@@ -252,6 +277,50 @@ def test_cache_writer_matches_stdlib_encoder(tmp_path):
         "entries": table.to_entries(),
     }
     assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def test_cache_writer_matches_stdlib_encoder(tmp_path):
+    from wpvol.recursion import VolumeTable
+
+    table = VolumeTable()
+    table.ensure(7)
+    assert_writes_stdlib_bytes(table, tmp_path / "table.json")
+
+
+def test_cache_writer_edge_cases_match_stdlib_encoder(tmp_path):
+    from wpvol.intersect import compact_volume
+    from wpvol.recursion import VolumeTable
+
+    assert_writes_stdlib_bytes(VolumeTable(), tmp_path / "empty.json")
+    # V_{2,2} and its dependencies: not a whole dimension range
+    on_demand = VolumeTable()
+    on_demand.volume(2, 2)
+    assert_writes_stdlib_bytes(on_demand, tmp_path / "on_demand.json")
+    compact = VolumeTable()
+    compact_volume(compact, 4)
+    assert_writes_stdlib_bytes(compact, tmp_path / "compact.json")
+    # n = 1 only: every rest is empty, and no rest sums to more than 0
+    ones = {k: v for k, v in compact.to_entries().items() if k.endswith(",1")}
+    assert sorted(ones) == ["1,1", "2,1", "3,1", "4,1"]
+    assert_writes_stdlib_bytes(VolumeTable.from_entries(ones), tmp_path / "ones.json")
+
+
+def test_cache_writer_streams_records(tmp_path):
+    import tracemalloc
+
+    from wpvol import cli
+    from wpvol.recursion import VolumeTable
+
+    table = VolumeTable()
+    table.ensure(7)
+    tracemalloc.start()
+    try:
+        cli.save_cache(table, str(tmp_path / "table.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 6.7 MB file, joined before it is written, peaks at about 33 MB
+    assert peak < 8_000_000
 
 
 def test_table_export_and_reload_byte_identical(tmp_path, capsys):
@@ -613,6 +682,57 @@ def test_cache_in_missing_directory_rejected_before_work(tmp_path, capsys, monke
     assert_one_line_error(code, err, "does not exist")
     code, _, err = run(capsys, "table", "--max-dim", "2", "--out", str(path))
     assert_one_line_error(code, err, "does not exist")
+
+
+def test_path_not_a_regular_file_rejected_before_work(tmp_path, capsys, monkeypatch):
+    # a directory failed only after the build, naming the temporary file
+    forbid_table_work(monkeypatch)
+    for argv in (
+        ["table", "--max-dim", "2", "--out", str(tmp_path)],
+        ["volume", "0", "4", "--cache", str(tmp_path)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert out == ""
+        assert_one_line_error(code, err, f"{tmp_path}: exists and is not a regular file")
+    assert tmp_path.is_dir() and list(tmp_path.iterdir()) == []
+
+
+def make_fifo(tmp_path):
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs on this platform")
+    path = tmp_path / "fifo"
+    try:
+        os.mkfifo(path)
+    except OSError as exc:
+        pytest.skip(f"cannot make a FIFO here: {exc}")
+    return path
+
+
+def test_fifo_out_rejected_and_kept(tmp_path, capsys, monkeypatch):
+    # the atomic write replaced the FIFO by a regular file and exited 0
+    forbid_table_work(monkeypatch)
+    fifo = make_fifo(tmp_path)
+    code, out, err = run(capsys, "table", "--max-dim", "2", "--out", str(fifo))
+    assert out == ""
+    assert_one_line_error(code, err, f"{fifo}: exists and is not a regular file")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_fifo_cache_rejected_without_blocking(tmp_path):
+    # reading the FIFO blocked forever, so run the command in a process
+    # that a timeout can end
+    fifo = make_fifo(tmp_path)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wpvol.cli", "volume", "0", "4", "--cache", str(fifo)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stdout == ""
+    assert_one_line_error(proc.returncode, proc.stderr, f"{fifo}: exists and is not a regular file")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 def test_unwritable_output_maps_to_usage_error(tmp_path, capsys):

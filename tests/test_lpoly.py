@@ -46,11 +46,6 @@ def test_key_beyond_weight_rejected():
         LPoly.from_records(2, 1, [record((2, 0), -2)])
 
 
-def test_addition_needs_equal_weights():
-    with pytest.raises(ValueError):
-        v04() + LPoly.one(4)
-
-
 def test_pi_coefficient_carries_implied_power():
     assert v04().pi_coefficient((0, 0, 0, 0)) == PiPoly.monomial(1, 2)
     assert v04().pi_coefficient((1, 0, 0, 0)) == PiPoly.rational(Fraction(1, 2))

@@ -35,6 +35,13 @@ def pi_view(p):
     return {alpha: p.pi_coefficient(alpha) for alpha, _ in p.items()}
 
 
+def term_poly(term, g, n, table):
+    """A recursion term's integer sums (den, {key: x}) at (g, n) as the
+    LPoly of the rationals x / den, with the weight 3g-3+n of V_{g,n}."""
+    den, sums = term(g, n, table)
+    return LPoly(n, moduli_dim(g, n), {key: Fraction(x, den) for key, x in sums.items()})
+
+
 # ----------------------------------------------------------------------
 # signatures and splittings
 
@@ -96,27 +103,27 @@ def test_base_volume_rejects_other_signatures():
 
 
 def test_a_con_absent_below_stability(table):
-    assert a_con_term(1, 1, table).is_zero()
+    assert term_poly(a_con_term, 1, 1, table).is_zero()
 
 
 def test_a_con_for_genus_one_two_boundaries(table):
     # V_{0,3} = 1 feeds the double moment: (1/2) G_{0,0}(L_1) = F_3(L_1)/12
-    got = a_con_term(1, 2, table)
+    got = term_poly(a_con_term, 1, 2, table)
     want = LPoly(2, 2, {(m, 0): q / 12 for (m,), q in h_moment(1).items()})
     assert got == want
 
 
 def test_a_dcon_empty_for_genus_zero_four(table):
-    assert a_dcon_term(0, 4, table).is_zero()
+    assert term_poly(a_dcon_term, 0, 4, table).is_zero()
 
 
 def test_b_term_empty_for_one_boundary(table):
-    assert b_term(2, 1, table).is_zero()
+    assert term_poly(b_term, 2, 1, table).is_zero()
 
 
 def test_b_term_four_boundaries(table):
     # only the keys (a_1, a_2 >= a_3 >= a_4): L_2^2 stands for L_3^2 and L_4^2
-    got = b_term(0, 4, table)
+    got = term_poly(b_term, 0, 4, table)
     want_terms = {
         (0, 0, 0, 0): 2,
         (1, 0, 0, 0): Fraction(3, 2),
@@ -213,7 +220,7 @@ def test_validator_rejects_missing_terms(table):
     with pytest.raises(InvariantViolation, match=r"has no term at \(0, 0, 0, 0\)"):
         validate_volume(0, 4, bad)
     with pytest.raises(InvariantViolation, match=r"has no term at \(0, 0, 0, 0\)"):
-        validate_volume(0, 4, LPoly.zero(4, 1))
+        validate_volume(0, 4, LPoly(4, 1))
     # and without the L_3^2 term, which no orbit key reads
     del terms[(0, 0, 1, 0)]
     terms[(0, 0, 0, 0)] = Fraction(2)
@@ -497,7 +504,7 @@ def table5():
     ids=["a_con", "a_dcon", "b"],
 )
 def test_terms_match_direct_evaluation(table5, sig, term, reference):
-    got = term(*sig, table5)
+    got = term_poly(term, *sig, table5)
     assert got.weight == moduli_dim(*sig)
     want = {
         alpha: c
