@@ -15,6 +15,7 @@ from wpvol.recursion import (
     a_dcon_term,
     b_term,
     base_volume,
+    exponent_tuples,
     is_stable,
     iter_signatures,
     moduli_dim,
@@ -280,6 +281,17 @@ def test_validator_returns_the_stored_form(table):
     stored = validate_volume(1, 3, full)
     assert stored == validate_volume(1, 3, stored)
     assert all(list(a[1:]) == sorted(a[1:], reverse=True) for a, _ in stored.items())
+
+
+def test_exponent_tuples_in_lexicographic_order():
+    assert exponent_tuples(2, 2) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    assert exponent_tuples(3, 2, non_increasing=True) == [
+        (0, 0, 0),
+        (1, 0, 0),
+        (1, 1, 0),
+        (2, 0, 0),
+    ]
+    assert exponent_tuples(0, 3) == [()]
 
 
 def test_table_stores_one_key_per_orbit():
