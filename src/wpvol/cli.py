@@ -34,16 +34,12 @@ from .intersect import (
     zograf_ratio,
 )
 from .lpoly import LPoly
-from .recursion import (
-    InvariantViolation,
-    VolumeTable,
-    exponent_tuples,
-    is_stable,
-    moduli_dim,
-)
+from .recursion import InvariantViolation, VolumeTable, is_stable, moduli_dim
 
 CACHE_FORMAT = "wp-volume-table"
-CACHE_VERSION = 1
+# 2: each entry holds the records of its stored keys (a_1, a_2 >= ... >= a_n)
+# only; 1 held every term
+CACHE_VERSION = 2
 # Convention stamp: a cache written under a different volume convention
 # must be rejected rather than silently reinterpreted.
 CONVENTION = "internal-halved-V11"
@@ -105,10 +101,11 @@ def render_lpoly_latex(p: LPoly) -> str:
 def _atomic_write(path: str):
     """A text file that replaces ``path`` only once it is completely
     written: a reader never sees a partial file, and concurrent writers
-    never interleave."""
+    never interleave.  A symbolic link keeps pointing at the file it
+    names, which is the one replaced."""
+    path = os.path.realpath(path)
     tmp = os.path.join(
-        os.path.dirname(os.path.abspath(path)),
-        f".{os.path.basename(path)}.{os.getpid()}.tmp",
+        os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp"
     )
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
@@ -122,48 +119,16 @@ def _atomic_write(path: str):
 
 
 def save_cache(table: VolumeTable, path: str) -> None:
-    header = {
+    payload = {
         "format": CACHE_FORMAT,
         "version": CACHE_VERSION,
         "tool": f"wpvol {__version__}",
         "convention": CONVENTION,
+        "entries": table.to_entries(),
     }
     with _atomic_write(path) as fh:
-        # the bytes json.dump({**header, "entries": table.to_entries()}, fh,
-        # indent=2) writes, plus "\n", from the stored keys: in graded-lex
-        # order an entry's records are, for t = 0..d and a_1 = 0..t, every
-        # rest summing to t - a_1 in lex order, each with the coefficient
-        # stored at (a_1,) + the rest sorted descending
-        fh.write("{\n")
-        for key, value in header.items():
-            fh.write(f'  "{key}": {json.dumps(value)},\n')
-        fh.write('  "entries": {')
-        sep = "\n"
-        for (g, n), stored in table.items():
-            d = stored.weight
-            coeffs: dict[tuple, dict[int, str]] = {}
-            for key, q in stored.items():
-                coeffs.setdefault(key[1:], {})[key[0]] = rat_to_str(q)
-            # each rest's exponent text and stored coefficients, by |rest|
-            texts = [f",\n          {e}" for e in range(d + 1)]
-            by_sum: list[list] = [[] for _ in range(d + 1)]
-            for rest in exponent_tuples(n - 1, d):
-                exps = "".join(map(texts.__getitem__, rest))
-                by_sum[sum(rest)].append((exps, coeffs[tuple(sorted(rest, reverse=True))]))
-            fh.write(f'{sep}    "{g},{n}": [')
-            for t in range(d + 1):
-                # t = 0 holds one record, the entry's first
-                rsep = ",\n" if t else "\n"
-                tail = f'\n        ],\n        "pi_power": {2 * (d - t)},\n        "coeff": "'
-                for a in range(t + 1):
-                    # no rest sums to t - a > 0 when n = 1
-                    head = f'{rsep}      {{\n        "alpha": [\n          {a}'
-                    fh.writelines(
-                        f'{head}{exps}{tail}{row[a]}"\n      }}' for exps, row in by_sum[t - a]
-                    )
-            fh.write("\n    ]")
-            sep = ",\n"
-        fh.write("\n  }\n}\n" if table.signatures() else "}\n}\n")
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def load_cache(path: str) -> VolumeTable:
@@ -172,12 +137,13 @@ def load_cache(path: str) -> VolumeTable:
             payload = json.load(fh)
         except ValueError as exc:
             raise UsageError(f"{path}: not a JSON file: {exc}") from None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("format") != CACHE_FORMAT
-        or payload.get("version") != CACHE_VERSION
-    ):
+    if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
         raise UsageError(f"{path}: not a recognized volume table cache")
+    if payload.get("version") != CACHE_VERSION:
+        raise UsageError(
+            f"{path}: volume table cache version {payload.get('version')!r}, "
+            f"expected version {CACHE_VERSION}; rebuild it with 'wpvol table'"
+        )
     if payload.get("convention") != CONVENTION:
         raise UsageError(
             f"{path}: cache written under convention "
@@ -195,11 +161,13 @@ def load_cache(path: str) -> VolumeTable:
 def _check_path(path: str) -> None:
     # fail before any computation, not when the file is read or written: a
     # directory, FIFO or device at the path would fail the rename, block the
-    # read or be replaced by a regular file
-    parent = os.path.dirname(os.path.abspath(path))
+    # read or be replaced by a regular file.  A symbolic link stands for the
+    # file it names, which is the one written.
+    real = os.path.realpath(path)
+    parent = os.path.dirname(real)
     if not os.path.isdir(parent):
         raise UsageError(f"{path}: directory {parent} does not exist")
-    if os.path.exists(path) and not os.path.isfile(path):
+    if os.path.exists(real) and not os.path.isfile(real):
         raise UsageError(f"{path}: exists and is not a regular file")
 
 

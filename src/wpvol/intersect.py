@@ -38,7 +38,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import comb, factorial, prod
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -372,11 +372,7 @@ def _sorted_compositions(total: int, parts: int) -> list[Tuple[int, ...]]:
     """Non-increasing exponent tuples of the given length summing to
     total, in decreasing lexicographic order: one representative per orbit
     of the symmetric group."""
-    return [
-        c
-        for c in combinations_with_replacement(range(total, -1, -1), parts)
-        if sum(c) == total
-    ]
+    return [c for c in reversed(exponent_tuples(parts, total, True)) if sum(c) == total]
 
 
 def run_relation_suite(

@@ -28,10 +28,8 @@ invariant is checked once, where its kind of data enters:
 :meth:`LPoly.from_records` checks records read from outside (integer
 exponents, keys of length n within the weight, the implied pi power, a
 rational coefficient), and :func:`wpvol.recursion.validate_volume` checks
-every volume, computed or loaded.  ``from_records`` parses each distinct
-coefficient string once, so the records of one volume's orbit share one
-``Fraction`` and the volume check compares them by identity; it keeps a
-zero coefficient, for the volume check to reject.
+every volume, computed or loaded.  ``from_records`` keeps a zero
+coefficient, for the volume check to reject.
 """
 from __future__ import annotations
 
@@ -194,14 +192,11 @@ class LPoly:
         Exponents and ``pi_power`` must be integers and ``coeff`` a string
         naming a rational.  Rejects an alpha that is not n non-negative
         exponents with |alpha| <= weight, a record whose pi power is not the
-        one its alpha implies, and an alpha listed twice.
-
-        Each distinct coefficient string is parsed once, and records with
-        equal strings share one ``Fraction``.  A zero coefficient, which
-        :meth:`to_records` never writes, is kept rather than dropped, so
-        that :func:`wpvol.recursion.validate_volume` can name it."""
+        one its alpha implies, and an alpha listed twice.  A zero
+        coefficient, which :meth:`to_records` never writes, is kept rather
+        than dropped, so that :func:`wpvol.recursion.validate_volume` can
+        name it."""
         terms: dict[MultiIndex, Fraction] = {}
-        parsed: dict[str, Fraction] = {}
         for rec in records:
             alpha, pi_power, coeff = tuple(rec["alpha"]), rec["pi_power"], rec["coeff"]
             # type(), not isinstance(): JSON true and false are not exponents
@@ -230,15 +225,12 @@ class LPoly:
                 raise ValueError(
                     f"term {list(alpha)} has coefficient {coeff!r}, not a string"
                 )
-            q = parsed.get(coeff)
-            if q is None:
-                try:
-                    q = parsed[coeff] = rat_from_str(coeff)
-                except ZeroDivisionError:
-                    raise ValueError(
-                        f"term {list(alpha)} has coefficient {coeff!r} with denominator 0"
-                    ) from None
-            terms[alpha] = q
+            try:
+                terms[alpha] = rat_from_str(coeff)
+            except ZeroDivisionError:
+                raise ValueError(
+                    f"term {list(alpha)} has coefficient {coeff!r} with denominator 0"
+                ) from None
         poly = cls(n, weight)
         poly._terms = terms
         return poly

@@ -25,9 +25,9 @@ per (a + b, remaining exponents) before F is expanded.
 
 V_{g,n} is symmetric in its labels, so :class:`VolumeTable` stores it
 only on the keys (a_1, a_2 >= ... >= a_n), one per orbit of the labels
-2..n, which the terms return.  Only ``volume``, ``true_volume`` and
-``to_entries`` expand; ``coefficient`` reads one stored term, and
-``items`` yields the stored form.
+2..n, which the terms return and the table file holds.  Only ``volume``
+and ``true_volume`` expand; ``coefficient`` reads one stored term, and
+``items`` and ``to_entries`` give the stored form.
 
 The terms sum on Python ints and return their sums as (den, {key:
 numerator}).  Each input volume is read through its free-1 view, rest ->
@@ -38,25 +38,22 @@ those products; B sums over D times the kernel LCM.  ``_compute`` brings
 the three terms to one LCM and builds one ``Fraction`` per stored key,
 x / (den (2a_1+1)), which also integrates back.
 
-Every entry, computed or loaded, passes :func:`validate_volume`: weight
-3g-3+n (which fixes every pi power), and at each orbit key a positive
-coefficient equal to the one at its fully sorted key (L_1 against the
-other labels).  A loaded entry must also hold every term and equal the
-expansion of its orbit keys (L_2..L_n, missing, zero or extra terms).
-Its records share one ``Fraction`` per distinct coefficient string, so a
-term is compared with its orbit key's by identity, and as a rational
-only when the strings differ.  A violation aborts; with exact arithmetic
-any mismatch is a logic bug.
+Every entry, computed or loaded, passes :func:`validate_volume` in its
+stored form: weight 3g-3+n (which fixes every pi power), a positive
+coefficient at each orbit key equal to the one at its fully sorted key
+(L_1 against the other labels), and no term at any other key.  Symmetry
+in L_2..L_n holds by construction, since nothing else is stored.  A
+violation aborts; with exact arithmetic any mismatch is a logic bug.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from .kernels import h_double_moment, h_moment, shift_symmetrize
-from .lpoly import LPoly, MultiIndex
+from .lpoly import LPoly, MultiIndex, grlex_key
 
 __all__ = [
     "is_stable",
@@ -310,41 +307,15 @@ def _expand(stored: LPoly, fixed: int = 1) -> LPoly:
     return LPoly(stored.n, stored.weight, terms)
 
 
-def _expansion_mismatch(
-    stored: dict[MultiIndex, Fraction], given: dict[MultiIndex, Fraction], count: int
-) -> Optional[str]:
-    # how ``given`` differs from the expansion of ``stored`` to ``count``
-    # terms, or None; a term is compared as a rational only when it is not
-    # its key's object
-    memo: dict = {}
-    for key, q in stored.items():
-        head = key[:1]
-        for rest in _orderings(key[1:], memo):
-            alpha = head + rest
-            x = given.get(alpha)
-            if x is not q and x != q:
-                if x is None:
-                    return f"it has no term at {alpha}"
-                if x <= 0:
-                    return f"coefficient of {alpha} is not positive"
-                return f"coefficient of {alpha} is not that of {key}"
-    if len(given) != count:
-        return f"it has {len(given)} terms, not {count}"
-    return None
-
-
-def validate_volume(g: int, n: int, p: LPoly, expanded: bool = False) -> LPoly:
-    """Check a volume polynomial's structural invariants and return its
-    terms on the keys (a_1, a_2 >= ... >= a_n), the form the table stores.
+def validate_volume(g: int, n: int, p: LPoly) -> LPoly:
+    """Check a volume polynomial's structural invariants on the keys
+    (a_1, a_2 >= ... >= a_n), the form the table stores, and return it.
 
     Weight d = 3g-3+n (which fixes every pi power) and n variables.  At
     each such key with |alpha| <= d, a positive coefficient equal to the
-    one at the fully sorted key (symmetry in L_1).  When ``expanded`` (a
-    volume read from outside), or when p has other terms too, p must equal
-    the expansion of those keys: symmetric in L_2..L_n, with a term at
-    every alpha with |alpha| <= d and no other; the message names the
-    first alpha that is missing, not positive or unequal to its key's.
-    Raises InvariantViolation on any failure.
+    one at the fully sorted key (symmetry in L_1), and no term at any
+    other alpha.  Raises InvariantViolation naming a key that is missing
+    or not positive, or the first other alpha in graded-lex order.
     """
     d = moduli_dim(g, n)
     if p.n != n:
@@ -352,8 +323,8 @@ def validate_volume(g: int, n: int, p: LPoly, expanded: bool = False) -> LPoly:
     if p.weight != d:
         raise InvariantViolation(f"V_{{{g},{n}}} has weight {p.weight}, expected {d}")
     given = dict(p.items())
-    terms = {}
-    for key in _orbit_keys(n, d):
+    keys = _orbit_keys(n, d)
+    for key in keys:
         q = given.get(key)
         if q is None:
             raise InvariantViolation(f"V_{{{g},{n}}} has no term at {key}")
@@ -363,15 +334,14 @@ def validate_volume(g: int, n: int, p: LPoly, expanded: bool = False) -> LPoly:
         top = _descending(key)
         if top != key and given.get(top) != q:
             raise InvariantViolation(f"V_{{{g},{n}}} is not label-symmetric")
-        terms[key] = q
-    if expanded or len(given) != len(terms):
-        mismatch = _expansion_mismatch(terms, given, comb(d + n, n))
-        if mismatch:
-            raise InvariantViolation(
-                f"V_{{{g},{n}}} differs from the label-symmetric expansion of its "
-                f"keys (a_1, a_2 >= ... >= a_{n}) to every |alpha| <= {d}: {mismatch}"
-            )
-    return LPoly(n, d, terms)
+    if len(given) != len(keys):
+        orbit = set(keys)
+        alpha = min((a for a in given if a not in orbit), key=grlex_key)
+        raise InvariantViolation(
+            f"V_{{{g},{n}}} has a term at {alpha}, which is not a key "
+            f"(a_1, a_2 >= ... >= a_{n}) with |alpha| <= {d}"
+        )
+    return p
 
 
 def iter_signatures(max_dim: int) -> Iterator[Tuple[int, int]]:
@@ -481,13 +451,14 @@ class VolumeTable:
         return ((sig, self._entries[sig]) for sig in self.signatures())
 
     def to_entries(self) -> dict[str, list[dict]]:
-        """Canonically ordered map ``"g,n" -> term records``, expanded."""
-        return {f"{g},{n}": _expand(p).to_records() for (g, n), p in self.items()}
+        """Canonically ordered map ``"g,n" -> term records`` of the
+        stored form, each entry's records in graded-lex order."""
+        return {f"{g},{n}": p.to_records() for (g, n), p in self.items()}
 
     @classmethod
     def from_entries(cls, entries: dict[str, list[dict]]) -> "VolumeTable":
-        """Rebuild a table from serialized entries, validating each one,
-        with every term it must hold, before it is trusted."""
+        """Inverse of :meth:`to_entries`: rebuild a table from stored-form
+        entries, validating each one before it is trusted."""
         table = cls()
         for key, records in entries.items():
             g_str, n_str = key.split(",")
@@ -497,5 +468,5 @@ class VolumeTable:
                     f"entry {key!r} is not a stable signature g,n with n >= 1"
                 )
             poly = LPoly.from_records(n, moduli_dim(g, n), records)
-            table._entries[(g, n)] = validate_volume(g, n, poly, expanded=True)
+            table._entries[(g, n)] = validate_volume(g, n, poly)
         return table

@@ -132,7 +132,7 @@ def test_criterion_5_structural_invariants(table):
     checked = 0
     for g, n in iter_signatures(MAX_DIM):
         try:
-            validate_volume(g, n, table.volume(g, n))
+            validate_volume(g, n, table._stored(g, n))
         except Exception:
             ok = False
             break

@@ -323,6 +323,26 @@ def test_cache_writer_streams_records(tmp_path):
     assert peak < 8_000_000
 
 
+@pytest.mark.parametrize("max_dim,records", [(6, 411), (7, 753)])
+def test_table_file_holds_the_stored_keys(tmp_path, capsys, max_dim, records):
+    from wpvol.cli import load_cache
+    from wpvol.recursion import VolumeTable
+
+    path = tmp_path / "table.json"
+    code, _, _ = run(capsys, "table", "--max-dim", str(max_dim), "--out", str(path))
+    entries = json.loads(path.read_text())["entries"]
+    assert code == 0 and sum(map(len, entries.values())) == records
+    for recs in entries.values():
+        assert all(r["alpha"][1:] == sorted(r["alpha"][1:], reverse=True) for r in recs)
+    # 1.6 MB at dimension 6 when the file held every term
+    assert max_dim != 6 or path.stat().st_size < 100_000
+    fresh, reloaded = VolumeTable(), load_cache(str(path))
+    fresh.ensure(max_dim)
+    assert reloaded.signatures() == fresh.signatures()
+    for sig in fresh.signatures():
+        assert reloaded.volume(*sig) == fresh.volume(*sig)
+
+
 def test_table_export_and_reload_byte_identical(tmp_path, capsys):
     out1 = tmp_path / "cache1.json"
     out2 = tmp_path / "cache2.json"
@@ -392,6 +412,40 @@ def test_table_out_leaves_no_temporary_file(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["table.json"]
 
 
+def test_table_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    # the write replaced the link by a regular file and left the target stale
+    links, targets = tmp_path / "links", tmp_path / "targets"
+    links.mkdir()
+    targets.mkdir()
+    link, target = links / "link.json", targets / "target.json"
+    target.write_text("old")
+    link.symlink_to(target)
+    code, _, _ = run(capsys, "table", "--max-dim", "1", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text())["entries"]
+    assert os.listdir(links) == ["link.json"] and os.listdir(targets) == ["target.json"]
+    # a link to a file the table adds entries to, given as --cache
+    code, _, _ = run(capsys, "volume", "1", "3", "--cache", str(link))
+    assert code == 0 and link.is_symlink()
+    assert "1,3" in json.loads(target.read_text())["entries"]
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+def test_symlink_to_a_directory_or_fifo_rejected_before_work(
+    tmp_path, capsys, monkeypatch, kind
+):
+    target = tmp_path if kind == "directory" else make_fifo(tmp_path)
+    forbid_table_work(monkeypatch)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    before = sorted(os.listdir(tmp_path))
+    code, out, err = run(capsys, "table", "--max-dim", "1", "--out", str(link))
+    assert out == ""
+    assert_one_line_error(code, err, f"{link}: exists and is not a regular file")
+    assert link.is_symlink() and sorted(os.listdir(tmp_path)) == before
+
+
 def assert_one_line_error(code, err, *words):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -413,6 +467,21 @@ def test_cache_holding_a_list_rejected(tmp_path, capsys):
     path.write_text("[]")
     code, _, err = run(capsys, "volume", "0", "3", "--cache", str(path))
     assert_one_line_error(code, err, "not a recognized")
+
+
+@pytest.mark.parametrize("version", [1, 3, None])
+def test_cache_of_another_version_rejected(tmp_path, capsys, version):
+    # a version-1 file held every term; it was "not a recognized" cache
+    path = tmp_path / "cache.json"
+    run(capsys, "table", "--max-dim", "1", "--out", str(path))
+    payload = json.loads(path.read_text())
+    payload["version"] = version
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert out == ""
+    assert_one_line_error(
+        code, err, f"{path}: ", f"version {version!r}", "expected version 2", "wpvol table"
+    )
 
 
 def test_cache_with_malformed_records_rejected(tmp_path, capsys):
@@ -459,15 +528,32 @@ def test_cache_missing_a_term_rejected(tmp_path, capsys):
 
 def test_cache_asymmetric_off_the_orbit_keys_rejected(tmp_path, capsys):
     # V_{0,5} with L_3^2 weighted unlike L_2^2: every key (a_1, a_2 >= ...
-    # >= a_5) still holds the true coefficient
+    # >= a_5) still holds the true coefficient, and the file holds no other
     path = tmp_path / "cache.json"
     run(capsys, "table", "--max-dim", "2", "--out", str(path))
     payload = json.loads(path.read_text())
-    (record,) = [r for r in payload["entries"]["0,5"] if r["alpha"] == [0, 0, 1, 0, 0]]
-    record["coeff"] = "7"
+    records = payload["entries"]["0,5"]
+    assert [0, 1, 0, 0, 0] in [r["alpha"] for r in records]
+    records.append({"alpha": [0, 0, 1, 0, 0], "pi_power": 2, "coeff": "7"})
     path.write_text(json.dumps(payload))
-    code, _, err = run(capsys, "volume", "0", "5", "--cache", str(path))
-    assert_one_line_error(code, err, "V_{0,5} differs from the label-symmetric expansion")
+    code, out, err = run(capsys, "volume", "0", "5", "--cache", str(path))
+    assert out == ""
+    assert_one_line_error(
+        code, err, "V_{0,5} has a term at (0, 0, 1, 0, 0), which is not a key"
+    )
+
+
+def test_cache_asymmetric_in_the_first_label_rejected(tmp_path, capsys):
+    # L_2^2 weighted unlike L_1^2: the orbit key (0, 1, 0, 0) of V_{0,4}
+    # differs from its sorted key (1, 0, 0, 0)
+    def edit(records):
+        (rec,) = [r for r in records if r["alpha"] == [0, 1, 0, 0]]
+        rec["coeff"] = "7"
+
+    path = v04_cache_with(tmp_path, capsys, edit)
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert out == ""
+    assert_one_line_error(code, err, "V_{0,4} is not label-symmetric")
 
 
 def v04_cache_with(tmp_path, capsys, edit):
@@ -476,8 +562,9 @@ def v04_cache_with(tmp_path, capsys, edit):
     run(capsys, "table", "--max-dim", "1", "--out", str(path))
     payload = json.loads(path.read_text())
     records = payload["entries"]["0,4"]
-    # canonical order: the 2 pi^2 term first, the L_1^2 / 2 term last
-    assert records[0]["alpha"] == [0, 0, 0, 0] and records[-1]["alpha"] == [1, 0, 0, 0]
+    # the orbit keys in canonical order: the 2 pi^2 term first, then L_2^2 / 2
+    # and L_1^2 / 2
+    assert [r["alpha"] for r in records] == [[0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
     edit(records)
     path.write_text(json.dumps(payload))
     return path
@@ -551,10 +638,10 @@ def test_cache_key_not_a_stable_signature_rejected(tmp_path, capsys, key):
 @pytest.mark.parametrize(
     "zero,drop,words",
     [
-        # each of these loaded with exit 0 and printed a wrong V_{0,4}
-        ([0, 0, 1, 0], None, "coefficient of (0, 0, 1, 0) is not positive"),
-        (None, [0, 0, 0, 1], "has no term at (0, 0, 0, 1)"),
-        ([0, 0, 1, 0], [0, 0, 0, 1], "coefficient of (0, 0, 1, 0) is not positive"),
+        # a zero off the orbit keys is named as a term the file cannot hold
+        ([0, 0, 1, 0], None, "has a term at (0, 0, 1, 0), which is not a key"),
+        (None, [0, 1, 0, 0], "has no term at (0, 1, 0, 0)"),
+        ([1, 0, 0, 0], [0, 1, 0, 0], "coefficient of (1, 0, 0, 0) is not positive"),
         # a zero at an orbit key is named as a zero, not as a missing term
         ([0, 1, 0, 0], None, "V_{0,4}: coefficient of (0, 1, 0, 0) is not positive"),
     ],
@@ -563,44 +650,16 @@ def test_cache_key_not_a_stable_signature_rejected(tmp_path, capsys, key):
 def test_cache_needs_every_term_with_a_positive_coefficient(
     tmp_path, capsys, zero, drop, words
 ):
+    # the record at ``zero``, added if the file has none, reads "0"
     def edit(records):
-        for rec in records:
-            if rec["alpha"] == zero:
-                rec["coeff"] = "0"
-        records[:] = [rec for rec in records if rec["alpha"] != drop]
+        records[:] = [rec for rec in records if rec["alpha"] not in (zero, drop)]
+        if zero:
+            records.append({"alpha": zero, "pi_power": 2 - 2 * sum(zero), "coeff": "0"})
 
     path = v04_cache_with(tmp_path, capsys, edit)
     code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
     assert out == ""
     assert_one_line_error(code, err, "rejected invalid table data", "V_{0,4}", words)
-
-
-def test_cache_holding_only_the_orbit_keys_rejected(tmp_path, capsys):
-    # the form the table stores, but a cache file holds every term
-    def edit(records):
-        keys = ([0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0])
-        records[:] = [rec for rec in records if rec["alpha"] in keys]
-
-    path = v04_cache_with(tmp_path, capsys, edit)
-    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
-    assert out == ""
-    assert_one_line_error(code, err, "has no term at (0, 0, 1, 0)")
-
-
-def test_cache_equal_noncanonical_coefficients_off_the_orbit_keys_load(tmp_path, capsys):
-    # "2/4" and " 1/2" name the 1/2 of the orbit key (0, 1, 0, 0) without
-    # being its string, so they are compared as rationals
-    def edit(records):
-        for rec in records:
-            if rec["alpha"] == [0, 0, 1, 0]:
-                rec["coeff"] = "2/4"
-            if rec["alpha"] == [0, 0, 0, 1]:
-                rec["coeff"] = " 1/2"
-
-    path = v04_cache_with(tmp_path, capsys, edit)
-    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
-    assert code == 0 and err == ""
-    assert (code, out) == run(capsys, "volume", "0", "4")[:2]
 
 
 @pytest.mark.parametrize(
@@ -610,10 +669,9 @@ def test_cache_equal_noncanonical_coefficients_off_the_orbit_keys_load(tmp_path,
 def test_cache_malformed_coefficient_off_the_orbit_keys_rejected(
     tmp_path, capsys, coeff, words
 ):
+    # every record is parsed before the volume check names the extra term
     def edit(records):
-        for rec in records:
-            if rec["alpha"] == [0, 0, 0, 1]:
-                rec["coeff"] = coeff
+        records.append({"alpha": [0, 0, 0, 1], "pi_power": 0, "coeff": coeff})
 
     path = v04_cache_with(tmp_path, capsys, edit)
     code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -186,7 +187,7 @@ def test_unstable_signature_rejected(table):
 
 def test_invariants_hold_up_to_dimension_four(table):
     for g, n in iter_signatures(4):
-        validate_volume(g, n, table.volume(g, n))
+        validate_volume(g, n, table._stored(g, n))
 
 
 def test_homogeneity_details(table):
@@ -200,14 +201,14 @@ def test_homogeneity_details(table):
 
 
 def test_validator_rejects_broken_symmetry(table):
-    # every term present and positive, but one label weighted differently:
-    # L_1, caught at its orbit key, then L_3 against an unchanged L_2,
-    # caught against the expansion
+    # every orbit key present and positive, but one label weighted
+    # differently: L_1, caught at its orbit key, then L_3 against an
+    # unchanged L_2, caught as a term off the orbit keys
     for key, words in [
         ((1, 0, 0, 0), "not label-symmetric"),
-        ((0, 0, 1, 0), "differs from the label-symmetric expansion"),
+        ((0, 0, 1, 0), r"has a term at \(0, 0, 1, 0\), which is not a key"),
     ]:
-        terms = dict(table.volume(0, 4).items())
+        terms = dict(table._stored(0, 4).items())
         terms[key] = Fraction(1)
         with pytest.raises(InvariantViolation, match=words):
             validate_volume(0, 4, LPoly(4, 1, terms))
@@ -215,17 +216,17 @@ def test_validator_rejects_broken_symmetry(table):
 
 def test_validator_rejects_missing_terms(table):
     # V_{0,4} without its 2 pi^2 term still passes the symmetry test
-    terms = dict(table.volume(0, 4).items())
+    terms = dict(table._stored(0, 4).items())
     del terms[(0, 0, 0, 0)]
     bad = LPoly(4, 1, terms)
     with pytest.raises(InvariantViolation, match=r"has no term at \(0, 0, 0, 0\)"):
         validate_volume(0, 4, bad)
     with pytest.raises(InvariantViolation, match=r"has no term at \(0, 0, 0, 0\)"):
         validate_volume(0, 4, LPoly(4, 1))
-    # and without the L_3^2 term, which no orbit key reads
-    del terms[(0, 0, 1, 0)]
+    # and without the L_2^2 term, whose key no other key reads
+    del terms[(0, 1, 0, 0)]
     terms[(0, 0, 0, 0)] = Fraction(2)
-    with pytest.raises(InvariantViolation, match="differs from the label-symmetric"):
+    with pytest.raises(InvariantViolation, match=r"has no term at \(0, 1, 0, 0\)"):
         validate_volume(0, 4, LPoly(4, 1, terms))
 
 
@@ -248,10 +249,10 @@ def test_validator_rejects_inhomogeneous_pi_power():
 
 
 def test_validator_rejects_key_beyond_the_weight(table):
-    # every term of V_{0,4}, plus L_1^4 where a weight-1 volume has none
-    terms = dict(table.volume(0, 4).items())
+    # V_{0,4} on its orbit keys, plus L_1^4 where a weight-1 volume has none
+    terms = dict(table._stored(0, 4).items())
     terms[(2, 0, 0, 0)] = Fraction(1)
-    with pytest.raises(InvariantViolation, match="to every \\|alpha\\| <= 1"):
+    with pytest.raises(InvariantViolation, match=r"\(2, 0, 0, 0\), .* with \|alpha\| <= 1"):
         validate_volume(0, 4, LPoly(4, 1, terms))
 
 
@@ -271,16 +272,19 @@ def test_validator_rejects_a_key_the_terms_never_produce(table, key):
         for a, q in table.volume(0, 4).items()
         if list(a[1:]) == sorted(a[1:], reverse=True)
     }
+    assert terms == dict(table._stored(0, 4).items())
     terms[key] = Fraction(1)
-    with pytest.raises(InvariantViolation, match="differs from the label-symmetric"):
+    with pytest.raises(InvariantViolation, match=f"has a term at {re.escape(str(key))}, "):
         validate_volume(0, 4, LPoly(4, 1, terms))
 
 
 def test_validator_returns_the_stored_form(table):
-    full = table.volume(1, 3)
-    stored = validate_volume(1, 3, full)
-    assert stored == validate_volume(1, 3, stored)
+    stored = table._stored(1, 3)
+    assert validate_volume(1, 3, stored) == stored
     assert all(list(a[1:]) == sorted(a[1:], reverse=True) for a, _ in stored.items())
+    # the expanded volume holds terms off the orbit keys, which it names
+    with pytest.raises(InvariantViolation, match=r"has a term at \(0, 0, 1\), which is not"):
+        validate_volume(1, 3, table.volume(1, 3))
 
 
 def test_exponent_tuples_in_lexicographic_order():
@@ -342,7 +346,11 @@ def test_top_coefficient_matches_correlator(table):
 
 
 def serialized(t):
-    return json.dumps(t.to_entries(), indent=2)
+    # every entry's expanded term records, the table file's content before
+    # it held only the stored keys
+    return json.dumps(
+        {f"{g},{n}": t.volume(g, n).to_records() for g, n in t.signatures()}, indent=2
+    )
 
 
 def test_depth_first_and_wave_builds_agree(table):
@@ -370,37 +378,6 @@ def test_terms_read_loaded_and_computed_tables_alike(table5, sig):
     fresh = VolumeTable()
     for term in (a_con_term, a_dcon_term, b_term):
         assert term(*sig, reloaded) == term(*sig, fresh) == term(*sig, table5)
-
-
-def test_from_entries_parses_each_distinct_coefficient_once(monkeypatch):
-    from wpvol import lpoly
-
-    t = VolumeTable()
-    t.ensure(6)
-    entries = t.to_entries()
-    parses = []
-
-    def counting(s):
-        parses.append(s)
-        return Fraction(s)
-
-    monkeypatch.setattr(lpoly, "rat_from_str", counting)
-    reloaded = VolumeTable.from_entries(entries)
-    # one parse per distinct string of each entry: at most one per orbit
-    # key (411), not one per record (8 117)
-    distinct = sum(len({r["coeff"] for r in recs}) for recs in entries.values())
-    assert sum(map(len, entries.values())) == 8117
-    assert len(parses) == distinct <= 411
-    assert reloaded.to_entries() == entries
-
-
-def test_validator_needs_every_term_when_expanded(table):
-    # V_{0,4} on its orbit keys is the stored form, but not a whole volume
-    stored = validate_volume(0, 4, table.volume(0, 4))
-    assert validate_volume(0, 4, stored) == stored
-    with pytest.raises(InvariantViolation, match=r"has no term at \(0, 0, 1, 0\)"):
-        validate_volume(0, 4, stored, expanded=True)
-    assert validate_volume(0, 4, table.volume(0, 4), expanded=True) == stored
 
 
 def test_from_entries_revalidates():
@@ -548,10 +525,16 @@ def test_table_to_dimension_five_golden_digest(table5):
     assert digest == "145c7b2247a3855e883b822c604ba0db4498f5ae7a8f18da5daa50a91c9dec57"
 
 
-def test_table_to_dimension_seven_golden_digest():
+def test_table_to_dimension_seven_golden_digest(tmp_path):
     # sha256 of the serialized dimension-7 table, recorded from the
-    # recursion that computed every label placement of each term
+    # recursion that computed every label placement of each term; the same
+    # for the table reloaded from its own table file
+    from wpvol.cli import load_cache, save_cache
+
     t = VolumeTable()
     t.ensure(7)
-    digest = hashlib.sha256(serialized(t).encode()).hexdigest()
-    assert digest == "762905318d916c179a9f311b484d7c80a9faddb9e5a9ce7a5c8e91fefa8d474f"
+    path = str(tmp_path / "table.json")
+    save_cache(t, path)
+    for built in (t, load_cache(path)):
+        digest = hashlib.sha256(serialized(built).encode()).hexdigest()
+        assert digest == "762905318d916c179a9f311b484d7c80a9faddb9e5a9ce7a5c8e91fefa8d474f"
