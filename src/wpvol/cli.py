@@ -6,12 +6,12 @@ Subcommands:
 * ``intersect``   psi/kappa intersection numbers from volume coefficients
 * ``verify``      run relation suites and/or the kernel quadrature oracle
 * ``compact``     closed-surface volumes V_{g,0}
-* ``table``       export the memoized volume table as a cache file
+* ``table``       export the memoized volume table as a table file
 * ``diag-zograf`` large-genus ratio diagnostic (no pass/fail)
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Structured
-output goes to stdout, diagnostics to stderr.  A persistent cache file can
-be supplied with ``--cache``.
+output goes to stdout, diagnostics to stderr.  ``--cache`` names a table
+file that is only read; ``table --out`` is the one file a command writes.
 """
 from __future__ import annotations
 
@@ -158,11 +158,13 @@ def load_cache(path: str) -> VolumeTable:
         raise UsageError(f"{path}: malformed cache entry: {exc!r}") from None
 
 
-def _check_path(path: str) -> None:
+def _check_path(path: str, option: str) -> None:
     # fail before any computation, not when the file is read or written: a
     # directory, FIFO or device at the path would fail the rename, block the
     # read or be replaced by a regular file.  A symbolic link stands for the
-    # file it names, which is the one written.
+    # file it names, which is the one read or written.
+    if not path:
+        raise UsageError(f"{option}: the path is empty")
     real = os.path.realpath(path)
     parent = os.path.dirname(real)
     if not os.path.isdir(parent):
@@ -171,18 +173,13 @@ def _check_path(path: str) -> None:
         raise UsageError(f"{path}: exists and is not a regular file")
 
 
-@contextmanager
-def _cached_table(args):
-    """The command's volume table, loaded from the cache file if there is
-    one; written back, atomically, only when the command added entries."""
-    path = args.cache
-    if path:
-        _check_path(path)
-    table = load_cache(path) if path and os.path.exists(path) else VolumeTable()
-    known = len(table.signatures())
-    yield table
-    if path and len(table.signatures()) > known:
-        save_cache(table, path)
+def _open_table(args) -> VolumeTable:
+    """The command's volume table: empty, or read from the ``--cache`` file.
+    No command writes that file; ``table --out`` is the only writer."""
+    if args.cache is None:
+        return VolumeTable()
+    _check_path(args.cache, "--cache")
+    return load_cache(args.cache)
 
 
 # ----------------------------------------------------------------------
@@ -225,8 +222,8 @@ def cmd_volume(args) -> int:
     if not is_stable(g, n):
         raise UsageError(f"({g},{n}) is not a stable signature")
     values = None if args.lengths is None else _parse_lengths(args.lengths, n)
-    with _cached_table(args) as table:
-        poly = table.volume(g, n) if args.internal_convention else table.true_volume(g, n)
+    table = _open_table(args)
+    poly = table.volume(g, n) if args.internal_convention else table.true_volume(g, n)
     if values is not None:
         exact = poly.eval_rational(values)
         try:
@@ -282,6 +279,7 @@ def cmd_intersect(args) -> int:
         raise UsageError(f"the kappa_1 power --kappa must be non-negative, got {args.kappa}")
     if not is_stable(g, n):
         raise UsageError(f"({g},{n}) is not a stable signature")
+    table = _open_table(args)
     d = moduli_dim(g, n)
     m = d - sum(alpha)
     if args.kappa is not None and args.kappa != m:
@@ -299,8 +297,7 @@ def cmd_intersect(args) -> int:
             file=sys.stderr,
         )
         return 0
-    with _cached_table(args) as table:
-        value = intersection_number(table, g, alpha)
+    value = intersection_number(table, g, alpha)
     print(f"kappa-normalized: {rat_to_str(value.kappa)}  (kappa_1 power {value.m})")
     print(f"omega-normalized: {value.omega.as_str()}")
     return 0
@@ -309,8 +306,7 @@ def cmd_intersect(args) -> int:
 def cmd_compact(args) -> int:
     if args.g < 2:
         raise UsageError("closed-surface volumes need genus >= 2")
-    with _cached_table(args) as table:
-        v = compact_volume(table, args.g)
+    v = compact_volume(_open_table(args), args.g)
     if args.format == "json":
         print(json.dumps({"g": args.g, "n": 0, "value": v.to_records()}, indent=2))
     elif args.format == "latex":
@@ -321,10 +317,10 @@ def cmd_compact(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _check_path(args.out)
-    with _cached_table(args) as table:
-        table.ensure(args.max_dim)
-        save_cache(table, args.out)
+    _check_path(args.out, "--out")
+    table = _open_table(args)
+    table.ensure(args.max_dim)
+    save_cache(table, args.out)
     print(f"wrote {len(table.signatures())} entries to {args.out}", file=sys.stderr)
     return 0
 
@@ -339,10 +335,10 @@ def cmd_diag_zograf(args) -> int:
             f"--gmax {args.gmax} is below the first genus {first} for --n {n}; "
             "the table would be empty"
         )
-    with _cached_table(args) as table:
-        print("# g  ratio V_{g,n}(0) / [(4 pi^2)^(2g+n-3) (2g+n-3)! / sqrt(g pi)]")
-        for g in range(first, args.gmax + 1):
-            print(f"{g}  {zograf_ratio(table, g, n):.6f}")
+    table = _open_table(args)
+    print("# g  ratio V_{g,n}(0) / [(4 pi^2)^(2g+n-3) (2g+n-3)! / sqrt(g pi)]")
+    for g in range(first, args.gmax + 1):
+        print(f"{g}  {zograf_ratio(table, g, n):.6f}")
     return 0
 
 
@@ -354,6 +350,8 @@ def cmd_verify(args) -> int:
             f"verify {args.relation} --max-dim {args.max_dim} checks no relation "
             "instance; use --max-dim 1 or more"
         )
+    # the kernel suite reads no table, so it ignores --cache
+    table = None if args.relation == "kernels" else _open_table(args)
     failures = 0
     results_json: list[dict] = []
 
@@ -372,29 +370,28 @@ def cmd_verify(args) -> int:
                     f"max_dev={rec['max_abs_dev']:.3e} tol={rec['tolerance']:.0e}"
                 )
 
-    if args.relation != "kernels":
+    if table is not None:
         relations = RELATIONS if args.relation == "all" else (args.relation,)
-        with _cached_table(args) as table:
-            table.ensure(args.max_dim)
-            for rel in relations:
-                records = run_relation_suite(table, rel, args.max_dim)
-                for rec in records:
-                    failures += 0 if rec.passed else 1
-                    if args.format == "json":
-                        results_json.append(rec.to_json())
-                    else:
-                        status = "PASS" if rec.passed else "FAIL"
-                        where = f"g={rec.g} n={rec.n}"
-                        if rec.alpha is not None:
-                            where += f" alpha={list(rec.alpha)}"
-                        line = f"{rec.relation} {status} {where}"
-                        if not rec.passed:
-                            line += f" lhs={rec.lhs} rhs={rec.rhs}"
-                        print(line)
-                print(
-                    f"# {rel}: {sum(r.passed for r in records)}/{len(records)} passed",
-                    file=sys.stderr,
-                )
+        table.ensure(args.max_dim)
+        for rel in relations:
+            records = run_relation_suite(table, rel, args.max_dim)
+            for rec in records:
+                failures += 0 if rec.passed else 1
+                if args.format == "json":
+                    results_json.append(rec.to_json())
+                else:
+                    status = "PASS" if rec.passed else "FAIL"
+                    where = f"g={rec.g} n={rec.n}"
+                    if rec.alpha is not None:
+                        where += f" alpha={list(rec.alpha)}"
+                    line = f"{rec.relation} {status} {where}"
+                    if not rec.passed:
+                        line += f" lhs={rec.lhs} rhs={rec.rhs}"
+                    print(line)
+            print(
+                f"# {rel}: {sum(r.passed for r in records)}/{len(records)} passed",
+                file=sys.stderr,
+            )
 
     if args.format == "json":
         print(json.dumps(results_json, indent=2))
@@ -413,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"wpvol {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cache", help="path of a persistent table cache (JSON)")
+    common.add_argument("--cache", help="table file to read volumes from; never written")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("volume", parents=[common], help="print a volume polynomial")

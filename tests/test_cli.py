@@ -394,14 +394,59 @@ def test_cache_untouched_by_warm_query(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["cache.json"]
 
 
-def test_cache_rewritten_when_query_adds_entries(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume", "1", "3"],
+        ["verify", "string", "--max-dim", "3"],
+        ["diag-zograf", "--gmax", "3"],
+        ["table", "--max-dim", "3", "--out", "out.json"],
+    ],
+    ids=["volume", "verify", "diag-zograf", "table"],
+)
+def test_cache_unchanged_when_a_command_computes_beyond_it(tmp_path, capsys, monkeypatch, argv):
+    # each of these rewrote the file with the entries it computed
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "table", "--max-dim", "1", "--out", "cache.json")
     path = tmp_path / "cache.json"
-    run(capsys, "table", "--max-dim", "1", "--out", str(path))
     assert "1,3" not in json.loads(path.read_text())["entries"]
-    code, _, _ = run(capsys, "volume", "1", "3", "--cache", str(path))
-    assert code == 0
-    assert "1,3" in json.loads(path.read_text())["entries"]
-    assert os.listdir(tmp_path) == ["cache.json"]
+    before = path.read_bytes(), path.stat().st_mtime_ns
+    code, out, err = run(capsys, *argv, "--cache", "cache.json")
+    assert code == 0 and (out or "wrote" in err)
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+    if argv[0] == "table":
+        assert "1,3" in json.loads((tmp_path / "out.json").read_text())["entries"]
+        assert sorted(os.listdir(tmp_path)) == ["cache.json", "out.json"]
+    else:
+        assert os.listdir(tmp_path) == ["cache.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume", "1", "2"],
+        ["intersect", "1", "2", "0"],
+        ["compact", "2"],
+        ["verify", "string", "--max-dim", "3"],
+        ["diag-zograf", "--gmax", "3"],
+    ],
+    ids=["volume", "intersect", "compact", "verify", "diag-zograf"],
+)
+def test_command_never_calls_the_table_writer(tmp_path, capsys, monkeypatch, argv):
+    # a failed write-back (a full disk, a read-only mount) exited 2 after the
+    # command had computed, and often printed, its answer
+    from wpvol import cli
+
+    cache = tmp_path / "cache.json"
+    run(capsys, "table", "--max-dim", "1", "--out", str(cache))
+    want = run(capsys, *argv)
+
+    def no_space(table, path):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "save_cache", no_space)
+    assert run(capsys, *argv, "--cache", str(cache))[:2] == want[:2]
+    assert want[0] == 0 and want[1]
 
 
 def test_table_out_leaves_no_temporary_file(tmp_path, capsys):
@@ -425,10 +470,21 @@ def test_table_out_through_a_symlink_writes_its_target(tmp_path, capsys):
     assert link.is_symlink() and os.readlink(link) == str(target)
     assert json.loads(target.read_text())["entries"]
     assert os.listdir(links) == ["link.json"] and os.listdir(targets) == ["target.json"]
-    # a link to a file the table adds entries to, given as --cache
-    code, _, _ = run(capsys, "volume", "1", "3", "--cache", str(link))
-    assert code == 0 and link.is_symlink()
-    assert "1,3" in json.loads(target.read_text())["entries"]
+
+
+def test_cache_through_a_symlink_is_read_and_kept(tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    run(capsys, "table", "--max-dim", "3", "--out", str(target))
+    link.symlink_to(target)
+    before = target.read_bytes(), target.stat().st_mtime_ns
+    code, out, _ = run(capsys, "volume", "1", "2", "--cache", str(link))
+    assert code == 0 and "1/4*pi^4" in out
+    # V_{1,4} is beyond the file: computed, not written back
+    code, out, _ = run(capsys, "volume", "1", "4", "--cache", str(link))
+    assert code == 0 and out
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert (target.read_bytes(), target.stat().st_mtime_ns) == before
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
 
 
 @pytest.mark.parametrize("kind", ["directory", "fifo"])
@@ -690,6 +746,15 @@ def forbid_table_work(monkeypatch):
     monkeypatch.setattr(VolumeTable, "_stored", no_work)
 
 
+def forbid_kernel_work(monkeypatch):
+    from wpvol import oracle
+
+    def no_work():
+        raise AssertionError("the kernel suite ran before the arguments were checked")
+
+    monkeypatch.setattr(oracle, "moment_validation_report", no_work)
+
+
 def test_negative_genus_rejected_before_work(capsys, monkeypatch):
     forbid_table_work(monkeypatch)
     code, _, err = run(capsys, "volume", "-1", "5")
@@ -740,6 +805,77 @@ def test_cache_in_missing_directory_rejected_before_work(tmp_path, capsys, monke
     assert_one_line_error(code, err, "does not exist")
     code, _, err = run(capsys, "table", "--max-dim", "2", "--out", str(path))
     assert_one_line_error(code, err, "does not exist")
+
+
+TABLE_COMMANDS = {
+    "volume": ["volume", "0", "4"],
+    "intersect": ["intersect", "1", "1"],
+    "compact": ["compact", "2"],
+    "verify-all": ["verify", "all", "--max-dim", "2"],
+    "verify-string": ["verify", "string", "--max-dim", "2"],
+    "diag-zograf": ["diag-zograf", "--gmax", "2"],
+    "table": ["table", "--max-dim", "1", "--out", "out.json"],
+}
+
+
+def write_bad_cache(tmp_path, kind):
+    path = tmp_path / "cache.json"
+    if kind == "not-json":
+        path.write_text("not a cache")
+    elif kind == "version-1":
+        from wpvol import cli
+
+        stamps = {"format": cli.CACHE_FORMAT, "version": 1, "convention": cli.CONVENTION}
+        path.write_text(json.dumps(dict(stamps, entries={})))
+    elif kind == "directory":
+        path.mkdir()
+    return path
+
+
+BAD_CACHE_WORDS = {
+    "missing": "No such file",
+    "not-json": "not a JSON file",
+    "version-1": "version 1",
+    "directory": "exists and is not a regular file",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_CACHE_WORDS))
+@pytest.mark.parametrize("command", sorted(TABLE_COMMANDS))
+def test_bad_cache_rejected_before_work(tmp_path, capsys, monkeypatch, command, kind):
+    # verify all ran the whole kernel suite, printing its PASS lines, and a
+    # missing file was created by the write-back
+    forbid_table_work(monkeypatch)
+    forbid_kernel_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    path = write_bad_cache(tmp_path, kind)
+    before = sorted(os.listdir(tmp_path))
+    code, out, err = run(capsys, *TABLE_COMMANDS[command], "--cache", "cache.json")
+    assert out == ""
+    assert_one_line_error(code, err, "cache.json", BAD_CACHE_WORDS[kind])
+    assert sorted(os.listdir(tmp_path)) == before
+    assert kind != "not-json" or path.read_text() == "not a cache"
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["table", "--max-dim", "1", "--out", ""], "--out"),
+        (["volume", "1", "1", "--cache", ""], "--cache"),
+        (["verify", "all", "--max-dim", "2", "--cache", ""], "--cache"),
+        (["table", "--max-dim", "1", "--out", "out.json", "--cache", ""], "--cache"),
+    ],
+    ids=["table-out", "volume-cache", "verify-cache", "table-cache"],
+)
+def test_empty_path_rejected_before_work(tmp_path, capsys, monkeypatch, argv, option):
+    # --out '' named no path in its error, and --cache '' acted as no --cache
+    forbid_table_work(monkeypatch)
+    forbid_kernel_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    assert_one_line_error(code, err, f"{option}: the path is empty")
+    assert os.listdir(tmp_path) == []
 
 
 def test_path_not_a_regular_file_rejected_before_work(tmp_path, capsys, monkeypatch):
@@ -825,13 +961,8 @@ def test_import_cli_does_not_load_numpy():
     ],
 )
 def test_negative_max_dim_rejected_before_work(tmp_path, capsys, monkeypatch, argv):
-    from wpvol import oracle
-
-    def no_kernel_work():
-        raise AssertionError("the kernel suite ran before the arguments were checked")
-
     forbid_table_work(monkeypatch)
-    monkeypatch.setattr(oracle, "moment_validation_report", no_kernel_work)
+    forbid_kernel_work(monkeypatch)
     cache = tmp_path / "cache.json"
     cache.write_text("not a cache")
     out = tmp_path / "table.json"
@@ -850,13 +981,8 @@ def test_relation_suite_without_instances_rejected_before_work(
     tmp_path, capsys, monkeypatch, relation
 ):
     # at --max-dim 0 no suite has an instance: a pass would check nothing
-    from wpvol import oracle
-
-    def no_kernel_work():
-        raise AssertionError("the kernel suite ran before the arguments were checked")
-
     forbid_table_work(monkeypatch)
-    monkeypatch.setattr(oracle, "moment_validation_report", no_kernel_work)
+    forbid_kernel_work(monkeypatch)
     cache = tmp_path / "cache.json"
     cache.write_text("not a cache")
     argv = ["verify", relation, "--max-dim", "0", "--cache", str(cache)]

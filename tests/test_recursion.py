@@ -341,6 +341,32 @@ def test_top_coefficient_matches_correlator(table):
         assert got == PiPoly.rational(want)
 
 
+def zograf_genus0(nmax):
+    """v_n with V_{0,n}(0) = (2 pi^2)^(n-3) v_n / (n-3)!, from Zograf's
+    genus-0 recursion, which reads no volume and no correlator."""
+    from math import comb
+
+    v = {3: Fraction(1)}
+    for n in range(4, nmax + 1):
+        v[n] = Fraction(1, 2) * sum(
+            Fraction(i * (n - i - 2), n - 1) * comb(n - 4, i - 1) * comb(n, i + 1)
+            * v[i + 2] * v[n - i]
+            for i in range(1, n - 2)
+        )
+    return v
+
+
+def test_genus0_constant_terms_match_zograf_recursion():
+    from math import factorial
+
+    v = zograf_genus0(12)
+    assert [v[n] for n in range(4, 9)] == [1, 5, 61, 1379, 49946]
+    table = VolumeTable()
+    table.ensure(9)
+    for n in range(4, 13):
+        assert table.coefficient(0, (0,) * n) * factorial(n - 3) == v[n] * 2 ** (n - 3)
+
+
 # ----------------------------------------------------------------------
 # determinism and serialization
 
