@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, prod
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import PiPoly, Rat, rat_to_str
 from .lpoly import LPoly
@@ -237,26 +237,32 @@ def check_dvv(table: VolumeTable, g: int, k: Sequence[int]) -> CheckRecord:
     Genus bookkeeping mirrors the recursion terms: the tau_i tau_j term
     sits at genus g-1, the split term sums over g_1 + g_2 = g, and the
     index-merging term stays at genus g.  Symbols off the stability or
-    degree conditions vanish.  The relation instantiates the recursion,
+    degree conditions vanish.  By the degree condition
+    i + |k_I| = 3g_1 - 2 + |I|, each split I has at most one non-zero g_1,
+    g_1 = (i + |k_I| - |I| + 2) / 3 when that is an integer in [0, g],
+    and only that one is summed.  The relation instantiates the recursion,
     so the base signatures (0,3) and (1,1) are out of scope.
     """
+    return _check_dvv(_memo_correlator(table), g, k)
+
+
+def _memo_correlator(table: VolumeTable) -> Callable[[int, Tuple[int, ...]], Rat]:
+    # psi_correlator memoized on (g, sorted alpha): it is symmetric in alpha
+    memo = lru_cache(maxsize=None)(lambda g, alpha: psi_correlator(table, g, alpha))
+    return lambda g, alpha: memo(g, tuple(sorted(alpha)))
+
+
+def _check_dvv(
+    correlator: Callable[[int, Tuple[int, ...]], Rat], g: int, k: Sequence[int]
+) -> CheckRecord:
+    # check_dvv reading <tau_alpha>_g as correlator(g, alpha), which a
+    # suite run shares across its instances
     k = tuple(k)
     n = len(k)
     k1, rest = k[0], k[1:]
-    lhs = _double_factorial(2 * k1 + 1) * psi_correlator(table, g, k)
+    lhs = _double_factorial(2 * k1 + 1) * correlator(g, k)
 
-    # label subsets of the rest come as sub-multisets, c_v of each distinct
-    # value v, standing for prod_v C(count_v, c_v) subsets
     counts = Counter(rest)
-    splits = [
-        (
-            tuple(v for v, c in zip(counts, cs) for _ in range(c)),
-            tuple(v for v, c in zip(counts, cs) for _ in range(counts[v] - c)),
-            prod(comb(counts[v], c) for v, c in zip(counts, cs)),
-        )
-        for cs in product(*(range(c + 1) for c in counts.values()))
-    ]
-
     rhs = Fraction(0)
     for kj, count in counts.items():
         if k1 + kj == 0:
@@ -265,21 +271,33 @@ def check_dvv(table: VolumeTable, g: int, k: Sequence[int]) -> CheckRecord:
         merged.remove(kj)
         rhs += count * Fraction(
             _double_factorial(2 * (k1 + kj) - 1), _double_factorial(2 * kj - 1)
-        ) * psi_correlator(table, g, [k1 + kj - 1] + merged)
+        ) * correlator(g, (k1 + kj - 1,) + tuple(merged))
 
-    half = Fraction(1, 2)
-    for i in range(k1 - 1):
-        j = k1 - 2 - i
-        w = half * _double_factorial(2 * i + 1) * _double_factorial(2 * j + 1)
-        if g >= 1:
-            rhs += w * psi_correlator(table, g - 1, (i, j) + rest)
-        for g1 in range(g + 1):
-            g2 = g - g1
-            for left, right, ways in splits:
-                a = psi_correlator(table, g1, (i,) + left)
+    if k1 >= 2:
+        # label subsets of the rest come as sub-multisets, c_v of each
+        # distinct value v, standing for prod_v C(count_v, c_v) subsets; each
+        # keeps |k_I| - |I| + 2, from which i fixes g_1
+        splits = []
+        for cs in product(*(range(c + 1) for c in counts.values())):
+            left = tuple(v for v, c in zip(counts, cs) for _ in range(c))
+            right = tuple(v for v, c in zip(counts, cs) for _ in range(counts[v] - c))
+            ways = prod(comb(counts[v], c) for v, c in zip(counts, cs))
+            splits.append((sum(left) - len(left) + 2, left, right, ways))
+
+        half = Fraction(1, 2)
+        for i in range(k1 - 1):
+            j = k1 - 2 - i
+            w = half * _double_factorial(2 * i + 1) * _double_factorial(2 * j + 1)
+            if g >= 1:
+                rhs += w * correlator(g - 1, (i, j) + rest)
+            for shift, left, right, ways in splits:
+                g1, r = divmod(i + shift, 3)
+                if r or not 0 <= g1 <= g:
+                    continue
+                a = correlator(g1, (i,) + left)
                 if not a:
                     continue
-                rhs += w * ways * a * psi_correlator(table, g2, (j,) + right)
+                rhs += w * ways * a * correlator(g - g1, (j,) + right)
 
     return CheckRecord("dvv", g, n, k, lhs == rhs, lhs, rhs)
 
@@ -390,6 +408,7 @@ def run_relation_suite(
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
     records: list[CheckRecord] = []
+    correlator = _memo_correlator(table)
     for g, n in iter_signatures(max_dim):
         d = moduli_dim(g, n)
         grows = moduli_dim(g, n + 1) <= max_dim
@@ -402,7 +421,7 @@ def run_relation_suite(
         elif relation == "dvv" and (g, n) not in {(0, 3), (1, 1)}:
             for k1 in range(d + 1):
                 for rest in _sorted_compositions(d - k1, n - 1):
-                    records.append(check_dvv(table, g, (k1,) + rest))
+                    records.append(_check_dvv(correlator, g, (k1,) + rest))
         elif relation == "do-string" and grows:
             records.append(check_do_string(table, g, n))
         elif relation == "do-dilaton" and grows:

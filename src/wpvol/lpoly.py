@@ -34,7 +34,6 @@ coefficient, for the volume check to reject.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .exact import PiPoly, Rat, rat_from_str, rat_to_str
@@ -159,12 +158,16 @@ class LPoly:
         """Exact evaluation at rational boundary lengths."""
         if len(values) != self.n:
             raise ValueError("need one value per variable")
-        vals = [Fraction(v) for v in values]
+        # L_i^(2a) for a <= weight, each computed once
+        squares = [Fraction(v) ** 2 for v in values]
+        powers = [[x**a for a in range(self.weight + 1)] for x in squares]
         acc: dict[int, Fraction] = {}
         for alpha, q in self._terms.items():
+            for row, a in zip(powers, alpha):
+                if a:
+                    q *= row[a]
             k = self.weight - sum(alpha)
-            scalar = prod((v ** (2 * a) for v, a in zip(vals, alpha)), start=q)
-            acc[k] = acc.get(k, 0) + scalar
+            acc[k] = acc.get(k, 0) + q
         return PiPoly(acc)
 
     # ------------------------------------------------------------------

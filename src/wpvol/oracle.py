@@ -19,17 +19,20 @@ the bound drops below 1e-13.
 
 Both quadratures use one rule: P equal panels of width h = T/P with
 the same 24 Gauss-Legendre nodes, node (p, k) at (p + u_k) h.  The
-double moments G_{i,j} share their integrand H(x+y, t) for a fixed t, and
-on that rule H at a node pair depends only on the panel-index sum p + q
-and the in-panel nodes k, l.  :func:`quad_double_moments` therefore
+24-point rule comes from Newton's method on the Legendre polynomial P_24,
+evaluated by its three-term recurrence, once at import.  The double
+moments G_{i,j} share their integrand H(x+y, t) for a fixed t, and on
+that rule H at a node pair depends only on the panel-index sum p + q and
+the in-panel nodes k, l.  :func:`quad_double_moments` therefore
 evaluates H once per panel-index sum, on 2P - 1 blocks of 24 x 24
 points, and contracts the block-Hankel matrix they form with every
-pair's weights; the N x N grid of node pairs is never formed.  T is the
-largest truncation of the requested pairs and so is shared per (t, pair
-set), while each pair's tail is bounded at that T with its own (i, j);
-every bound decreases in T beyond 2(2 max(i,j)+1) <= 22, well below any
-truncation, so it stays under 1e-13.  A one-pair call uses the pair's own
-T.
+pair's weights; the N x N grid of node pairs is never formed.  H is
+built in the block array itself, with one more buffer of its size for
+the second fermi term.  T is the largest truncation of the requested
+pairs and so is shared per (t, pair set), while each pair's tail is
+bounded at that T with its own (i, j); every bound decreases in T beyond
+2(2 max(i,j)+1) <= 22, well below any truncation, so it stays under
+1e-13.  A one-pair call uses the pair's own T.
 """
 from __future__ import annotations
 
@@ -52,7 +55,24 @@ __all__ = [
 ]
 
 _NODES = 24  # Gauss-Legendre nodes per panel
-_X0, _W0 = np.polynomial.legendre.leggauss(_NODES)  # on [-1, 1]
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], nodes ascending: Newton's
+    method on P_n from the guesses cos(pi (m - 1/4) / (n + 1/2)), with P_n
+    and P_n' from the three-term recurrence.  Six steps reach the float
+    fixed point for n = 24."""
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(6):
+        p0, p1 = np.ones_like(x), x
+        for m in range(2, n + 1):
+            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+_X0, _W0 = _gauss_legendre(_NODES)
 _U0 = (1.0 + _X0) / 2.0  # the nodes on [0, 1]
 _PANEL = 8.0  # coarse panel width; the refined pass halves it
 _LOG_TAIL_TARGET = math.log(1e-13)
@@ -126,6 +146,15 @@ def kernel_h(x: np.ndarray, y) -> np.ndarray:
     return h
 
 
+def _h_in_place(a: np.ndarray, t: float) -> None:
+    # overwrites a with H(a, t) = fermi(a + t) + fermi(a - t), using one more
+    # buffer of a's size, freed on return
+    below = np.subtract(a, t)
+    a += t
+    _fermi(a)
+    a += _fermi(below)
+
+
 def _log_cosh(u: np.ndarray) -> np.ndarray:
     u = np.abs(u)
     return u - math.log(2.0) + np.log1p(np.exp(-2.0 * u))
@@ -187,8 +216,9 @@ def quad_double_moments(pairs: list[tuple[int, int]], t: float) -> list[QuadResu
         count, x, w = _panel_rule(T, width)
         h = T / count
         # H at node pair ((p, k), (q, l)) is blocks[p + q, k, l]
-        sums = np.arange(2 * count - 1, dtype=float)[:, None, None] + _U0[:, None] + _U0
-        blocks = kernel_h(sums * h, t)
+        blocks = np.arange(2 * count - 1, dtype=float)[:, None, None] + _U0[:, None] + _U0
+        blocks *= h
+        _h_in_place(blocks, t)
         f = np.stack([w * x ** (2 * e + 1) for e in powers])
         fg = np.empty_like(f)
         for q in range(count):

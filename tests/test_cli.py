@@ -952,6 +952,22 @@ def test_import_cli_does_not_load_numpy():
     assert out.strip() == "[]"
 
 
+def test_oracle_does_not_load_numpy_polynomial():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    # the oracle's Gauss-Legendre rule is its own: importing numpy.polynomial
+    # and running leggauss's LAPACK eigenvalue solve cost about 1.9 MB of RSS
+    probe = (
+        "import sys, wpvol.oracle as o; "
+        "o.moment_validation_report(); o.kernel_identity_report(); "
+        "print('numpy' in sys.modules, 'numpy.polynomial' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "True False"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -161,6 +163,63 @@ def test_dvv_genus_two(table):
     rec = check_dvv(table, 2, (4,))
     assert rec.passed
     assert rec.lhs == "105/128"  # 9!! / 1152
+
+
+def reference_dvv(table, g, k):
+    """(lhs, rhs) of the DVV relation with every split summed over all
+    g_1 in 0..g, through plain psi_correlator.  Subsets of the rest come as
+    sub-multisets, c_v of each distinct value v, standing for
+    prod_v C(count_v, c_v) subsets."""
+    k1, rest = k[0], k[1:]
+    lhs = double_factorial(2 * k1 + 1) * psi_correlator(table, g, k)
+    counts = Counter(rest)
+    splits = [
+        (
+            tuple(v for v, c in zip(counts, cs) for _ in range(c)),
+            tuple(v for v, c in zip(counts, cs) for _ in range(counts[v] - c)),
+            math.prod(math.comb(counts[v], c) for v, c in zip(counts, cs)),
+        )
+        for cs in product(*(range(c + 1) for c in counts.values()))
+    ]
+    rhs = Fraction(0)
+    for pos, kj in enumerate(rest):
+        if k1 + kj:
+            others = rest[:pos] + rest[pos + 1 :]
+            rhs += Fraction(
+                double_factorial(2 * (k1 + kj) - 1), double_factorial(2 * kj - 1)
+            ) * psi_correlator(table, g, (k1 + kj - 1,) + others)
+    for i in range(k1 - 1):
+        j = k1 - 2 - i
+        w = Fraction(double_factorial(2 * i + 1) * double_factorial(2 * j + 1), 2)
+        if g >= 1:
+            rhs += w * psi_correlator(table, g - 1, (i, j) + rest)
+        for g1 in range(g + 1):
+            for left, right, ways in splits:
+                rhs += (
+                    w
+                    * ways
+                    * psi_correlator(table, g1, (i,) + left)
+                    * psi_correlator(table, g - g1, (j,) + right)
+                )
+    return lhs, rhs
+
+
+def double_factorial(m):
+    return math.prod(range(m, 0, -2))
+
+
+def test_dvv_records_match_the_full_genus_sum():
+    # the suite sums one g_1 per split and memoizes correlators; the
+    # reference sums every g_1
+    t = VolumeTable()
+    t.ensure(8)
+    records = run_relation_suite(t, "dvv", 8)
+    assert len(records) == 480
+    for rec in records:
+        lhs, rhs = reference_dvv(t, rec.g, rec.alpha)
+        assert (rec.lhs_value, rec.rhs_value) == (lhs, rhs), (rec.g, rec.alpha)
+        assert rec.passed
+        assert check_dvv(t, rec.g, rec.alpha) == rec
 
 
 # ----------------------------------------------------------------------
