@@ -135,7 +135,8 @@ def load_cache(path: str) -> VolumeTable:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except ValueError as exc:
+        # nesting deeper than the parser's recursion limit
+        except (ValueError, RecursionError) as exc:
             raise UsageError(f"{path}: not a JSON file: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
         raise UsageError(f"{path}: not a recognized volume table cache")

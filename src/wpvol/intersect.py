@@ -43,10 +43,10 @@ from math import comb, factorial, prod
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import PiPoly, Rat, rat_to_str
-from .lpoly import LPoly
+from .lpoly import LPoly, grlex_key
 from .recursion import (
     VolumeTable,
-    _expand,
+    _orderings,
     exponent_tuples,
     is_stable,
     iter_signatures,
@@ -157,11 +157,16 @@ def _side_str(side: Union[Rat, LPoly]) -> str:
         return rat_to_str(side)
     if side.is_zero():
         return "0"
-    # a polynomial side is held on its fully sorted keys
-    p = _expand(side, 0)
+    # a polynomial side is held on its fully sorted keys: each key's
+    # coefficient is written once and shown at every ordering of the key
+    memo: dict = {}
+    text = {}
+    for key, _ in side.items():
+        coeff = side.pi_coefficient(key).as_str()
+        for alpha in _orderings(key, memo):
+            text[alpha] = coeff
     return "; ".join(
-        f"L^{list(alpha)}: {p.pi_coefficient(alpha).as_str()}"
-        for alpha, _ in p.sorted_items()
+        f"L^{list(alpha)}: {text[alpha]}" for alpha in sorted(text, key=grlex_key)
     )
 
 

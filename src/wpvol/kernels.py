@@ -1,27 +1,19 @@
 """The McShane-Mirzakhani kernel and its exact moment polynomials.
 
-The kernel is the rational exponential function
-
-    H(x, y) = 1/(1 + e^((x+y)/2)) + 1/(1 + e^((x-y)/2)),
-
-together with the companion functions D and R on R^3 whose x-derivatives
-reduce to H.  The volume recursion only ever consumes two moment
-integrals of H, both even polynomials in t, and this module holds them
-exactly; no float is computed here:
+The kernel is H(x, y) = 1/(1 + e^((x+y)/2)) + 1/(1 + e^((x-y)/2)); it,
+and the companion functions D and R whose x-derivatives reduce to it,
+are evaluated only by :mod:`wpvol.oracle`.  Mirzakhani's recursion
+integrates two moments of H, held here exactly (no float is computed):
 
     F_{2k+1}(t) = int_0^oo x^(2k+1) H(x, t) dx
+                = (2k+1)! sum_{m=0}^{k+1} r_{k+1-m} pi^(2(k+1-m)) t^(2m) / (2m)!
     G_{i,j}(t)  = int_0^oo int_0^oo x^(2i+1) y^(2j+1) H(x+y, t) dx dy
+                = (2i+1)! (2j+1)! / (2i+2j+3)! F_{2i+2j+3}     (Beta integral)
 
-F has exact closed form
-
-    F_{2k+1}(t) = (2k+1)! * sum_{i=0}^{k+1}
-                  zeta(2i) (2^(2i+1) - 4) t^(2(k+1-i)) / (2(k+1-i))!
-
-with zeta(0) = -1/2, and G reduces to F through the Beta integral:
-G_{i,j} = (2i+1)! (2j+1)! / (2i+2j+3)! * F_{2i+2j+3}.  Both closed forms
-are validated against independent quadrature in the test suite before
-anything downstream relies on them.  H, D and R themselves are evaluated
-only by :mod:`wpvol.oracle`.
+Both reduce to the rational constants r_i = (2^(2i+1) - 4) zeta(2i) /
+pi^(2i) of :func:`moment_constant`, r_0 = 1 from zeta(0) = -1/2, which
+are all the recursion reads.  The test suite checks F and G against
+independent quadrature.
 """
 from __future__ import annotations
 
@@ -33,10 +25,20 @@ from .exact import zeta_even
 from .lpoly import LPoly
 
 __all__ = [
+    "moment_constant",
     "h_moment",
     "h_double_moment",
     "shift_symmetrize",
 ]
+
+
+@lru_cache(maxsize=None)
+def moment_constant(i: int) -> Fraction:
+    """The rational r_i = (2^(2i+1) - 4) zeta(2i) / pi^(2i), positive for
+    every i >= 0: r_0 = 1, r_1 = 2/3, r_2 = 14/45, r_3 = 124/945."""
+    if i < 0:
+        raise ValueError("moment index must be non-negative")
+    return (2 ** (2 * i + 1) - 4) * zeta_even(i).coefficient(i)
 
 
 @lru_cache(maxsize=None)
@@ -48,14 +50,11 @@ def h_moment(k: int) -> LPoly:
     """
     if k < 0:
         raise ValueError("moment index must be non-negative")
-    terms = {}
     f = factorial(2 * k + 1)
-    for i in range(k + 2):
-        m = k + 1 - i
-        # zeta(2i) is a rational multiple of pi^(2i), the power the weight implies
-        terms[(m,)] = zeta_even(i).coefficient(i) * Fraction(
-            f * (2 ** (2 * i + 1) - 4), factorial(2 * m)
-        )
+    terms = {
+        (m,): moment_constant(k + 1 - m) * Fraction(f, factorial(2 * m))
+        for m in range(k + 2)
+    }
     return LPoly(1, k + 1, terms)
 
 

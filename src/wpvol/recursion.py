@@ -9,41 +9,38 @@ where the three terms integrate kernel moments against volumes of the
 surfaces left after removing an embedded pair of pants containing the
 first boundary: A^con cuts off two boundaries of one surface of genus
 g-1, A^dcon splits the complement into two pieces, and B's pants
-contains a second boundary L_j.
+contains a second boundary L_j.  Base cases are V_{0,3} = 1 and the
+*halved* torus value V_{1,1} = pi^2/12 + L^2/48, which accounts for the
+elliptic involution; only :meth:`VolumeTable.true_volume` doubles it.
 
-Base cases are V_{0,3} = 1 and the *halved* torus value
-V_{1,1} = pi^2/12 + L^2/48.  The halving accounts for the elliptic
-involution; the recursion consumes the halved value everywhere, and
-:meth:`VolumeTable.true_volume` doubles only the (1,1) report.
+The coefficient of L^(2 alpha) in V_{g,n} is q pi^(2(3g-3+n-|alpha|)): an
+:class:`LPoly` stores q, and its weight 3g-3+n implies the power of pi.
+The terms run on [alpha] = q prod_i (2 alpha_i+1)!, the coefficient form
+of the recursion (arXiv:1108.0174), in which both kernel moments reduce
+to the constants r_i of :func:`wpvol.kernels.moment_constant`:
 
-Volumes and kernel moments are homogeneous in (L^2, pi^2), so the
-coefficient of L^(2 alpha) in V_{g,n} or in its derivative is
-q * pi^(2(3g-3+n-|alpha|)): an :class:`LPoly` stores the rational q and
-its weight 3g-3+n implies the power of pi.  The double moment is applied
-through its Beta reduction to F_{2(a+b)+3}, so input products are summed
-per (a + b, remaining exponents) before F is expanded.
+    A^con :  [m, rest]     += 1/2 r_(a+b+2-m) [a, b, rest]_{g-1,n+1}
+    A^dcon:  [m, rest]     += 1/2 r_(a+b+2-m) [a, rest1]_{g1} [b, rest2]_{g2}
+    B     :  [q, rest + s] += (2s+1) r_(a+1-q-s) [a, rest]_{g,n-1}
+
+Every index of r is at most 3g-3+n, and its top degree is DVV.
 
 V_{g,n} is symmetric in its labels, so :class:`VolumeTable` stores it
 only on the keys (a_1, a_2 >= ... >= a_n), one per orbit of the labels
 2..n, which the terms return and the table file holds.  Only ``volume``
-and ``true_volume`` expand; ``coefficient`` reads one stored term, and
-``items`` and ``to_entries`` give the stored form.
-
-The terms sum on Python ints and return their sums as (den, {key:
-numerator}).  Each input volume is read through its free-1 view, rest ->
-[(a, N (2a+1)!)] over D, the LCM of its denominators, which the table
-builds once per entry; A^con takes b out of each rest, once per distinct
-value.  A^dcon sums each splitting over D1 D2, brought to the LCM of
-those products; B sums over D times the kernel LCM.  ``_compute`` brings
-the three terms to one LCM and builds one ``Fraction`` per stored key,
-x / (den (2a_1+1)), which also integrates back.
+and ``true_volume`` expand.  The terms sum on Python ints and return
+(den, {key: x}).  Each input volume is read through its free-1 view,
+rest -> [(a, [alpha] D)] over D, the LCM of its denominators; A^con takes
+b out of each rest, once per distinct value, and A^dcon brings each
+splitting's D1 D2 to their LCM.  ``_compute`` brings the three terms to
+one LCM and builds one ``Fraction`` per stored key, x / (den prod_i
+(2 alpha_i+1)!), which also integrates back.
 
 Every entry, computed or loaded, passes :func:`validate_volume` in its
-stored form: weight 3g-3+n (which fixes every pi power), a positive
-coefficient at each orbit key equal to the one at its fully sorted key
-(L_1 against the other labels), and no term at any other key.  Symmetry
-in L_2..L_n holds by construction, since nothing else is stored.  A
-violation aborts; with exact arithmetic any mismatch is a logic bug.
+stored form: weight 3g-3+n, a positive coefficient at each orbit key
+equal to the one at its fully sorted key (L_1 against the other labels),
+and no term at any other key.  A violation aborts; with exact arithmetic
+any mismatch is a logic bug.
 """
 from __future__ import annotations
 
@@ -52,7 +49,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm, prod
 from typing import Iterator, Sequence, Tuple
 
-from .kernels import h_double_moment, h_moment, shift_symmetrize
+from .kernels import moment_constant
 from .lpoly import LPoly, MultiIndex, grlex_key
 
 __all__ = [
@@ -121,38 +118,21 @@ def stable_splittings(g: int, n: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]
     )
 
 
-def _over_lcm(pairs) -> Tuple[int, tuple]:
-    # (E, ((key, e), ...)) with e / E the rational at key, E the LCM of
-    # the denominators
-    den = lcm(*{q.denominator for _, q in pairs})
-    return den, tuple((key, q.numerator * (den // q.denominator)) for key, q in pairs)
+def _over_lcm(qs: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
+    # (E, (e, ...)) with e / E each rational of qs, E their denominators' LCM
+    den = lcm(*(q.denominator for q in qs))
+    return den, tuple(q.numerator * (den // q.denominator) for q in qs)
 
 
 @lru_cache(maxsize=None)
-def _double_moment_rationals(s: int) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
-    # (E, ((m, e), ...)) with (1/2) G_{a,b}(t) = (2a+1)! (2b+1)! sum_m (e/E)
-    # t^(2m) pi^(2(s+2-m)) for every a + b = s: by the Beta reduction
-    # G_{a,b} / ((2a+1)! (2b+1)!) depends on a + b only, so read it at a = 0
-    # and fold in the global 1/2
-    scale = Fraction(1, 2 * factorial(2 * s + 1))
-    return _over_lcm([(m, f * scale) for (m,), f in h_double_moment(0, s).items()])
+def _moment_row(top: int) -> Tuple[int, Tuple[int, ...]]:
+    # (E, (e_0, ..., e_top)) with r_i = e_i / E
+    return _over_lcm([moment_constant(i) for i in range(top + 1)])
 
 
-@lru_cache(maxsize=None)
-def _shifted_moment_rationals(a: int) -> Tuple[int, Tuple[Tuple[MultiIndex, int], ...]]:
-    # (E, (((r, s), e), ...)) for (F_{2a+1}(L1 + Lj) + F_{2a+1}(L1 - Lj)) / 2
-    # divided by the (2a+1)! that the free-1 view carries: its L1^(2r) Lj^(2s)
-    # coefficient is (2a+1)! (e/E) pi^(2(a+1-r-s))
-    scale = Fraction(1, factorial(2 * a + 1))
-    return _over_lcm([(rs, f * scale) for rs, f in shift_symmetrize(h_moment(a)).items()])
-
-
-def _common_kernels(kernels: dict) -> Tuple[int, dict]:
-    # kernels[k] = (E_k, ((key, e), ...)) brought over E = lcm of the E_k
-    den = lcm(*(e for e, _ in kernels.values()))
-    return den, {
-        k: [(key, e * (den // ek)) for key, e in row] for k, (ek, row) in kernels.items()
-    }
+def _odd_factorials(alpha: MultiIndex) -> int:
+    # prod_i (2 alpha_i + 1)!, which normalizes the coefficient at alpha
+    return prod(factorial(2 * a + 1) for a in alpha)
 
 
 def _descending(rest: MultiIndex) -> MultiIndex:
@@ -160,24 +140,19 @@ def _descending(rest: MultiIndex) -> MultiIndex:
 
 
 def _apply_double_moment(
-    sums: dict[MultiIndex, dict[int, int]], den: int
+    sums: dict[MultiIndex, dict[int, int]], den: int, d: int
 ) -> Numerators:
-    """Expand (1/2) G through F once per (a + b, rest) key.
-
-    ``sums[rest][s] / den`` is sum q (2a+1)! (2b+1)! over the input
-    products x^2a y^2b with a + b = s and labels 2..n carrying exponents
-    ``rest``.  Returns the term as integer numerators over one denominator.
-    """
-    e, kernels = _common_kernels(
-        {s: _double_moment_rationals(s) for row in sums.values() for s in row}
-    )
+    """[m, rest] = 1/2 sum_s r_(s+2-m) sums[rest][s] / den for m <= s + 2,
+    where ``sums[rest][s] / den`` sums the inputs [a, b, rest] with a + b = s
+    and s + 2 <= d = 3g-3+n."""
+    e, r = _moment_row(d)
     acc: dict[MultiIndex, int] = {}
     for rest, row in sums.items():
         for s, x in row.items():
-            for m, f in kernels[s]:
+            for m in range(s + 3):
                 key = (m,) + rest
-                acc[key] = acc.get(key, 0) + x * f
-    return den * e, acc
+                acc[key] = acc.get(key, 0) + x * r[s + 2 - m]
+    return 2 * den * e, acc
 
 
 def a_con_term(g: int, n: int, table: "VolumeTable") -> Numerators:
@@ -187,6 +162,7 @@ def a_con_term(g: int, n: int, table: "VolumeTable") -> Numerators:
     exponents in m contributes (1/2) coeff G_{a,b}(L_1) m; absent when
     (g-1, n+1) is unstable.  By symmetry it is the stored term at (a, b
     and m sorted): each stored rest gives one (b, m) per distinct value b.
+    Normalized, [m, rest] += 1/2 r_(a+b+2-m) [a, b, rest].
     """
     if g < 1 or not is_stable(g - 1, n + 1):
         return 1, {}
@@ -197,10 +173,9 @@ def a_con_term(g: int, n: int, table: "VolumeTable") -> Numerators:
             if i and stored[i - 1] == b:
                 continue
             row = sums.setdefault(stored[:i] + stored[i + 1 :], {})
-            fb = factorial(2 * b + 1)
             for a, x in p:
-                row[a + b] = row.get(a + b, 0) + x * fb
-    return _apply_double_moment(sums, den)
+                row[a + b] = row.get(a + b, 0) + x
+    return _apply_double_moment(sums, den, moduli_dim(g, n))
 
 
 def a_dcon_term(g: int, n: int, table: "VolumeTable") -> Numerators:
@@ -210,7 +185,8 @@ def a_dcon_term(g: int, n: int, table: "VolumeTable") -> Numerators:
     of terms with rests rest1 and rest2 stands for every way to deal the
     labels of the merged rest onto the pieces: prod_v C(count_v(rest),
     count_v(rest1)) of them.  A splitting's products are integers over
-    D1 D2, brought to the LCM of D1 D2 over all splittings.
+    D1 D2, brought to the LCM of D1 D2 over all splittings.  Normalized,
+    [m, rest] += 1/2 r_(a+b+2-m) [a, rest1]_{g1} [b, rest2]_{g2}.
     """
     views = [
         (table._free1_view(g1, k1 + 1), table._free1_view(g2, k2 + 1))
@@ -229,33 +205,34 @@ def a_dcon_term(g: int, n: int, table: "VolumeTable") -> Numerators:
                     wx = w * x
                     for b, y in p2:
                         row[a + b] = row.get(a + b, 0) + wx * y
-    return _apply_double_moment(sums, den)
+    return _apply_double_moment(sums, den, moduli_dim(g, n))
 
 
 def b_term(g: int, n: int, table: "VolumeTable") -> Numerators:
     """Second-boundary term, on the keys (a_1, a_2 >= ... >= a_n).
 
     For each j >= 2, terms x^2a m of V_{g,n-1} contribute coeff * shifted
-    F-moment in (L_1, L_j) times m.  The term L_1^2r L_j^2s m stands for
+    F-moment in (L_1, L_j) times m.  The term L_1^2q L_j^2s m stands for
     every j whose L_j carries s: as many as s occurs in the merged rest.
+    Normalized, [q, rest + s] += (2s+1) r_(a+1-q-s) [a, rest].
     """
     if n < 2:
         return 1, {}
     den, groups = table._free1_view(g, n - 1)
-    e, kernels = _common_kernels(
-        {a: _shifted_moment_rationals(a) for _, p in groups for a, _ in p}
-    )
+    e, r = _moment_row(moduli_dim(g, n))
     acc: dict[MultiIndex, int] = {}
     for rest, p in groups:
         placed: dict[int, Tuple[MultiIndex, int]] = {}
         for a, x in p:
-            for (r, s), f in kernels[a]:
+            for s in range(a + 2):
                 if s not in placed:
                     merged = _descending(rest + (s,))
-                    placed[s] = (merged, merged.count(s))
-                merged, count = placed[s]
-                key = (r,) + merged
-                acc[key] = acc.get(key, 0) + x * f * count
+                    placed[s] = (merged, merged.count(s) * (2 * s + 1))
+                merged, w = placed[s]
+                wx = w * x
+                for q in range(a + 2 - s):
+                    key = (q,) + merged
+                    acc[key] = acc.get(key, 0) + wx * r[a + 1 - q - s]
     return den * e, acc
 
 
@@ -273,11 +250,24 @@ def exponent_tuples(k: int, d: int, non_increasing: bool = False) -> list[MultiI
     return out
 
 
-def _orbit_keys(n: int, d: int) -> list[MultiIndex]:
-    # every (a_1, a_2 >= ... >= a_n) with |alpha| <= d
-    return [
-        (a,) + r for r in exponent_tuples(n - 1, d, True) for a in range(d - sum(r) + 1)
-    ]
+def _orbit_keys(n: int, d: int) -> Iterator[MultiIndex]:
+    # every (a_1, a_2 >= ... >= a_n) with |alpha| <= d, made one at a time:
+    # the rests in lexicographic order, each with a_1 = 0, 1, ...
+    rest = [0] * (n - 1)
+    while True:
+        total = sum(rest)
+        for a in range(d - total + 1):
+            yield (a,) + tuple(rest)
+        # the next rest raises the last exponent that stays within its
+        # predecessor and the weight, and zeroes those after it
+        for i in reversed(range(n - 1)):
+            if total < d and (i == 0 or rest[i] < rest[i - 1]):
+                rest[i] += 1
+                rest[i + 1 :] = [0] * (n - 2 - i)
+                break
+            total -= rest[i]
+        else:
+            return
 
 
 def _orderings(rest: MultiIndex, memo: dict) -> Tuple[MultiIndex, ...]:
@@ -323,8 +313,9 @@ def validate_volume(g: int, n: int, p: LPoly) -> LPoly:
     if p.weight != d:
         raise InvariantViolation(f"V_{{{g},{n}}} has weight {p.weight}, expected {d}")
     given = dict(p.items())
-    keys = _orbit_keys(n, d)
-    for key in keys:
+    # stops at the first missing key, so the work is bounded by the terms
+    orbit = set()
+    for key in _orbit_keys(n, d):
         q = given.get(key)
         if q is None:
             raise InvariantViolation(f"V_{{{g},{n}}} has no term at {key}")
@@ -334,8 +325,8 @@ def validate_volume(g: int, n: int, p: LPoly) -> LPoly:
         top = _descending(key)
         if top != key and given.get(top) != q:
             raise InvariantViolation(f"V_{{{g},{n}}} is not label-symmetric")
-    if len(given) != len(keys):
-        orbit = set(keys)
+        orbit.add(key)
+    if len(given) != len(orbit):
         alpha = min((a for a in given if a not in orbit), key=grlex_key)
         raise InvariantViolation(
             f"V_{{{g},{n}}} has a term at {alpha}, which is not a key "
@@ -395,16 +386,18 @@ class VolumeTable:
 
     def _free1_view(self, g: int, n: int) -> Tuple[int, list]:
         """V_{g,n}'s stored terms x^2a m(rest) as (D, [(rest, [(a, N
-        (2a+1)!), ...]), ...]) where the coefficient is N / D and D the LCM
-        of the denominators.  The terms read it; it is built on first read
-        and reused."""
+        prod_i (2 alpha_i+1)!), ...]), ...]) where the coefficient at alpha
+        = (a,) + rest is N / D and D the LCM of the denominators.  The terms
+        read it; it is built on first read and reused."""
         view = self._free1.get((g, n))
         if view is None:
-            den, terms = _over_lcm(list(self._stored(g, n).items()))
+            keys, qs = zip(*self._stored(g, n).items())
+            den, xs = _over_lcm(qs)
             groups: dict[MultiIndex, list[Tuple[int, int]]] = {}
-            for alpha, x in terms:
-                a = alpha[0]
-                groups.setdefault(alpha[1:], []).append((a, x * factorial(2 * a + 1)))
+            for alpha, x in zip(keys, xs):
+                groups.setdefault(alpha[1:], []).append(
+                    (alpha[0], x * _odd_factorials(alpha))
+                )
             view = self._free1[(g, n)] = (den, list(groups.items()))
         return view
 
@@ -425,8 +418,8 @@ class VolumeTable:
             raise ValueError(f"({g},{n}) is not a stable signature")
         if (g, n) in BASE_SIGNATURES:
             return validate_volume(g, n, base_volume(g, n))
-        # d/dL_1 (L_1 V) = A^con + A^dcon + B over one LCM; integrating back
-        # divides the L_1^(2a) term by 2a + 1
+        # d/dL_1 (L_1 V) = A^con + A^dcon + B, normalized, over one LCM;
+        # dividing by prod_i (2 alpha_i + 1)! also integrates back
         terms = (a_con_term(g, n, self), a_dcon_term(g, n, self), b_term(g, n, self))
         den = lcm(*(term_den for term_den, _ in terms))
         acc: dict[MultiIndex, int] = {}
@@ -434,7 +427,7 @@ class VolumeTable:
             c = den // term_den
             for key, x in sums.items():
                 acc[key] = acc.get(key, 0) + x * c
-        volume = {key: Fraction(x, den * (2 * key[0] + 1)) for key, x in acc.items()}
+        volume = {key: Fraction(x, den * _odd_factorials(key)) for key, x in acc.items()}
         return validate_volume(g, n, LPoly(n, moduli_dim(g, n), volume))
 
     def ensure(self, max_dim: int) -> None:

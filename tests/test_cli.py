@@ -582,6 +582,37 @@ def test_cache_missing_a_term_rejected(tmp_path, capsys):
     assert_one_line_error(code, err, "has no term at (0, 0, 0, 0)")
 
 
+def test_cache_missing_every_term_of_a_large_entry_rejected_in_small_memory(
+    tmp_path, capsys
+):
+    # V_{0,44} has 1.4 million orbit keys; listing them all before checking
+    # the first took 0.7 GB, and 4 more labels cost about 2.5x more
+    import tracemalloc
+
+    from wpvol import cli
+
+    path = tmp_path / "cache.json"
+    stamps = {"format": cli.CACHE_FORMAT, "version": 2, "convention": cli.CONVENTION}
+    path.write_text(json.dumps(dict(stamps, entries={"0,44": []})))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out == ""
+    assert_one_line_error(code, err, f"V_{{0,44}} has no term at {(0,) * 44}")
+    assert peak < 1e6
+
+
+def test_cache_nested_past_the_recursion_limit_rejected(tmp_path, capsys):
+    path = tmp_path / "cache.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert out == ""
+    assert_one_line_error(code, err, f"{path}: not a JSON file")
+
+
 def test_cache_asymmetric_off_the_orbit_keys_rejected(tmp_path, capsys):
     # V_{0,5} with L_3^2 weighted unlike L_2^2: every key (a_1, a_2 >= ...
     # >= a_5) still holds the true coefficient, and the file holds no other

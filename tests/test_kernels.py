@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wpvol.exact import PiPoly
-from wpvol.kernels import h_double_moment, h_moment, shift_symmetrize
+from wpvol.kernels import h_double_moment, h_moment, moment_constant, shift_symmetrize
 from wpvol.lpoly import LPoly
 
 
@@ -29,6 +29,13 @@ def test_third_moment():
     # t^4/4 + 2 pi^2 t^2 + 28/15 pi^4
     want = LPoly(1, 2, {(2,): Fraction(1, 4), (1,): 2, (0,): Fraction(28, 15)})
     assert F(1) == want
+
+
+def test_moment_constants():
+    # r_i = (2^(2i+1) - 4) zeta(2i) / pi^(2i), with r_0 from zeta(0) = -1/2
+    got = [moment_constant(i) for i in range(4)]
+    assert got == [1, Fraction(2, 3), Fraction(14, 45), Fraction(124, 945)]
+    assert all(type(r) is Fraction for r in got)
 
 
 @pytest.mark.parametrize("k", range(9))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -39,9 +40,14 @@ def pi_view(p):
 
 def term_poly(term, g, n, table):
     """A recursion term's integer sums (den, {key: x}) at (g, n) as the
-    LPoly of the rationals x / den, with the weight 3g-3+n of V_{g,n}."""
+    LPoly of its L_1-derivative coefficients, with the weight 3g-3+n of
+    V_{g,n}: x / den is normalized by (2a_1)! prod_rest (2 beta+1)!."""
     den, sums = term(g, n, table)
-    return LPoly(n, moduli_dim(g, n), {key: Fraction(x, den) for key, x in sums.items()})
+    terms = {}
+    for key, x in sums.items():
+        rest = prod(factorial(2 * b + 1) for b in key[1:])
+        terms[key] = Fraction(x, den * factorial(2 * key[0]) * rest)
+    return LPoly(n, moduli_dim(g, n), terms)
 
 
 # ----------------------------------------------------------------------
