@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .exact import PiPoly, rat_to_str
+from .exact import PiPoly
 from .intersect import (
     RELATIONS,
     compact_volume,
@@ -54,7 +54,7 @@ class UsageError(Exception):
 
 
 def render_pipoly_latex(p: PiPoly) -> str:
-    if p.is_zero():
+    if not p:
         return "0"
     parts = []
     for k, q in p.items():
@@ -76,7 +76,7 @@ def _monomial_latex(alpha) -> str:
 
 
 def _render_lpoly(p: LPoly, render_coeff, render_mono, joiner: str) -> str:
-    if p.is_zero():
+    if not p:
         return "0"
     parts = []
     for alpha, _ in p.sorted_items():
@@ -239,7 +239,7 @@ def cmd_volume(args) -> int:
                     {
                         "g": g,
                         "n": n,
-                        "lengths": [rat_to_str(v) for v in values],
+                        "lengths": [str(v) for v in values],
                         "value": exact.to_records(),
                         "float": approx,
                     },
@@ -299,7 +299,7 @@ def cmd_intersect(args) -> int:
         )
         return 0
     value = intersection_number(table, g, alpha)
-    print(f"kappa-normalized: {rat_to_str(value.kappa)}  (kappa_1 power {value.m})")
+    print(f"kappa-normalized: {value.kappa}  (kappa_1 power {value.m})")
     print(f"omega-normalized: {value.omega.as_str()}")
     return 0
 

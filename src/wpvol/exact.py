@@ -1,9 +1,17 @@
-"""Exact scalar arithmetic: rationals, the ring Q[pi^2], Bernoulli numbers
-and zeta values at even integers.
+"""Exact scalar arithmetic: the ring Q[pi^2] and zeta values at even
+integers.
 
 Every quantity produced by the volume recursion is an exact element of
-Q[pi^2].  Floating point enters only through :func:`PiPoly.to_float`, the
-bridge used by the numeric oracle and the CLI.
+Q[pi^2]: a finite sum of rational multiples of pi^(2k), held by
+:class:`PiPoly`.  Floating point enters only through
+:func:`PiPoly.to_float`, the bridge used by the numeric oracle and the CLI.
+
+zeta(2i) is a rational multiple of pi^(2i); :func:`zeta_even` returns
+that rational, z_i = zeta(2i) / pi^(2i), from Euler's recurrence
+
+    z_0 = -1/2,  z_1 = 1/6,  z_i = 2/(2i+1) sum_{k=1}^{i-1} z_k z_(i-k),
+
+the identity sum_{k=1}^{i-1} zeta(2k) zeta(2i-2k) = (i + 1/2) zeta(2i).
 
 Nothing parses a :class:`PiPoly` from outside data.  Every value is
 computed by this package from zeta values and from volumes, which were
@@ -17,80 +25,26 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
 from typing import Iterator, Mapping, Optional, Tuple, Union
 
-__all__ = [
-    "Rat",
-    "PiPoly",
-    "bernoulli",
-    "zeta_even",
-    "rat_to_str",
-    "rat_from_str",
-]
-
-# Arbitrary-precision rational scalar.  fractions.Fraction already maintains
-# the canonical form we rely on everywhere: positive denominator and
-# gcd(|p|, q) = 1 after every operation.
-Rat = Fraction
+__all__ = ["PiPoly", "zeta_even"]
 
 Scalar = Union[int, Fraction]
 
 
-def rat_to_str(q: Rat) -> str:
-    """Serialize a rational as ``"p/q"`` (or ``"p"`` when q = 1), base 10."""
-    return str(q)
-
-
-def rat_from_str(s: str) -> Rat:
-    return Fraction(s)
-
-
 @lru_cache(maxsize=None)
-def bernoulli(m: int) -> Rat:
-    """Bernoulli number B_m, convention B_1 = -1/2.
-
-    Computed from the defining recurrence
-    ``sum_{k=0}^{m} C(m+1, k) B_k = 0`` with B_0 = 1, so that
-
-        B_m = -1/(m+1) * sum_{k<m} C(m+1, k) B_k.
-
-    Values are cached; only even indices are consumed downstream.
-    """
-    if m < 0:
-        raise ValueError("Bernoulli index must be non-negative")
-    if m == 0:
-        return Fraction(1)
-    if m > 2 and m % 2 == 1:
-        return Fraction(0)
-    acc = Fraction(0)
-    for k in range(m):
-        acc += comb(m + 1, k) * bernoulli(k)
-    return -acc / (m + 1)
-
-
-@lru_cache(maxsize=None)
-def zeta_even(i: int) -> "PiPoly":
-    """zeta(2i) as an exact element of Q[pi^2].
-
-    For i >= 1 this is the single monomial
-
-        zeta(2i) = (-1)^(i+1) B_{2i} (2 pi)^(2i) / (2 (2i)!),
-
-    e.g. zeta(2) = pi^2/6, zeta(4) = pi^4/90.  The value at i = 0 is the
-    analytic continuation zeta(0) = -1/2; the kernel moment closed forms
-    require exactly this convention.
-    """
+def zeta_even(i: int) -> Fraction:
+    """The rational zeta(2i) / pi^(2i), by Euler's recurrence: zeta(2) =
+    pi^2/6 gives 1/6, zeta(4) = pi^4/90 gives 1/90.  At i = 0 it is the
+    analytic continuation zeta(0) = -1/2, the convention the kernel moment
+    closed forms require."""
     if i < 0:
         raise ValueError("zeta_even index must be non-negative")
-    if i == 0:
-        return PiPoly.rational(Fraction(-1, 2))
-    q = (
-        Fraction((-1) ** (i + 1))
-        * bernoulli(2 * i)
-        * Fraction(2 ** (2 * i), 2 * factorial(2 * i))
+    if i < 2:
+        return (Fraction(-1, 2), Fraction(1, 6))[i]
+    return Fraction(2, 2 * i + 1) * sum(
+        zeta_even(k) * zeta_even(i - k) for k in range(1, i)
     )
-    return PiPoly.monomial(i, q)
 
 
 class PiPoly:
@@ -127,25 +81,12 @@ class PiPoly:
     # ------------------------------------------------------------------
     # inspection
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def items(self) -> Iterator[Tuple[int, Fraction]]:
         """Iterate (k, q) pairs in increasing pi-power order."""
         return iter(sorted(self._terms.items()))
-
-    def coefficient(self, k: int) -> Fraction:
-        return self._terms.get(k, Fraction(0))
-
-    def as_monomial(self) -> Optional[Tuple[int, Fraction]]:
-        """Return (k, q) if the value is exactly one term, else None."""
-        if len(self._terms) != 1:
-            return None
-        [(k, q)] = self._terms.items()
-        return k, q
 
     # ------------------------------------------------------------------
     # ring operations
@@ -179,9 +120,6 @@ class PiPoly:
             return self == PiPoly.rational(other)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
-
     # ------------------------------------------------------------------
     # bridges
 
@@ -198,7 +136,7 @@ class PiPoly:
     def to_records(self) -> list[dict]:
         """Serialize as a list of {pi_power, coeff} records (pi_power = 2k)."""
         return [
-            {"pi_power": 2 * k, "coeff": rat_to_str(q)} for k, q in self.items()
+            {"pi_power": 2 * k, "coeff": str(q)} for k, q in self.items()
         ]
 
     def __repr__(self) -> str:

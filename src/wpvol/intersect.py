@@ -42,12 +42,12 @@ from itertools import product
 from math import comb, factorial, prod
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .exact import PiPoly, Rat, rat_to_str
+from .exact import PiPoly
 from .lpoly import LPoly, grlex_key
 from .recursion import (
     VolumeTable,
     _orderings,
-    exponent_tuples,
+    _sorted_keys,
     is_stable,
     iter_signatures,
     moduli_dim,
@@ -92,7 +92,7 @@ class IntersectionValue(NamedTuple):
     """
 
     omega: PiPoly
-    kappa: Rat
+    kappa: Fraction
     m: int
 
 
@@ -119,7 +119,7 @@ def intersection_number(
     return IntersectionValue(PiPoly.monomial(m, q), q / 2**m, m)
 
 
-def psi_correlator(table: VolumeTable, g: int, alpha: Sequence[int]) -> Rat:
+def psi_correlator(table: VolumeTable, g: int, alpha: Sequence[int]) -> Fraction:
     """<tau_{a_1} ... tau_{a_n}>_g, zero unless sum(alpha) = 3g - 3 + n
     with (g, n) stable.  Symmetric in alpha."""
     alpha = tuple(alpha)
@@ -138,7 +138,7 @@ def psi_correlator(table: VolumeTable, g: int, alpha: Sequence[int]) -> Rat:
     )
 
 
-def genus0_correlator(alpha: Sequence[int]) -> Rat:
+def genus0_correlator(alpha: Sequence[int]) -> Fraction:
     """Closed form <tau_alpha>_0 = (n-3)! / prod alpha_i!, the multinomial
     coefficient for n - 3; zero off the degree condition |alpha| = n-3."""
     alpha = tuple(alpha)
@@ -152,10 +152,10 @@ def genus0_correlator(alpha: Sequence[int]) -> Rat:
 # relation checks
 
 
-def _side_str(side: Union[Rat, LPoly]) -> str:
+def _side_str(side: Union[Fraction, LPoly]) -> str:
     if not isinstance(side, LPoly):
-        return rat_to_str(side)
-    if side.is_zero():
+        return str(side)
+    if not side:
         return "0"
     # a polynomial side is held on its fully sorted keys: each key's
     # coefficient is written once and shown at every ordering of the key
@@ -181,8 +181,8 @@ class CheckRecord(NamedTuple):
     n: int
     alpha: Optional[Tuple[int, ...]]
     passed: bool
-    lhs_value: Union[Rat, LPoly]
-    rhs_value: Union[Rat, LPoly]
+    lhs_value: Union[Fraction, LPoly]
+    rhs_value: Union[Fraction, LPoly]
 
     @property
     def lhs(self) -> str:
@@ -251,14 +251,14 @@ def check_dvv(table: VolumeTable, g: int, k: Sequence[int]) -> CheckRecord:
     return _check_dvv(_memo_correlator(table), g, k)
 
 
-def _memo_correlator(table: VolumeTable) -> Callable[[int, Tuple[int, ...]], Rat]:
+def _memo_correlator(table: VolumeTable) -> Callable[[int, Tuple[int, ...]], Fraction]:
     # psi_correlator memoized on (g, sorted alpha): it is symmetric in alpha
     memo = lru_cache(maxsize=None)(lambda g, alpha: psi_correlator(table, g, alpha))
     return lambda g, alpha: memo(g, tuple(sorted(alpha)))
 
 
 def _check_dvv(
-    correlator: Callable[[int, Tuple[int, ...]], Rat], g: int, k: Sequence[int]
+    correlator: Callable[[int, Tuple[int, ...]], Fraction], g: int, k: Sequence[int]
 ) -> CheckRecord:
     # check_dvv reading <tau_alpha>_g as correlator(g, alpha), which a
     # suite run shares across its instances
@@ -309,7 +309,7 @@ def _check_dvv(
 
 def _at_two_pi_i(
     table: VolumeTable, g: int, beta: Tuple[int, ...], derivative: bool = False
-) -> Rat:
+) -> Fraction:
     # the L^(2 beta) coefficient of V_{g,n+1}(2 pi i, L), or with derivative of
     # Q(2 pi i, L) where dV/dL_1 = L_1 Q: L_1^(2a) becomes (-4)^a pi^(2a), and
     # 2a L_1^(2a-2) in Q
@@ -330,7 +330,7 @@ def check_do_string(table: VolumeTable, g: int, n: int) -> CheckRecord:
     of beta of count_v(beta) V_{g,n}[beta - e_v] / (2v)."""
     d = moduli_dim(g, n + 1)
     lhs, rhs = {}, {}
-    for b in exponent_tuples(n, d, non_increasing=True):
+    for b in _sorted_keys(n, d):
         lhs[b] = _at_two_pi_i(table, g, b)
         rhs[b] = sum(
             b.count(v) * table.coefficient(g, b[:i] + (v - 1,) + b[i + 1 :]) / (2 * v)
@@ -349,7 +349,7 @@ def check_do_dilaton(table: VolumeTable, g: int, n: int) -> CheckRecord:
     cancelled symbolically and the Q[pi^2] parts compared exactly.
     """
     d = moduli_dim(g, n)
-    keys = exponent_tuples(n, d, non_increasing=True)
+    keys = list(_sorted_keys(n, d))
     lhs = LPoly(n, d, {b: _at_two_pi_i(table, g, b, derivative=True) for b in keys})
     rhs = LPoly(n, d, {b: (2 * g - 2 + n) * table.coefficient(g, b) for b in keys})
     return CheckRecord("do-dilaton", g, n, None, lhs == rhs, lhs, rhs)
@@ -395,7 +395,7 @@ def _sorted_compositions(total: int, parts: int) -> list[Tuple[int, ...]]:
     """Non-increasing exponent tuples of the given length summing to
     total, in decreasing lexicographic order: one representative per orbit
     of the symmetric group."""
-    return [c for c in reversed(exponent_tuples(parts, total, True)) if sum(c) == total]
+    return [c for c in _sorted_keys(parts, total) if sum(c) == total][::-1]
 
 
 def run_relation_suite(

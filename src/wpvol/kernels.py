@@ -38,7 +38,7 @@ def moment_constant(i: int) -> Fraction:
     every i >= 0: r_0 = 1, r_1 = 2/3, r_2 = 14/45, r_3 = 124/945."""
     if i < 0:
         raise ValueError("moment index must be non-negative")
-    return (2 ** (2 * i + 1) - 4) * zeta_even(i).coefficient(i)
+    return (2 ** (2 * i + 1) - 4) * zeta_even(i)
 
 
 @lru_cache(maxsize=None)

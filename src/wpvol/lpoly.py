@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
 
-from .exact import PiPoly, Rat, rat_from_str, rat_to_str
+from .exact import PiPoly
 
 __all__ = ["MultiIndex", "LPoly", "grlex_key"]
 
@@ -83,16 +83,8 @@ class LPoly:
     def one(cls, n: int) -> "LPoly":
         return cls(n, 0, {(0,) * n: Fraction(1)})
 
-    @classmethod
-    def monomial(cls, n: int, alpha: Sequence[int], q: Union[Rat, int] = 1) -> "LPoly":
-        """The pure length monomial q * L^(2 alpha), of weight |alpha|."""
-        return cls(n, sum(alpha), {tuple(alpha): Fraction(q)})
-
     # ------------------------------------------------------------------
     # inspection
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -131,7 +123,7 @@ class LPoly:
     # ------------------------------------------------------------------
     # arithmetic
 
-    def scale(self, c: Union[Rat, int]) -> "LPoly":
+    def scale(self, c: Union[Fraction, int]) -> "LPoly":
         """Multiply every coefficient by the rational c."""
         return LPoly(self.n, self.weight, {a: q * c for a, q in self._terms.items()})
 
@@ -154,7 +146,7 @@ class LPoly:
     # ------------------------------------------------------------------
     # evaluation
 
-    def eval_rational(self, values: Sequence[Union[Rat, int]]) -> PiPoly:
+    def eval_rational(self, values: Sequence[Union[Fraction, int]]) -> PiPoly:
         """Exact evaluation at rational boundary lengths."""
         if len(values) != self.n:
             raise ValueError("need one value per variable")
@@ -183,7 +175,7 @@ class LPoly:
             {
                 "alpha": list(alpha),
                 "pi_power": 2 * (self.weight - sum(alpha)),
-                "coeff": rat_to_str(q),
+                "coeff": str(q),
             }
             for alpha, q in self.sorted_items()
         ]
@@ -229,7 +221,7 @@ class LPoly:
                     f"term {list(alpha)} has coefficient {coeff!r}, not a string"
                 )
             try:
-                terms[alpha] = rat_from_str(coeff)
+                terms[alpha] = Fraction(coeff)
             except ZeroDivisionError:
                 raise ValueError(
                     f"term {list(alpha)} has coefficient {coeff!r} with denominator 0"

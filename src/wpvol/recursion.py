@@ -64,7 +64,6 @@ __all__ = [
     "InvariantViolation",
     "validate_volume",
     "iter_signatures",
-    "exponent_tuples",
 ]
 
 BASE_SIGNATURES = {(0, 3), (1, 1)}
@@ -236,38 +235,31 @@ def b_term(g: int, n: int, table: "VolumeTable") -> Numerators:
     return den * e, acc
 
 
-def exponent_tuples(k: int, d: int, non_increasing: bool = False) -> list[MultiIndex]:
-    """Every k-tuple of non-negative exponents with sum at most d, in
-    lexicographic order; only the non-increasing ones if ``non_increasing``."""
-    out: list[MultiIndex] = [()]
-    for _ in range(k):
-        out = [
-            r + (e,)
-            for r in out
-            # at most the weight left, and the last exponent if non-increasing
-            for e in range(min(r[-1:] * non_increasing + (d - sum(r),)) + 1)
-        ]
-    return out
+def _sorted_keys(k: int, d: int) -> Iterator[MultiIndex]:
+    """Every non-increasing k-tuple of non-negative exponents with sum at
+    most d, in lexicographic order, made one at a time."""
+    key = [0] * k
+    while True:
+        total = sum(key)
+        yield tuple(key)
+        # the next key raises the last exponent that stays within its
+        # predecessor and the weight, and zeroes those after it
+        for i in reversed(range(k)):
+            if total < d and (i == 0 or key[i] < key[i - 1]):
+                key[i] += 1
+                key[i + 1 :] = [0] * (k - 1 - i)
+                break
+            total -= key[i]
+        else:
+            return
 
 
 def _orbit_keys(n: int, d: int) -> Iterator[MultiIndex]:
-    # every (a_1, a_2 >= ... >= a_n) with |alpha| <= d, made one at a time:
-    # the rests in lexicographic order, each with a_1 = 0, 1, ...
-    rest = [0] * (n - 1)
-    while True:
-        total = sum(rest)
-        for a in range(d - total + 1):
-            yield (a,) + tuple(rest)
-        # the next rest raises the last exponent that stays within its
-        # predecessor and the weight, and zeroes those after it
-        for i in reversed(range(n - 1)):
-            if total < d and (i == 0 or rest[i] < rest[i - 1]):
-                rest[i] += 1
-                rest[i + 1 :] = [0] * (n - 2 - i)
-                break
-            total -= rest[i]
-        else:
-            return
+    # every (a_1, a_2 >= ... >= a_n) with |alpha| <= d: the rests in
+    # lexicographic order, each with a_1 = 0, 1, ...
+    for rest in _sorted_keys(n - 1, d):
+        for a in range(d - sum(rest) + 1):
+            yield (a,) + rest
 
 
 def _orderings(rest: MultiIndex, memo: dict) -> Tuple[MultiIndex, ...]:
@@ -285,14 +277,12 @@ def _orderings(rest: MultiIndex, memo: dict) -> Tuple[MultiIndex, ...]:
     return out
 
 
-def _expand(stored: LPoly, fixed: int = 1) -> LPoly:
-    """The polynomial symmetric in all labels after the first ``fixed``
-    whose terms at keys non-increasing after them are those of ``stored``."""
+def _expand(stored: LPoly) -> LPoly:
+    """The polynomial symmetric in the labels 2..n whose terms at the keys
+    (a_1, a_2 >= ... >= a_n) are those of ``stored``."""
     memo: dict = {}
     terms = {
-        key[:fixed] + r: q
-        for key, q in stored.items()
-        for r in _orderings(key[fixed:], memo)
+        key[:1] + r: q for key, q in stored.items() for r in _orderings(key[1:], memo)
     }
     return LPoly(stored.n, stored.weight, terms)
 
@@ -438,15 +428,10 @@ class VolumeTable:
     # ------------------------------------------------------------------
     # serialization
 
-    def items(self) -> Iterator[Tuple[Tuple[int, int], LPoly]]:
-        """((g, n), V_{g,n} on its keys (a_1, a_2 >= ... >= a_n)) pairs in
-        canonical order, computing nothing."""
-        return ((sig, self._entries[sig]) for sig in self.signatures())
-
     def to_entries(self) -> dict[str, list[dict]]:
         """Canonically ordered map ``"g,n" -> term records`` of the
         stored form, each entry's records in graded-lex order."""
-        return {f"{g},{n}": p.to_records() for (g, n), p in self.items()}
+        return {f"{g},{n}": self._entries[g, n].to_records() for g, n in self.signatures()}
 
     @classmethod
     def from_entries(cls, entries: dict[str, list[dict]]) -> "VolumeTable":
@@ -461,5 +446,9 @@ class VolumeTable:
                     f"entry {key!r} is not a stable signature g,n with n >= 1"
                 )
             poly = LPoly.from_records(n, moduli_dim(g, n), records)
+            # only the records' keys bound n by the input: without one,
+            # validate_volume would build an n-long key to name it
+            if not poly:
+                raise ValueError(f"entry {key!r} holds no terms")
             table._entries[(g, n)] = validate_volume(g, n, poly)
         return table

@@ -593,7 +593,8 @@ def test_cache_missing_every_term_of_a_large_entry_rejected_in_small_memory(
 
     path = tmp_path / "cache.json"
     stamps = {"format": cli.CACHE_FORMAT, "version": 2, "convention": cli.CONVENTION}
-    path.write_text(json.dumps(dict(stamps, entries={"0,44": []})))
+    record = {"alpha": [0] * 44, "pi_power": 82, "coeff": "1"}
+    path.write_text(json.dumps(dict(stamps, entries={"0,44": [record]})))
     tracemalloc.start()
     try:
         code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
@@ -601,7 +602,29 @@ def test_cache_missing_every_term_of_a_large_entry_rejected_in_small_memory(
     finally:
         tracemalloc.stop()
     assert out == ""
-    assert_one_line_error(code, err, f"V_{{0,44}} has no term at {(0,) * 44}")
+    assert_one_line_error(code, err, f"V_{{0,44}} has no term at {(1,) + (0,) * 43}")
+    assert peak < 1e6
+
+
+def test_cache_entry_without_terms_rejected_before_any_key(tmp_path, capsys):
+    # no record bounds n: naming the first missing key of V_{0,10^6} wrote
+    # a 3 MB error line, and at n = 10^9 that key alone needs 8 GB
+    import tracemalloc
+
+    from wpvol import cli
+
+    path = tmp_path / "cache.json"
+    stamps = {"format": cli.CACHE_FORMAT, "version": 2, "convention": cli.CONVENTION}
+    path.write_text(json.dumps(dict(stamps, entries={"0,1000000": []})))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out == ""
+    assert_one_line_error(code, err, "entry '0,1000000' holds no terms")
+    assert len(err.encode()) < 200
     assert peak < 1e6
 
 

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpvol.exact import PiPoly, bernoulli, rat_from_str, rat_to_str, zeta_even
+from wpvol.exact import PiPoly, zeta_even
 
 
 # ----------------------------------------------------------------------
-# Bernoulli numbers
+# zeta at even integers
 
 
 def akiyama_tanigawa(n):
     """Independent oracle: B_0..B_n by the Akiyama-Tanigawa algorithm.
 
-    Produces the B_1 = +1/2 convention; even indices agree with ours.
+    Produces the B_1 = +1/2 convention; even indices are the usual B_2i.
     """
     a = [Fraction(0)] * (n + 1)
     out = []
@@ -28,50 +28,29 @@ def akiyama_tanigawa(n):
     return out
 
 
-def test_bernoulli_base_case():
-    assert bernoulli(0) == 1
-
-
-def test_bernoulli_small_values():
-    assert bernoulli(1) == Fraction(-1, 2)
-    assert bernoulli(2) == Fraction(1, 6)
-    assert bernoulli(12) == Fraction(-691, 2730)
-
-
-def test_bernoulli_against_independent_algorithm():
-    oracle = akiyama_tanigawa(30)
-    for m in range(0, 31, 2):
-        assert bernoulli(m) == oracle[m]
-
-
-def test_bernoulli_odd_vanish():
-    assert all(bernoulli(m) == 0 for m in range(3, 31, 2))
-
-
-def test_bernoulli_negative_rejected():
-    with pytest.raises(ValueError):
-        bernoulli(-1)
-
-
-# ----------------------------------------------------------------------
-# zeta at even integers
+def test_zeta_against_bernoulli_closed_form():
+    # zeta(2i) / pi^(2i) = (-1)^(i+1) B_2i 2^(2i-1) / (2i)!
+    bernoulli = akiyama_tanigawa(30)
+    for i in range(1, 16):
+        scale = Fraction(2 ** (2 * i - 1), math.factorial(2 * i))
+        assert zeta_even(i) == (-1) ** (i + 1) * bernoulli[2 * i] * scale
 
 
 def test_zeta_zero_is_minus_half():
-    assert zeta_even(0) == PiPoly.rational(Fraction(-1, 2))
+    assert zeta_even(0) == Fraction(-1, 2)
 
 
 def test_zeta_two_and_four():
-    assert zeta_even(1) == PiPoly.monomial(1, Fraction(1, 6))
-    assert zeta_even(2) == PiPoly.monomial(2, Fraction(1, 90))
+    assert zeta_even(1) == Fraction(1, 6)
+    assert zeta_even(2) == Fraction(1, 90)
 
 
 @pytest.mark.parametrize("i", range(1, 11))
 def test_zeta_is_single_monomial_of_degree_2i(i):
-    mono = zeta_even(i).as_monomial()
-    assert mono is not None
-    k, q = mono
-    assert k == i and q > 0
+    # zeta(2i) = q pi^(2i) with q rational, and 1 < zeta(2i) <= zeta(2)
+    q = zeta_even(i)
+    assert type(q) is Fraction
+    assert 1 < PiPoly.monomial(i, q).to_float() < 1.645
 
 
 @pytest.mark.parametrize("i", range(1, 9))
@@ -81,7 +60,7 @@ def test_zeta_float_matches_direct_sum(i):
     # integral tail estimate: sum_{n>N} n^(-s) ~ N^(1-s)/(s-1)
     tail = 1_000_000.0 ** (1 - 2 * i) / (2 * i - 1)
     direct = partial + tail
-    assert zeta_even(i).to_float() == pytest.approx(direct, rel=1e-8)
+    assert float(zeta_even(i)) * math.pi ** (2 * i) == pytest.approx(direct, rel=1e-8)
 
 
 # ----------------------------------------------------------------------
@@ -89,12 +68,12 @@ def test_zeta_float_matches_direct_sum(i):
 
 
 def test_additive_inverse_gives_empty_term_set():
-    z2 = zeta_even(1)
-    assert (z2 + (-1) * z2).is_zero()
+    z2 = PiPoly.monomial(1, zeta_even(1))
+    assert not z2 + (-1) * z2
 
 
 def test_monomial_product():
-    z2 = zeta_even(1)
+    z2 = PiPoly.monomial(1, zeta_even(1))
     assert z2 * z2 == PiPoly.monomial(2, Fraction(1, 36))
 
 
@@ -105,7 +84,7 @@ def test_scalar_multiple():
 
 def test_zero_coefficients_are_pruned():
     p = PiPoly({0: Fraction(0), 2: Fraction(3)})
-    assert p.as_monomial() == (2, Fraction(3))
+    assert list(p.items()) == [(2, Fraction(3))]
 
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -131,7 +110,8 @@ def test_to_float_zero():
 
 
 def test_to_float_zeta_two():
-    assert zeta_even(1).to_float() == pytest.approx(1.6449340668482264, rel=1e-12)
+    z2 = PiPoly.monomial(1, zeta_even(1))
+    assert z2.to_float() == pytest.approx(1.6449340668482264, rel=1e-12)
 
 
 def test_to_float_genus_two_compact_value():
@@ -142,10 +122,3 @@ def test_to_float_genus_two_compact_value():
 def test_to_float_overflow_signalled():
     with pytest.raises(OverflowError):
         PiPoly.rational(Fraction(10**400)).to_float()
-
-
-def test_rational_string_round_trip():
-    for q in (Fraction(3, 4), Fraction(-7), Fraction(0), Fraction(22, 7)):
-        assert rat_from_str(rat_to_str(q)) == q
-    assert rat_to_str(Fraction(5)) == "5"
-    assert rat_to_str(Fraction(-2, 3)) == "-2/3"

@@ -50,7 +50,7 @@ def test_genus_two_top_coefficient(table):
 
 
 def test_out_of_range_alpha_is_zero(table):
-    assert table.true_volume(0, 4).pi_coefficient((5, 0, 0, 0)).is_zero()
+    assert not table.true_volume(0, 4).pi_coefficient((5, 0, 0, 0))
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +95,7 @@ def test_top_degree_symbol_formula_agrees(table):
 
     for g, alpha in [(1, (1,)), (0, (1, 0, 0, 0)), (2, (4,)), (1, (0, 2))]:
         n = len(alpha)
-        c = table.true_volume(g, n).pi_coefficient(alpha).coefficient(0)
+        c = table.true_volume(g, n).coefficient(alpha)
         delta = 1 if (g, n) == (1, 1) else 0
         symbol = (
             c
@@ -238,7 +238,7 @@ def test_do_string_three_boundaries(table):
 def test_do_string_kills_torus_volume(table):
     # V_{1,1}(2 pi i) = 0: the string equation with no length left
     rec = check_do_string(table, 1, 0)
-    assert rec.passed and rec.lhs_value.is_zero() and rec.lhs == "0"
+    assert rec.passed and not rec.lhs_value and rec.lhs == "0"
 
 
 def test_do_dilaton_three_boundaries(table):

@@ -46,7 +46,8 @@ def test_moment_degree_and_positivity(k):
     assert max(m for (m,), _ in f.items()) == k + 1
     for (m,), q in f.items():
         assert q > 0
-    assert f.pi_coefficient((0,)).as_monomial()[0] == k + 1
+    [(power, _)] = f.pi_coefficient((0,)).items()
+    assert power == k + 1
 
 
 def test_double_moment_beta_reduction():
@@ -70,13 +71,13 @@ def test_double_moment_degree(i, j):
 
 
 def test_shift_symmetrize_quadratic():
-    t2 = LPoly.monomial(1, (1,))
+    t2 = LPoly(1, 1, {(1,): Fraction(1)})
     got = shift_symmetrize(t2)
     assert got == LPoly(2, 1, {(1, 0): 1, (0, 1): 1})
 
 
 def test_shift_symmetrize_quartic():
-    t4 = LPoly.monomial(1, (2,))
+    t4 = LPoly(1, 2, {(2,): Fraction(1)})
     got = shift_symmetrize(t4)
     want = LPoly(2, 2, {(2, 0): 1, (1, 1): 6, (0, 2): 1})
     assert got == want

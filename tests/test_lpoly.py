@@ -49,7 +49,7 @@ def test_key_beyond_weight_rejected():
 def test_pi_coefficient_carries_implied_power():
     assert v04().pi_coefficient((0, 0, 0, 0)) == PiPoly.monomial(1, 2)
     assert v04().pi_coefficient((1, 0, 0, 0)) == PiPoly.rational(Fraction(1, 2))
-    assert v04().pi_coefficient((5, 0, 0, 0)).is_zero()
+    assert not v04().pi_coefficient((5, 0, 0, 0))
 
 
 # ----------------------------------------------------------------------
