@@ -3,7 +3,7 @@ tautological intersection numbers extracted from their coefficients, and
 verification suites for the string, dilaton, Virasoro (DVV) and
 boundary-removal identities.
 
-The numpy quadrature oracle is not imported here; use ``wpvol.oracle``.
+The quadrature oracle is not imported here; use ``wpvol.oracle``.
 """
 
 __version__ = "0.1.0"

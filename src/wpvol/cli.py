@@ -357,7 +357,7 @@ def cmd_verify(args) -> int:
     results_json: list[dict] = []
 
     if args.relation in ("kernels", "all"):
-        # imported here so that only the oracle suite loads numpy
+        # imported here so that only the kernel suite loads the oracle
         from .oracle import kernel_identity_report, moment_validation_report
 
         for rec in moment_validation_report() + kernel_identity_report():

@@ -69,6 +69,15 @@ def test_tau4_genus_two(table):
     assert psi_correlator(table, 2, (4,)) == Fraction(1, 1152)
 
 
+def test_one_point_closed_form_to_genus_seven():
+    # <tau_{3g-2}>_g = 1/(24^g g!) is known in closed form, independently of
+    # the recursion; V_{7,1} is far above the dimension the suites reach
+    t = VolumeTable()
+    for g in range(1, 8):
+        got = intersection_number(t, g, (3 * g - 2,)).kappa
+        assert got == Fraction(1, 24**g * math.factorial(g)), g
+
+
 def test_degree_mismatch_vanishes(table):
     assert psi_correlator(table, 1, (2,)) == 0
     assert psi_correlator(table, 0, (0, 0)) == 0  # unstable

@@ -34,54 +34,70 @@ def exact_double_float(i, j, t):
 
 
 # ----------------------------------------------------------------------
-# the panel rule
+# the Gauss-Laguerre rule
 
 
-def test_gauss_legendre_rule_matches_numpy():
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    assert np.max(np.abs(oracle._X0 - nodes)) < 1e-14
-    assert np.max(np.abs(oracle._W0 - weights)) < 1e-14
+@pytest.mark.parametrize("n", oracle._SIZES)
+def test_gauss_laguerre_rule_matches_numpy(n):
+    # numpy's rule is for the weight e^(-x); the oracle's is for e^(-x/2)
+    nodes, weights = np.polynomial.laguerre.laggauss(n)
+    x, w, q = oracle._gauss_laguerre(n)
+    assert np.max(np.abs(np.array(x) / (2.0 * nodes) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.array(w) / (2.0 * weights) - 1.0)) < 1e-10
+    assert q == [math.exp(-a / 2.0) for a in x]
+
+
+@pytest.mark.parametrize("n", oracle._SIZES)
+def test_gauss_laguerre_rule_is_exact_to_degree_2n_minus_1(n):
+    # int_0^oo x^p e^(-x/2) dx = p! 2^(p+1); each term W_a x_a^p / (p! 2^(p+1))
+    # is built as a running product, since x_a^p alone overflows for large p
+    x, w, _ = oracle._gauss_laguerre(n)
+    terms = [wa / 2.0 for wa in w]
+    for p in range(2 * n):
+        if p:
+            terms = [term * xa / (2.0 * p) for term, xa in zip(terms, x)]
+        assert math.fsum(terms) == pytest.approx(1.0, rel=1e-13), p
 
 
 # ----------------------------------------------------------------------
-# array kernel evaluations
+# scalar kernel evaluations
 
 
 def test_h_at_origin():
-    assert kernel_h(np.zeros(3), np.zeros(3)) == pytest.approx(1.0, abs=1e-15)
+    assert kernel_h(0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 @settings(max_examples=60)
 @given(st.floats(-50, 50), st.floats(-50, 50))
 def test_h_even_in_second_argument(x, y):
-    x, y = np.array([x]), np.array([y])
     assert kernel_h(x, y) == pytest.approx(kernel_h(x, -y), rel=1e-12, abs=1e-300)
 
 
 def test_h_far_tail():
-    assert kernel_h(np.array([50.0]), 0.0) == pytest.approx(2.0 * math.exp(-25.0), rel=1e-10)
+    assert kernel_h(50.0, 0.0) == pytest.approx(2.0 * math.exp(-25.0), rel=1e-10)
 
 
 def test_h_no_overflow_for_huge_arguments():
-    # a RuntimeWarning from numpy fails the test suite
-    assert np.all(kernel_h(np.array([3000.0, -3000.0]), 10.0) >= 0.0)
-    assert np.all(np.isfinite(kernel_d(np.array([2900.0, -2900.0]), 100.0, 50.0)))
-    assert np.all(np.isfinite(kernel_r(np.array([2900.0, -2900.0]), 100.0, 50.0)))
+    # math.exp raises OverflowError past about 709, so every exp in the
+    # kernels must see a non-positive argument
+    assert kernel_h(3000.0, 10.0) >= 0.0
+    assert kernel_h(-3000.0, 10.0) == pytest.approx(2.0)
+    for x in (2900.0, -2900.0):
+        assert math.isfinite(kernel_d(x, 100.0, 50.0))
+        assert math.isfinite(kernel_r(x, 100.0, 50.0))
 
 
 def test_d_and_r_vanish_at_origin():
-    zero = np.zeros(3)
-    assert kernel_d(zero, zero, zero) == pytest.approx(0.0, abs=1e-15)
-    assert kernel_r(zero, zero, zero) == pytest.approx(0.0, abs=1e-15)
+    assert kernel_d(0.0, 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert kernel_r(0.0, 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 @settings(max_examples=80)
 @given(st.floats(0, 10), st.floats(0, 10), st.floats(0, 10))
 def test_gap_identity(x, y, z):
-    x, y, z = np.array([x]), np.array([y]), np.array([z])
     lhs = kernel_r(x, y, z) + kernel_r(x, z, y)
     rhs = x + kernel_d(x, y, z)
-    assert np.all(np.abs(lhs - rhs) < 1e-10)
+    assert abs(lhs - rhs) < 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +133,6 @@ def test_single_error_estimate_bounds_truth(k, t):
     ref = exact_moment_float(k, t)
     got = quad_moment(k, t)
     assert abs(got.value - ref) <= got.abs_err + 1e-14 * abs(ref)
-    assert got.truncation > t
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +165,7 @@ def test_double_error_estimate_bounds_truth(i, j, t):
 
 
 # ----------------------------------------------------------------------
-# batched double integral: one grid per (t, panel width) for every pair
+# batched double integral: one matrix per (t, rule size) for every pair
 
 
 @pytest.fixture(scope="module")
@@ -182,11 +197,13 @@ def test_batched_value_matches_one_pair_call(batched, i, j, t):
     assert batched[t][i, j].value == pytest.approx(quad_double_moment(i, j, t).value, rel=1e-12)
 
 
-def dense_double_moments(pairs, t, T):
-    """The fine pass on the full N x N grid of node pairs, as a reference
-    for the block-Hankel contraction on the same nodes."""
-    _, x, w = oracle._panel_rule(T, oracle._PANEL / 2.0)
-    grid = kernel_h(x[:, None] + x[None, :], t)
+def dense_double_moments(pairs, t):
+    """The reported rule's double sum with g evaluated at each node pair's
+    sum x_a + x_b, as a reference for the matrix built from products of
+    e^(-x/2) and contracted on the smaller power."""
+    x, w, _ = (np.array(v) for v in oracle._gauss_laguerre(oracle._SIZES[0]))
+    q = np.exp(-(x[:, None] + x[None, :]) / 2.0)
+    grid = 1.0 / (q + math.exp(t / 2.0)) + 1.0 / (q + math.exp(-t / 2.0))
     return {
         (i, j): float((w * x ** (2 * i + 1)) @ grid @ (w * x ** (2 * j + 1)))
         for i, j in pairs
@@ -195,15 +212,14 @@ def dense_double_moments(pairs, t, T):
 
 @pytest.mark.parametrize("t", REPORT_TS + (10.0,))
 def test_batched_matches_dense_grid(batched, t):
-    dense = dense_double_moments(REPORT_PAIRS, t, batched[t][0, 0].truncation)
+    dense = dense_double_moments(REPORT_PAIRS, t)
     for (i, j), got in batched[t].items():
         assert got.value == pytest.approx(dense[i, j], rel=1e-13), (i, j)
 
 
 def test_moment_report_never_forms_the_node_pair_grid():
-    # numpy allocations are traced; the fine pass's N x N grid alone is
-    # 20.7 MB at t = 5.  One fine-pass block array at t = 5 is 0.61 MB, and
-    # H is built in it with one more such buffer: four of them read 2.7 MB
+    # the report's largest object is one 96 x 96 matrix of g(x_a + x_b, t),
+    # about 0.3 MB of float objects
     tracemalloc.start()
     try:
         moment_validation_report()
@@ -220,14 +236,6 @@ def test_batched_symmetric_in_the_pair():
         assert got[i, j].value == pytest.approx(got[j, i].value, rel=1e-12), (i, j)
 
 
-@pytest.mark.parametrize("t", REPORT_TS + (10.0,))
-def test_batched_truncation_covers_every_pair(batched, t):
-    (shared,) = {got.truncation for got in batched[t].values()}
-    for i, j in REPORT_PAIRS:
-        own = oracle._truncation(lambda T: oracle._double_tail_log(T, i, j, t), max(i, j), t)
-        assert shared >= own, (i, j)
-
-
 def test_moment_report_records_pinned():
     """The record list verify kernels prints: 27 F and 63 G checks."""
     expected = [
@@ -241,6 +249,12 @@ def test_moment_report_records_pinned():
     assert report[0]["check"] == "F_1(0.0) quadrature"
     assert report[-1]["check"] == "G_{5,0}(5.0) quadrature"
     assert all(r["pass"] for r in report)
+
+
+def test_moment_report_deviations_far_below_the_gate():
+    # the Christoffel weights hold every record under 2e-14; the textbook
+    # weight z / (n L_{n-1}(z))^2 lets the G records drift to 3e-13
+    assert max(r["max_abs_dev"] for r in moment_validation_report()) < 1e-13
 
 
 # ----------------------------------------------------------------------
