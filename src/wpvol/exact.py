@@ -16,7 +16,7 @@ the identity sum_{k=1}^{i-1} zeta(2k) zeta(2i-2k) = (i + 1/2) zeta(2i).
 Nothing parses a :class:`PiPoly` from outside data.  Every value is
 computed by this package from zeta values and from volumes, which were
 checked where they entered (:meth:`wpvol.lpoly.LPoly.from_records` for
-cache records, :func:`wpvol.recursion.validate_volume` for every volume).
+cache records, the volume check of :mod:`wpvol.recursion` for every volume).
 The constructor therefore checks nothing and only drops zero
 coefficients.
 """

@@ -27,9 +27,9 @@ The constructor trusts its caller and only drops zero coefficients.  Each
 invariant is checked once, where its kind of data enters:
 :meth:`LPoly.from_records` checks records read from outside (integer
 exponents, keys of length n within the weight, the implied pi power, a
-rational coefficient), and :func:`wpvol.recursion.validate_volume` checks
-every volume, computed or loaded.  ``from_records`` keeps a zero
-coefficient, for the volume check to reject.
+rational coefficient), and the volume check of :mod:`wpvol.recursion`
+checks every volume, computed or loaded (a loaded one through
+``validate_volume``).  ``from_records`` keeps a zero coefficient for it.
 """
 from __future__ import annotations
 

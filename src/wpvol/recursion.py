@@ -27,27 +27,38 @@ Every index of r is at most 3g-3+n, and its top degree is DVV.
 
 V_{g,n} is symmetric in its labels, so :class:`VolumeTable` stores it
 only on the keys (a_1, a_2 >= ... >= a_n), one per orbit of the labels
-2..n, which the terms return and the table file holds.  Only ``volume``
-and ``true_volume`` expand.  The terms sum on Python ints and return
-(den, {key: x}).  Each input volume is read through its free-1 view,
-rest -> [(a, [alpha] D)] over D, the LCM of its denominators; A^con takes
-b out of each rest, once per distinct value, and A^dcon brings each
-splitting's D1 D2 to their LCM.  ``_compute`` brings the three terms to
-one LCM and builds one ``Fraction`` per stored key, x / (den prod_i
-(2 alpha_i+1)!), which also integrates back.
+2..n, which the terms return and the table file holds: integers N_0, N_1,
+... per rest = (a_2, ..., a_n), [(a,) + rest] = N_a / D reduced by gcd(D,
+all N).  The terms read them and return (den, {key: x}); over one LCM,
+x / den is [alpha] of V_{g,n}, as dividing by prod_i (2 alpha_i+1)! also
+integrates back.  An LPoly is built only when read, and only ``volume``
+and ``true_volume`` expand.
 
-Every entry, computed or loaded, passes :func:`validate_volume` in its
-stored form: weight 3g-3+n, a positive coefficient at each orbit key
-equal to the one at its fully sorted key (L_1 against the other labels),
-and no term at any other key.  A violation aborts; with exact arithmetic
-any mismatch is a logic bug.
+Convolutions are products of packed integers (Kronecker substitution,
+arXiv:0712.4046): a row x_a is X = sum_a x_a 2^(8wa), w bytes a slot.  A
+double moment out_m = sum_s x_s r_(s+2-m) is slot d+m-2 of X R, R = sum_j
+e_j 2^(8w(d-j)), r_j = e_j / E.  A^dcon writes prod_v C(count_v(rest),
+count_v(rest1)) as C(n-1, k1) mu(rest1) mu(rest2) / mu(rest), mu = |rest|!
+/ prod_v count_v!, dividing each merged row by mu(rest) once.  B reads q
+and s only through c_(q+s) = sum_a x_a r_(a+1-q-s), slot d+q+s-1 of X R.
+Packed values are positive, so a slot is at most the total summed into it:
+8w >= bound.bit_length() + 1 for bound = sum_j e_j times n sum N (A^con),
+the sum over splittings of the weight times (sum mu1 N1)(sum mu2 N2)
+(A^dcon), or (n-1)^2 (2d+1) max row sum (B).
+
+Every entry passes one check on its stored keys: weight 3g-3+n, a
+positive value at each orbit key equal to the one at its fully sorted key
+(L_1 against the other labels), and no term at any other key.  It reads N
+of a computed entry, or q of a loaded one through :func:`validate_volume`:
+the same check, as prod_i (2 alpha_i+1)! is symmetric.  A violation
+aborts; with exact arithmetic any mismatch is a logic bug.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
-from typing import Iterator, Sequence, Tuple
+from math import comb, factorial, gcd, lcm, prod
+from typing import Iterator, Sequence, Tuple, Union
 
 from .kernels import moment_constant
 from .lpoly import LPoly, MultiIndex, grlex_key
@@ -123,35 +134,38 @@ def _over_lcm(qs: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
     return den, tuple(q.numerator * (den // q.denominator) for q in qs)
 
 
-@lru_cache(maxsize=None)
-def _moment_row(top: int) -> Tuple[int, Tuple[int, ...]]:
-    # (E, (e_0, ..., e_top)) with r_i = e_i / E
-    return _over_lcm([moment_constant(i) for i in range(top + 1)])
-
-
 def _odd_factorials(alpha: MultiIndex) -> int:
     # prod_i (2 alpha_i + 1)!, which normalizes the coefficient at alpha
     return prod(factorial(2 * a + 1) for a in alpha)
 
 
-def _descending(rest: MultiIndex) -> MultiIndex:
-    return tuple(sorted(rest, reverse=True))
+@lru_cache(maxsize=None)
+def _orderings_count(rest: MultiIndex) -> int:
+    # mu(rest) = |rest|! / prod_v count_v(rest)!, the orderings of rest
+    return factorial(len(rest)) // prod(factorial(rest.count(v)) for v in set(rest))
 
 
-def _apply_double_moment(
-    sums: dict[MultiIndex, dict[int, int]], den: int, d: int
-) -> Numerators:
-    """[m, rest] = 1/2 sum_s r_(s+2-m) sums[rest][s] / den for m <= s + 2,
-    where ``sums[rest][s] / den`` sums the inputs [a, b, rest] with a + b = s
-    and s + 2 <= d = 3g-3+n."""
-    e, r = _moment_row(d)
-    acc: dict[MultiIndex, int] = {}
-    for rest, row in sums.items():
-        for s, x in row.items():
-            for m in range(s + 3):
-                key = (m,) + rest
-                acc[key] = acc.get(key, 0) + x * r[s + 2 - m]
-    return 2 * den * e, acc
+def _pack(row: Sequence[int], w: int) -> int:
+    # sum_i row[i] 2^(8 w i)
+    return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in row]), "little")
+
+
+def _unpack(sums: dict[MultiIndex, int], w: int, start: int, d: int) -> dict:
+    # {(m,) + rest: slot start + m of sums[rest]} for m <= d - |rest|
+    mask = (1 << 8 * w) - 1
+    return {
+        (m,) + rest: x >> 8 * w * (start + m) & mask
+        for rest, x in sums.items()
+        for m in range(d - sum(rest) + 1)
+    }
+
+
+def _moment_pack(d: int, bound: int) -> Tuple[int, int, int]:
+    # (E, w, sum_j e_j 2^(8w(d-j))) with r_j = e_j / E, and w the bytes per
+    # slot that keep a free top bit in a slot of at most bound sum_j e_j
+    e, r = _over_lcm([moment_constant(j) for j in range(d + 1)])
+    w = (max(bound, 1) * sum(r)).bit_length() // 8 + 1
+    return e, w, _pack(r[::-1], w)
 
 
 def a_con_term(g: int, n: int, table: "VolumeTable") -> Numerators:
@@ -165,46 +179,52 @@ def a_con_term(g: int, n: int, table: "VolumeTable") -> Numerators:
     """
     if g < 1 or not is_stable(g - 1, n + 1):
         return 1, {}
-    den, groups = table._free1_view(g - 1, n + 1)
-    sums: dict[MultiIndex, dict[int, int]] = {}
-    for stored, p in groups:
+    d, (den, groups) = moduli_dim(g, n), table._free1_view(g - 1, n + 1)
+    e, w, reverse = _moment_pack(d, n * sum(sum(row) for _, row in groups))
+    sums: dict[MultiIndex, int] = {}
+    for stored, row in groups:
+        x = _pack(row, w)
         for i, b in enumerate(stored):
-            if i and stored[i - 1] == b:
-                continue
-            row = sums.setdefault(stored[:i] + stored[i + 1 :], {})
-            for a, x in p:
-                row[a + b] = row.get(a + b, 0) + x
-    return _apply_double_moment(sums, den, moduli_dim(g, n))
+            if not i or stored[i - 1] != b:
+                rest = stored[:i] + stored[i + 1 :]
+                sums[rest] = sums.get(rest, 0) + (x << (8 * w * b))
+    sums = {rest: x * reverse for rest, x in sums.items()}
+    return 2 * den * e, _unpack(sums, w, d - 2, d)
 
 
 def a_dcon_term(g: int, n: int, table: "VolumeTable") -> Numerators:
     """Disconnected pants-removal term, on the keys (a_1, a_2 >= ... >= a_n).
 
-    Ordered stable splittings with the global 1/2 prefactor.  The product
-    of terms with rests rest1 and rest2 stands for every way to deal the
+    Ordered stable splittings with the global 1/2 prefactor, of which a
+    splitting and its mirror image give the same products.  The product of
+    terms with rests rest1 and rest2 stands for every way to deal the
     labels of the merged rest onto the pieces: prod_v C(count_v(rest),
     count_v(rest1)) of them.  A splitting's products are integers over
     D1 D2, brought to the LCM of D1 D2 over all splittings.  Normalized,
     [m, rest] += 1/2 r_(a+b+2-m) [a, rest1]_{g1} [b, rest2]_{g2}.
     """
-    views = [
-        (table._free1_view(g1, k1 + 1), table._free1_view(g2, k2 + 1))
-        for (g1, k1), (g2, k2) in stable_splittings(g, n)
-    ]
-    den = lcm(*(d1 * d2 for (d1, _), (d2, _) in views))
-    sums: dict[MultiIndex, dict[int, int]] = {}
-    for (d1, groups1), (d2, groups2) in views:
-        c = den // (d1 * d2)
-        for rest1, p1 in groups1:
-            for rest2, p2 in groups2:
-                rest = _descending(rest1 + rest2)
-                w = c * prod(comb(rest.count(v), rest1.count(v)) for v in set(rest1))
-                row = sums.setdefault(rest, {})
-                for a, x in p1:
-                    wx = w * x
-                    for b, y in p2:
-                        row[a + b] = row.get(a + b, 0) + wx * y
-    return _apply_double_moment(sums, den, moduli_dim(g, n))
+    d, view, views = moduli_dim(g, n), table._free1_view, []
+    for (g1, k1), (g2, k2) in stable_splittings(g, n):
+        if (g1, k1) <= (g2, k2):
+            c = comb(n - 1, k1) * (2 - ((g1, k1) == (g2, k2)))
+            views.append((c, view(g1, k1 + 1), view(g2, k2 + 1)))
+    den = lcm(*(d1 * d2 for _, (d1, _), (d2, _) in views))
+    splits = [(c * den // (d1 * d2), p1, p2) for c, (d1, p1), (d2, p2) in views]
+
+    def mass(groups):
+        return sum(_orderings_count(rest) * sum(row) for rest, row in groups)
+
+    e, w, reverse = _moment_pack(d, sum(c * mass(p1) * mass(p2) for c, p1, p2 in splits))
+    sums: dict[MultiIndex, int] = {}
+    for c, groups1, groups2 in splits:
+        packed2 = [(r2, _orderings_count(r2) * _pack(row, w)) for r2, row in groups2]
+        for rest1, row in groups1:
+            x = c * _orderings_count(rest1) * _pack(row, w)
+            for rest2, y in packed2:
+                rest = tuple(sorted(rest1 + rest2, reverse=True))
+                sums[rest] = sums.get(rest, 0) + x * y
+    sums = {rest: x // _orderings_count(rest) * reverse for rest, x in sums.items()}
+    return 2 * den * e, _unpack(sums, w, d - 2, d)
 
 
 def b_term(g: int, n: int, table: "VolumeTable") -> Numerators:
@@ -217,22 +237,18 @@ def b_term(g: int, n: int, table: "VolumeTable") -> Numerators:
     """
     if n < 2:
         return 1, {}
+    d = moduli_dim(g, n)
     den, groups = table._free1_view(g, n - 1)
-    e, r = _moment_row(moduli_dim(g, n))
-    acc: dict[MultiIndex, int] = {}
-    for rest, p in groups:
-        placed: dict[int, Tuple[MultiIndex, int]] = {}
-        for a, x in p:
-            for s in range(a + 2):
-                if s not in placed:
-                    merged = _descending(rest + (s,))
-                    placed[s] = (merged, merged.count(s) * (2 * s + 1))
-                merged, w = placed[s]
-                wx = w * x
-                for q in range(a + 2 - s):
-                    key = (q,) + merged
-                    acc[key] = acc.get(key, 0) + wx * r[a + 1 - q - s]
-    return den * e, acc
+    most = max(sum(row) for _, row in groups)
+    e, w, reverse = _moment_pack(d, (n - 1) ** 2 * (2 * d + 1) * most)
+    sums: dict[MultiIndex, int] = {}
+    for rest, row in groups:
+        c = _pack(row, w) * reverse
+        for s in range(len(row) + 1):
+            merged = tuple(sorted(rest + (s,), reverse=True))
+            x = merged.count(s) * (2 * s + 1) * (c >> (8 * w * (d - 1 + s)))
+            sums[merged] = sums.get(merged, 0) + x
+    return den * e, _unpack(sums, w, 0, d)
 
 
 def _sorted_keys(k: int, d: int) -> Iterator[MultiIndex]:
@@ -287,6 +303,29 @@ def _expand(stored: LPoly) -> LPoly:
     return LPoly(stored.n, stored.weight, terms)
 
 
+def _check(g: int, n: int, given: dict[MultiIndex, Union[int, Fraction]]) -> None:
+    # the invariants, on coefficients q or numerators N of [alpha] = N / D;
+    # stops at the first missing key, so the work is bounded by the terms
+    d = moduli_dim(g, n)
+    count = 0
+    for key in _orbit_keys(n, d):
+        q = given.get(key)
+        if q is None:
+            raise InvariantViolation(f"V_{{{g},{n}}} has no term at {key}")
+        if q.numerator <= 0:
+            raise InvariantViolation(f"V_{{{g},{n}}}: coefficient of {key} is not positive")
+        if n > 1 and key[0] < key[1]:
+            if given.get(tuple(sorted(key, reverse=True))) != q:
+                raise InvariantViolation(f"V_{{{g},{n}}} is not label-symmetric")
+        count += 1
+    if len(given) != count:
+        alpha = min(set(given) - set(_orbit_keys(n, d)), key=grlex_key)
+        raise InvariantViolation(
+            f"V_{{{g},{n}}} has a term at {alpha}, which is not a key "
+            f"(a_1, a_2 >= ... >= a_{n}) with |alpha| <= {d}"
+        )
+
+
 def validate_volume(g: int, n: int, p: LPoly) -> LPoly:
     """Check a volume polynomial's structural invariants on the keys
     (a_1, a_2 >= ... >= a_n), the form the table stores, and return it.
@@ -302,26 +341,7 @@ def validate_volume(g: int, n: int, p: LPoly) -> LPoly:
         raise InvariantViolation(f"V_{{{g},{n}}} has {p.n} variables, expected {n}")
     if p.weight != d:
         raise InvariantViolation(f"V_{{{g},{n}}} has weight {p.weight}, expected {d}")
-    given = dict(p.items())
-    # stops at the first missing key, so the work is bounded by the terms
-    orbit = set()
-    for key in _orbit_keys(n, d):
-        q = given.get(key)
-        if q is None:
-            raise InvariantViolation(f"V_{{{g},{n}}} has no term at {key}")
-        # a Fraction's denominator is positive
-        if q.numerator <= 0:
-            raise InvariantViolation(f"V_{{{g},{n}}}: coefficient of {key} is not positive")
-        top = _descending(key)
-        if top != key and given.get(top) != q:
-            raise InvariantViolation(f"V_{{{g},{n}}} is not label-symmetric")
-        orbit.add(key)
-    if len(given) != len(orbit):
-        alpha = min((a for a in given if a not in orbit), key=grlex_key)
-        raise InvariantViolation(
-            f"V_{{{g},{n}}} has a term at {alpha}, which is not a key "
-            f"(a_1, a_2 >= ... >= a_{n}) with |alpha| <= {d}"
-        )
+    _check(g, n, dict(p.items()))
     return p
 
 
@@ -344,26 +364,32 @@ def iter_signatures(max_dim: int) -> Iterator[Tuple[int, int]]:
 class VolumeTable:
     """Memoized map from (g, n) to the internal-convention volume.
 
-    Each entry is stored on its keys (a_1, a_2 >= ... >= a_n) only.
-    Entries are computed on demand, dependencies first, and validated
-    when computed or loaded.  Completed entries are immutable.
+    Each entry is stored on its keys (a_1, a_2 >= ... >= a_n) only, as the
+    integers the terms read; its LPoly is built when first read.  Entries
+    are computed on demand, dependencies first, and validated when
+    computed or loaded.  Completed entries are immutable.
     """
 
     def __init__(self):
-        self._entries: dict[Tuple[int, int], LPoly] = {}
-        self._free1: dict[Tuple[int, int], Tuple[int, list]] = {}
+        self._entries: dict[Tuple[int, int], Tuple[int, list]] = {}
+        # each entry's LPoly, as loaded or built when first read
+        self._polys: dict[Tuple[int, int], LPoly] = {}
 
     def __contains__(self, sig: Tuple[int, int]) -> bool:
-        return sig in self._entries
+        return sig in self._entries or sig in self._polys
 
     def signatures(self) -> list[Tuple[int, int]]:
-        return sorted(self._entries, key=lambda s: (moduli_dim(*s), s))
+        return sorted({*self._entries, *self._polys}, key=lambda s: (moduli_dim(*s), s))
 
     def _stored(self, g: int, n: int) -> LPoly:
-        # V_{g,n} on its keys (a_1, a_2 >= ... >= a_n), computed on first read
-        if (g, n) not in self._entries:
-            self._entries[(g, n)] = self._compute(g, n)
-        return self._entries[(g, n)]
+        # V_{g,n} on its keys (a_1, a_2 >= ... >= a_n), built on first read
+        poly = self._polys.get((g, n))
+        if poly is None:
+            (den, groups), d = self._free1_view(g, n), moduli_dim(g, n)
+            pairs = zip(_orbit_keys(n, d), (x for _, row in groups for x in row))
+            terms = {a: Fraction(x, den * _odd_factorials(a)) for a, x in pairs}
+            poly = self._polys[(g, n)] = LPoly(n, d, terms)
+        return poly
 
     def volume(self, g: int, n: int) -> LPoly:
         """V_{g,n} in the internal convention (halved at (1,1)), expanded."""
@@ -371,25 +397,45 @@ class VolumeTable:
 
     def coefficient(self, g: int, alpha: Sequence[int]) -> Fraction:
         """The rational coefficient of L^(2 alpha) in V_{g,len(alpha)}."""
-        key = tuple(alpha[:1]) + _descending(alpha[1:])
+        key = tuple(alpha[:1]) + tuple(sorted(alpha[1:], reverse=True))
         return self._stored(g, len(key)).coefficient(key)
 
     def _free1_view(self, g: int, n: int) -> Tuple[int, list]:
-        """V_{g,n}'s stored terms x^2a m(rest) as (D, [(rest, [(a, N
-        prod_i (2 alpha_i+1)!), ...]), ...]) where the coefficient at alpha
-        = (a,) + rest is N / D and D the LCM of the denominators.  The terms
-        read it; it is built on first read and reused."""
-        view = self._free1.get((g, n))
-        if view is None:
-            keys, qs = zip(*self._stored(g, n).items())
-            den, xs = _over_lcm(qs)
-            groups: dict[MultiIndex, list[Tuple[int, int]]] = {}
-            for alpha, x in zip(keys, xs):
-                groups.setdefault(alpha[1:], []).append(
-                    (alpha[0], x * _odd_factorials(alpha))
+        """V_{g,n}'s stored form, (D, [(rest, [N_0, N_1, ...]), ...]) with
+        [(a,) + rest] = N_a / D, computed on first read after the inputs its
+        terms read, in their order, from a stack rather than nested calls."""
+        if (g, n) not in self:
+            if n < 1:
+                raise ValueError(
+                    f"({g},{n}): closed-surface volumes come from the boundary "
+                    "removal relation, not the recursion"
                 )
-            view = self._free1[(g, n)] = (den, list(groups.items()))
-        return view
+            if not is_stable(g, n):
+                raise ValueError(f"({g},{n}) is not a stable signature")
+        stack = [(g, n)]
+        while stack:
+            h, k = sig = stack.pop()
+            if sig in self._entries:
+                continue
+            if sig in self._polys or sig in BASE_SIGNATURES:
+                p = self._polys.get(sig) or validate_volume(h, k, base_volume(h, k))
+                den, xs = _over_lcm([q * _odd_factorials(a) for a, q in p.items()])
+                nums = dict(zip((a for a, _ in p.items()), xs))
+            else:
+                splits = stable_splittings(h, k)
+                pieces = [(g1, k1 + 1) for split in splits for g1, k1 in split]
+                inputs = [(h - 1, k + 1), *pieces, (h, k - 1)]
+                missing = [s for s in inputs if s[1] and is_stable(*s) and s not in self]
+                if missing:
+                    stack += [sig, *reversed(missing)]
+                    continue
+                den, nums = self._compute(h, k)
+            d = moduli_dim(h, k)
+            self._entries[sig] = den, [
+                (rest, [nums[(a,) + rest] for a in range(d - sum(rest) + 1)])
+                for rest in _sorted_keys(k - 1, d)
+            ]
+        return self._entries[(g, n)]
 
     def true_volume(self, g: int, n: int) -> LPoly:
         """The geometric Weil-Petersson volume: doubles only V_{1,1}."""
@@ -398,18 +444,9 @@ class VolumeTable:
             return v.scale(2)
         return v
 
-    def _compute(self, g: int, n: int) -> LPoly:
-        if n < 1:
-            raise ValueError(
-                f"({g},{n}): closed-surface volumes come from the boundary "
-                "removal relation, not the recursion"
-            )
-        if not is_stable(g, n):
-            raise ValueError(f"({g},{n}) is not a stable signature")
-        if (g, n) in BASE_SIGNATURES:
-            return validate_volume(g, n, base_volume(g, n))
-        # d/dL_1 (L_1 V) = A^con + A^dcon + B, normalized, over one LCM;
-        # dividing by prod_i (2 alpha_i + 1)! also integrates back
+    def _compute(self, g: int, n: int) -> Tuple[int, dict[MultiIndex, int]]:
+        # d/dL_1 (L_1 V) = A^con + A^dcon + B, normalized, over one LCM, is
+        # [alpha] of V: dividing by prod_i (2 alpha_i + 1)! integrates back
         terms = (a_con_term(g, n, self), a_dcon_term(g, n, self), b_term(g, n, self))
         den = lcm(*(term_den for term_den, _ in terms))
         acc: dict[MultiIndex, int] = {}
@@ -417,13 +454,16 @@ class VolumeTable:
             c = den // term_den
             for key, x in sums.items():
                 acc[key] = acc.get(key, 0) + x * c
-        volume = {key: Fraction(x, den * _odd_factorials(key)) for key, x in acc.items()}
-        return validate_volume(g, n, LPoly(n, moduli_dim(g, n), volume))
+        common = gcd(den, *acc.values())
+        nums = {key: x // common for key, x in acc.items()}
+        _check(g, n, nums)
+        return den // common, nums
 
     def ensure(self, max_dim: int) -> None:
         """Compute every stable (g, n), n >= 1, with 3g-3+n <= max_dim."""
         for sig in iter_signatures(max_dim):
-            self._stored(*sig)
+            if sig not in self:
+                self._free1_view(*sig)
 
     # ------------------------------------------------------------------
     # serialization
@@ -431,7 +471,7 @@ class VolumeTable:
     def to_entries(self) -> dict[str, list[dict]]:
         """Canonically ordered map ``"g,n" -> term records`` of the
         stored form, each entry's records in graded-lex order."""
-        return {f"{g},{n}": self._entries[g, n].to_records() for g, n in self.signatures()}
+        return {f"{g},{n}": self._stored(g, n).to_records() for g, n in self.signatures()}
 
     @classmethod
     def from_entries(cls, entries: dict[str, list[dict]]) -> "VolumeTable":
@@ -450,5 +490,5 @@ class VolumeTable:
             # validate_volume would build an n-long key to name it
             if not poly:
                 raise ValueError(f"entry {key!r} holds no terms")
-            table._entries[(g, n)] = validate_volume(g, n, poly)
+            table._polys[(g, n)] = validate_volume(g, n, poly)
         return table

@@ -1,14 +1,18 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
 
 from wpvol.exact import PiPoly
-from wpvol.kernels import h_double_moment, h_moment, shift_symmetrize
+from wpvol.intersect import compact_volume
+from wpvol.kernels import h_double_moment, h_moment, moment_constant, shift_symmetrize
 from wpvol.lpoly import LPoly
 from wpvol.recursion import (
     BASE_SIGNATURES,
@@ -538,6 +542,97 @@ def test_terms_match_direct_evaluation(table5, sig, term, reference):
     assert pi_view(got) == want
 
 
+# ----------------------------------------------------------------------
+# the packed terms against the dict loops they replaced: the same sums,
+# one product of (a, b) or (s, j) at a time, read from the same stored rows
+
+
+def loop_moment_row(top):
+    rs = [moment_constant(i) for i in range(top + 1)]
+    den = lcm(*(q.denominator for q in rs))
+    return den, [q.numerator * (den // q.denominator) for q in rs]
+
+
+def loop_double_moment(sums, den, d):
+    e, r = loop_moment_row(d)
+    acc = {}
+    for rest, row in sums.items():
+        for s, x in row.items():
+            for m in range(s + 3):
+                key = (m,) + rest
+                acc[key] = acc.get(key, 0) + x * r[s + 2 - m]
+    return 2 * den * e, acc
+
+
+def loop_a_con(g, n, table):
+    if g < 1 or not is_stable(g - 1, n + 1):
+        return 1, {}
+    den, groups = table._free1_view(g - 1, n + 1)
+    sums = {}
+    for stored, p in groups:
+        for i, b in enumerate(stored):
+            if i and stored[i - 1] == b:
+                continue
+            row = sums.setdefault(stored[:i] + stored[i + 1 :], {})
+            for a, x in enumerate(p):
+                row[a + b] = row.get(a + b, 0) + x
+    return loop_double_moment(sums, den, moduli_dim(g, n))
+
+
+def loop_a_dcon(g, n, table):
+    views = [
+        (table._free1_view(g1, k1 + 1), table._free1_view(g2, k2 + 1))
+        for (g1, k1), (g2, k2) in stable_splittings(g, n)
+    ]
+    den = lcm(*(d1 * d2 for (d1, _), (d2, _) in views))
+    sums = {}
+    for (d1, groups1), (d2, groups2) in views:
+        c = den // (d1 * d2)
+        for rest1, p1 in groups1:
+            for rest2, p2 in groups2:
+                rest = tuple(sorted(rest1 + rest2, reverse=True))
+                w = c * prod(comb(rest.count(v), rest1.count(v)) for v in set(rest1))
+                row = sums.setdefault(rest, {})
+                for a, x in enumerate(p1):
+                    for b, y in enumerate(p2):
+                        row[a + b] = row.get(a + b, 0) + w * x * y
+    return loop_double_moment(sums, den, moduli_dim(g, n))
+
+
+def loop_b(g, n, table):
+    if n < 2:
+        return 1, {}
+    den, groups = table._free1_view(g, n - 1)
+    e, r = loop_moment_row(moduli_dim(g, n))
+    acc = {}
+    for rest, p in groups:
+        for a, x in enumerate(p):
+            for s in range(a + 2):
+                merged = tuple(sorted(rest + (s,), reverse=True))
+                w = merged.count(s) * (2 * s + 1)
+                for q in range(a + 2 - s):
+                    key = (q,) + merged
+                    acc[key] = acc.get(key, 0) + w * x * r[a + 1 - q - s]
+    return den * e, acc
+
+
+@pytest.mark.parametrize(
+    "term, loops",
+    [(a_con_term, loop_a_con), (a_dcon_term, loop_a_dcon), (b_term, loop_b)],
+    ids=["a_con", "a_dcon", "b"],
+)
+def test_packed_terms_match_dict_loops_to_dimension_eight(term, loops):
+    def rationals(out):
+        den, sums = out
+        return {key: Fraction(x, den) for key, x in sums.items()}
+
+    table = VolumeTable()
+    table.ensure(8)
+    for sig in iter_signatures(8):
+        if sig not in BASE_SIGNATURES:
+            assert rationals(term(*sig, table)) == rationals(loops(*sig, table)), sig
+
+
 def test_label_splittings_count_label_sets():
     # the reference's masks regroup into the (g1, k1) splittings, each
     # listed C(n - 1, k1) times
@@ -573,3 +668,44 @@ def test_table_to_dimension_seven_golden_digest(tmp_path):
     for built in (t, load_cache(path)):
         digest = hashlib.sha256(serialized(built).encode()).hexdigest()
         assert digest == "762905318d916c179a9f311b484d7c80a9faddb9e5a9ce7a5c8e91fefa8d474f"
+
+
+# ----------------------------------------------------------------------
+# the build order
+
+
+# the signatures compact_volume(t, 6) computes, in the order they complete:
+# each after the inputs its terms read, as the nested calls once made them
+COMPACT_SIX = [
+    (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 1), (1, 2), (1, 3), (1, 4),
+    (1, 5), (1, 6), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2),
+    (3, 3), (3, 4), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (6, 1),
+]
+
+
+def test_compact_computes_its_inputs_only_in_dependency_order():
+    t = VolumeTable()
+    compact_volume(t, 6)
+    assert list(t._entries) == COMPACT_SIX
+
+
+def test_build_does_not_nest_python_calls_per_genus():
+    # nested calls took about four frames per genus: compact 9 then needed
+    # more than 60, and genus 200 died with RecursionError
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = (
+        "import sys; from wpvol.intersect import compact_volume; "
+        "from wpvol.recursion import VolumeTable; "
+        "sys.setrecursionlimit(60); print(compact_volume(VolumeTable(), 9).as_str())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "18023847789626070555169453784661940895203207456841/"
+        "58595524689402363572010772070400000000*pi^48\n"
+    )
