@@ -40,6 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, prod
+from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import PiPoly
@@ -251,59 +252,66 @@ def check_dvv(table: VolumeTable, g: int, k: Sequence[int]) -> CheckRecord:
     return _check_dvv(_memo_correlator(table), g, k)
 
 
-def _memo_correlator(table: VolumeTable) -> Callable[[int, Tuple[int, ...]], Fraction]:
-    # psi_correlator memoized on (g, sorted alpha): it is symmetric in alpha
-    memo = lru_cache(maxsize=None)(lambda g, alpha: psi_correlator(table, g, alpha))
+def _memo_correlator(table: VolumeTable) -> Callable[[int, Tuple[int, ...]], Tuple[int, int]]:
+    # psi_correlator as (numerator, denominator), memoized on (g, sorted
+    # alpha): it is symmetric in alpha
+    memo = lru_cache(maxsize=None)(lambda g, a: psi_correlator(table, g, a).as_integer_ratio())
     return lambda g, alpha: memo(g, tuple(sorted(alpha)))
 
 
 def _check_dvv(
-    correlator: Callable[[int, Tuple[int, ...]], Fraction], g: int, k: Sequence[int]
+    correlator: Callable[[int, Tuple[int, ...]], Tuple[int, int]], g: int, k: Sequence[int]
 ) -> CheckRecord:
     # check_dvv reading <tau_alpha>_g as correlator(g, alpha), which a
-    # suite run shares across its instances
+    # suite run shares across its instances; the right side is summed as
+    # integer numerators per denominator, and divided out once
     k = tuple(k)
     n = len(k)
     k1, rest = k[0], k[1:]
-    lhs = _double_factorial(2 * k1 + 1) * correlator(g, k)
+    lhs = _double_factorial(2 * k1 + 1) * Fraction(*correlator(g, k))
 
     counts = Counter(rest)
-    rhs = Fraction(0)
+    sums: Counter = Counter()  # denominator -> sum of numerators
     for kj, count in counts.items():
         if k1 + kj == 0:
             continue  # would need tau_{-1}
         merged = list(rest)
         merged.remove(kj)
-        rhs += count * Fraction(
-            _double_factorial(2 * (k1 + kj) - 1), _double_factorial(2 * kj - 1)
-        ) * correlator(g, (k1 + kj - 1,) + tuple(merged))
+        x, den = correlator(g, (k1 + kj - 1,) + tuple(merged))
+        # an integer weight: the product of the odd numbers 2 kj + 1 .. 2 (k1 + kj) - 1
+        w = count * _double_factorial(2 * (k1 + kj) - 1) // _double_factorial(2 * kj - 1)
+        sums[den] += w * x
 
     if k1 >= 2:
+        # (2i+1)!! (2j+1)!! at j = k1 - 2 - i; the factor 1/2 goes to the denominators
+        ws = [
+            _double_factorial(2 * i + 1) * _double_factorial(2 * (k1 - i) - 3)
+            for i in range(k1 - 1)
+        ]
+        if g >= 1:
+            for i, w in enumerate(ws):
+                x, den = correlator(g - 1, (i, k1 - 2 - i) + rest)
+                sums[2 * den] += w * x
         # label subsets of the rest come as sub-multisets, c_v of each
         # distinct value v, standing for prod_v C(count_v, c_v) subsets; each
-        # keeps |k_I| - |I| + 2, from which i fixes g_1
-        splits = []
+        # has shift = |k_I| - |I| + 2 = 3 g_1 - i; i steps by 3 over g_1 in [0, g]
         for cs in product(*(range(c + 1) for c in counts.values())):
+            shift = sum(map(mul, counts, cs)) - sum(cs) + 2
+            steps = range(max(-shift % 3, -shift), min(k1 - 1, 3 * g - shift + 1), 3)
+            if not steps:
+                continue
             left = tuple(v for v, c in zip(counts, cs) for _ in range(c))
             right = tuple(v for v, c in zip(counts, cs) for _ in range(counts[v] - c))
             ways = prod(comb(counts[v], c) for v, c in zip(counts, cs))
-            splits.append((sum(left) - len(left) + 2, left, right, ways))
+            for i in steps:
+                g1 = (i + shift) // 3
+                a, b = correlator(g1, (i,) + left)
+                if a:
+                    c, d = correlator(g - g1, (k1 - 2 - i,) + right)
+                    sums[2 * b * d] += ws[i] * ways * a * c
 
-        half = Fraction(1, 2)
-        for i in range(k1 - 1):
-            j = k1 - 2 - i
-            w = half * _double_factorial(2 * i + 1) * _double_factorial(2 * j + 1)
-            if g >= 1:
-                rhs += w * correlator(g - 1, (i, j) + rest)
-            for shift, left, right, ways in splits:
-                g1, r = divmod(i + shift, 3)
-                if r or not 0 <= g1 <= g:
-                    continue
-                a = correlator(g1, (i,) + left)
-                if not a:
-                    continue
-                rhs += w * ways * a * correlator(g - g1, (j,) + right)
-
+    den = math.lcm(*sums)
+    rhs = Fraction(sum(x * (den // d) for d, x in sums.items()), den)
     return CheckRecord("dvv", g, n, k, lhs == rhs, lhs, rhs)
 
 

@@ -12,9 +12,9 @@ purely for the test suite and the ``verify kernels`` command.
 Both quadratures use one rule: n-point Gauss-Laguerre for the weight
 e^(-x/2) on the whole half-line, so nothing is truncated.  Its nodes x_a
 and weights W_a are twice those of the rule for e^(-x), whose nodes come
-from Newton's method on the Laguerre polynomial L_n, evaluated by its
-three-term recurrence, from the usual asymptotic guesses; each size is
-built once, on first use.  With the bounded, smooth and overflow-free
+from Halley's method on the Laguerre polynomial L_n, evaluated by its
+three-term recurrence; each size is built once, on first use.  With the
+bounded, smooth and overflow-free
 
     g(u, t) = e^(u/2) H(u, t) = 1/(e^(-u/2) + e^(t/2)) + 1/(e^(-u/2) + e^(-t/2)),
 
@@ -26,18 +26,25 @@ the moments are
 the second a tensor quadrature of the defining double integral, not the
 Beta reduction it checks.  With q = e^(-u/2) and s = 2 cosh(t/2),
 g = (2q + s) / (q (q + s) + 1), and q at a node pair is the product of
-the two nodes' q, so the double sum needs no exp per pair.
+the two nodes' q, so the double sum needs no exp per pair.  Below
+tiny = 2^-56 / max(s, 2) the float g is s bit for bit: q s and 2q are
+under half an ulp of 1 and of s, so the denominator rounds to 1 and the
+numerator to s.  The nodes ascend, so each matrix row is a head of true
+values and a tail of s, contracted as s times a suffix sum; at n = 96
+about one pair in eight is evaluated.
 
-Each moment is taken at the two rule sizes 96 and 64, and the larger is
-reported.  Its ``abs_err`` is the difference of the two plus the rounding
-bound 8 n eps sum |terms| at n = 96; every term is non-negative, so
-sum |terms| is the value itself.  The difference alone is no bound once
-the sizes agree to rounding: then the rounding is the error, and for a
-large G_{i,j} it is large in absolute terms.  The bound covers the
-weights' own relative error, under 6e-14 against a 40-digit rule at
+The moment report reads only values and runs the rule of size 96 alone.
+:func:`quad_moment` and :func:`quad_double_moments` also run size 64 and
+report the larger; their ``abs_err`` is the difference of the two plus
+the rounding bound 8 n eps sum |terms| at n = 96, and every term is
+non-negative, so sum |terms| is the value itself.  The difference alone
+is no bound once the sizes agree to rounding: then the rounding is the
+error, large in absolute terms for a large G_{i,j}.  The bound covers
+the weights' own relative error against a 40-digit rule, under 6e-14 at
 either size, once per node and twice per node pair, and the rounding of
-two length-n dot products.  The nodes' relative error peaks at 4e-14 on
-the smallest nodes, whose terms the power x^(2k+1) makes negligible.
+two length-n dot products.  The smallest nodes are the exception, with
+node and weight errors up to 6e-14 and 9e-14, but the power x^(2k+1)
+makes their terms negligible.
 
 Documented domains: k <= 10 and t <= 20 for F, i + j <= 5 and t <= 10
 for G.
@@ -48,6 +55,7 @@ import math
 import random
 import sys
 from functools import lru_cache
+from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
 
@@ -83,38 +91,44 @@ def _gauss_laguerre(n: int) -> tuple[list[float], list[float], list[float]]:
     """The n-point Gauss-Laguerre rule for the weight e^(-x/2) on
     [0, oo), nodes ascending, and e^(-x/2) at each node.
 
-    Newton's method on L_n runs from the usual guesses, each root
-    extrapolated from the two before it, until a step falls below 1e-10
-    of the root, past which quadratic convergence leaves only rounding.
-    The L_j are orthonormal for e^(-x), so the weight of that rule at the
-    final z is the Christoffel number 1 / sum_{j<n} L_j(z)^2.  That sum of
-    squares varies slowly in z; the textbook z / (n L_{n-1}(z))^2 turns
-    the root's rounding into weight errors near 1e-11 at n = 96.
+    Halley's method on L_n, with L_n'' from Laguerre's equation
+    z L'' = (z - 1) L' - n L, runs until a step falls below 1e-10 of the
+    root, past which cubic convergence leaves only rounding.  The first
+    three roots start from the usual asymptotic guesses, every later one
+    from the extrapolation 3 z_(i-1) - 3 z_(i-2) + z_(i-3).  The L_j are
+    orthonormal for e^(-x), so the weight of that rule at the final z is
+    the Christoffel number 1 / sum_{j<n} L_j(z)^2, summed in one last
+    pass; the textbook z / (n L_{n-1}(z))^2 turns the root's rounding into
+    weight errors near 1e-11 at n = 96.
     """
+    # j L_j = (2j - 1 - z) L_{j-1} - (j - 1) L_{j-2}, from L_{-1} = 0 and L_0 = 1
     recurrence = [(2.0 * j - 1.0, j - 1.0, float(j)) for j in range(1, n + 1)]
     roots, weights = [], []
-    z = 0.0
     for i in range(n):
         if i == 0:
             z = 3.0 / (1.0 + 2.4 * n)
         elif i == 1:
-            z += 15.0 / (1.0 + 2.5 * n)
+            z = roots[0] + 15.0 / (1.0 + 2.5 * n)
+        elif i == 2:
+            z = roots[1] + (1.0 + 2.55) / 1.9 * (roots[1] - roots[0])
         else:
-            z += (1.0 + 2.55 * (i - 1)) / (1.9 * (i - 1)) * (z - roots[i - 2])
-        step = math.inf
+            z = 3.0 * roots[-1] - 3.0 * roots[-2] + roots[-3]
         for _ in range(100):
-            # from L_{-1} = 0 and L_0 = 1 to L_{n-1}(z), L_n(z) and the sum
-            p0, p1, norm = 0.0, 1.0, 0.0
-            for a, b, c in recurrence:  # j L_j = (2j - 1 - z) L_{j-1} - (j - 1) L_{j-2}
-                norm += p1 * p1
+            p0, p1 = 0.0, 1.0
+            for a, b, c in recurrence:
                 p0, p1 = p1, ((a - z) * p1 - b * p0) / c
+            # u = L_n / L_n', L_n' = n (L_n - L_{n-1}) / z, L_n'' / L_n' = (z - 1 - n u) / z
+            u = p1 * z / (n * (p1 - p0))
+            step = u / (1.0 - u * (z - 1.0 - n * u) / (2.0 * z))
+            z -= step
             if abs(step) <= 1e-10 * z:
                 break
-            # L_n'(z) = n (L_n(z) - L_{n-1}(z)) / z
-            step = p1 * z / (n * (p1 - p0))
-            z -= step
         else:
-            raise ArithmeticError(f"Newton's method did not converge on L_{n}")
+            raise ArithmeticError(f"Halley's method did not converge on L_{n}")
+        p0, p1, norm = 0.0, 1.0, 1.0
+        for a, b, c in recurrence[:-1]:
+            p0, p1 = p1, ((a - z) * p1 - b * p0) / c
+            norm += p1 * p1
         roots.append(z)
         weights.append(1.0 / norm)
     return (
@@ -165,6 +179,41 @@ def kernel_r(x: float, y: float, z: float) -> float:
     return x - (num - den)
 
 
+def _moment_pass(k: int, t: float, n: int) -> float:
+    # F_{2k+1}(t) by the n-point rule
+    s = 2.0 * math.cosh(t / 2.0)
+    return sum(
+        w * x ** (2 * k + 1) * (2.0 * q + s) / (q * (q + s) + 1.0)
+        for x, w, q in zip(*_gauss_laguerre(n))
+    )
+
+
+def _g_rows(t: float, n: int) -> tuple[float, list[list[float]]]:
+    # s, and row a of g(x_a + x_b, t) for the n-point rule up to its first
+    # pair with q_a q_b < tiny, past which g = s (see the module docstring)
+    s = 2.0 * math.cosh(t / 2.0)
+    tiny = 2.0**-56 / max(s, 2.0)
+    qs, rows, m = _gauss_laguerre(n)[2], [], n
+    for qa in qs:
+        while m and qa * qs[m - 1] < tiny:
+            m -= 1
+        rows.append([(2.0 * q + s) / (q * (q + s) + 1.0) for q in map(qa.__mul__, qs[:m])])
+    return s, rows
+
+
+def _double_pass(pairs: list[tuple[int, int]], t: float, n: int) -> list[float]:
+    # G_{i,j}(t) for every pair by the n-point rule, from one matrix; it is
+    # symmetric, so it is contracted with the smaller power
+    nodes, weights, _ = _gauss_laguerre(n)
+    f = {e: [w * x ** (2 * e + 1) for x, w in zip(nodes, weights)] for e in set().union(*pairs)}
+    s, rows = _g_rows(t, n)
+    fg = {}
+    for e in {min(p) for p in pairs}:
+        suffix = [*accumulate(reversed(f[e]), initial=0.0)][::-1]  # suffix[m] = sum f[e][m:]
+        fg[e] = [sum(map(mul, row, f[e])) + s * suffix[len(row)] for row in rows]
+    return [sum(map(mul, f[max(p)], fg[min(p)])) for p in pairs]
+
+
 def _result(fine: float, coarse: float) -> QuadResult:
     return QuadResult(fine, abs(fine - coarse) + _ROUNDING * fine)
 
@@ -175,15 +224,7 @@ def quad_moment(k: int, t: float) -> QuadResult:
     Documented domain k <= 10, t <= 20; an unattainable accuracy shows up
     in ``abs_err`` rather than failing silently.
     """
-    s = 2.0 * math.cosh(t / 2.0)
-    fine, coarse = (
-        sum(
-            w * x ** (2 * k + 1) * (2.0 * q + s) / (q * (q + s) + 1.0)
-            for x, w, q in zip(*_gauss_laguerre(n))
-        )
-        for n in _SIZES
-    )
-    return _result(fine, coarse)
+    return _result(*(_moment_pass(k, t, n) for n in _SIZES))
 
 
 def quad_double_moments(pairs: list[tuple[int, int]], t: float) -> list[QuadResult]:
@@ -193,17 +234,7 @@ def quad_double_moments(pairs: list[tuple[int, int]], t: float) -> list[QuadResu
 
     Documented domain i + j <= 5, t <= 10.
     """
-    s = 2.0 * math.cosh(t / 2.0)
-    powers = {e for pair in pairs for e in pair}
-    passes = []
-    for n in _SIZES:
-        nodes, weights, qs = _gauss_laguerre(n)
-        f = {e: [w * x ** (2 * e + 1) for x, w in zip(nodes, weights)] for e in powers}
-        rows = [[(2.0 * q + s) / (q * (q + s) + 1.0) for q in map(qa.__mul__, qs)] for qa in qs]
-        # the matrix is symmetric, so it is contracted with the smaller power
-        fg = {e: [sum(map(mul, row, f[e])) for row in rows] for e in {min(p) for p in pairs}}
-        passes.append([sum(map(mul, f[max(p)], fg[min(p)])) for p in pairs])
-    return [_result(fine, coarse) for fine, coarse in zip(*passes)]
+    return [_result(*v) for v in zip(*(_double_pass(pairs, t, n) for n in _SIZES))]
 
 
 def quad_double_moment(i: int, j: int, t: float) -> QuadResult:
@@ -267,33 +298,30 @@ def moment_validation_report() -> list[dict]:
 
     Covers F_{2k+1} for k <= 8 and G_{i,j} for i + j <= 5 at t = 0, 1
     and 5; the figure of merit is the relative deviation
-    |quad - exact| / max(1, |exact|), against the tolerance 1e-8.
+    |quad - exact| / max(1, |exact|), against the tolerance 1e-8.  The
+    quadrature is the ``value`` of :func:`quad_moment` and
+    :func:`quad_double_moments`, without the second rule size.
     """
-    from fractions import Fraction
-
     from .kernels import h_double_moment, h_moment
 
-    def records(name: str, exact, quad: dict[float, QuadResult]) -> list[dict]:
-        out = []
-        for t in _TS:
-            ref = exact.eval_rational([Fraction(t)]).to_float()
-            dev = abs(quad[t].value - ref) / max(1.0, abs(ref))
-            out.append(_record(f"{name}({t}) quadrature", dev, _MOMENT_TOL, f"t={t}"))
-        return out
-
-    # one batched quadrature per t: every G_{i,j} shares its g(x_a + x_b, t) matrix
+    n = _SIZES[0]
     pairs = [(i, j) for i in range(_MAX_DOUBLE + 1) for j in range(_MAX_DOUBLE + 1 - i)]
-    double = {
-        (i, j, t): result
-        for t in _TS
-        for (i, j), result in zip(pairs, quad_double_moments(pairs, t))
-    }
-
+    # one batched quadrature per t: every G_{i,j} shares its g(x_a + x_b, t) matrix
+    double = {t: _double_pass(pairs, t, n) for t in _TS}
+    checks = [
+        (f"F_{2 * k + 1}", h_moment(k), [_moment_pass(k, t, n) for t in _TS])
+        for k in range(_MAX_K + 1)
+    ] + [
+        (f"G_{{{i},{j}}}", h_double_moment(i, j), [double[t][p] for t in _TS])
+        for p, (i, j) in enumerate(pairs)
+    ]
     reports = []
-    for k in range(_MAX_K + 1):
-        quad = {t: quad_moment(k, t) for t in _TS}
-        reports += records(f"F_{2 * k + 1}", h_moment(k), quad)
-    for i, j in pairs:
-        quad = {t: double[i, j, t] for t in _TS}
-        reports += records(f"G_{{{i},{j}}}", h_double_moment(i, j), quad)
+    for name, exact, quads in checks:
+        for t, quad in zip(_TS, quads):
+            # the closed form as the float sum of its terms q pi^(2(w - m)) t^(2m),
+            # all positive, so within a few eps of the exact value
+            w = exact.weight
+            ref = sum(float(q) * math.pi ** (2 * (w - m)) * t ** (2 * m) for (m,), q in exact.items())
+            dev = abs(quad - ref) / max(1.0, abs(ref))
+            reports.append(_record(f"{name}({t}) quadrature", dev, _MOMENT_TOL, f"t={t}"))
     return reports

@@ -20,7 +20,7 @@ from wpvol.intersect import (
     run_relation_suite,
     zograf_ratio,
 )
-from wpvol.recursion import VolumeTable, iter_signatures, moduli_dim
+from wpvol.recursion import VolumeTable, iter_signatures, moduli_dim, validate_volume
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +294,27 @@ def test_perturbed_lower_volume_fails_do_string():
     rec = check_do_string(wrong, 0, 5)
     assert not rec.passed and rec.lhs != rec.rhs
     assert not all(r.passed for r in run_relation_suite(wrong, "do-string", 3))
+
+
+def test_perturbed_correlator_fails_dvv_but_passes_validation():
+    # <tau_1^2 tau_0^3>_0 is read off V_{0,5} at the orbit of (1, 1, 0, 0, 0),
+    # on the left of two DVV instances at dimension 2
+    clean = perturbed_table((0, 5), (1, 1, 0, 0, 0), eps=0)
+    assert all(r.passed for r in run_relation_suite(clean, "dvv", 2))
+    wrong = perturbed_table((0, 5), (1, 1, 0, 0, 0))
+    validate_volume(0, 5, wrong._stored(0, 5))
+    failed = [r for r in run_relation_suite(wrong, "dvv", 2) if not r.passed]
+    assert [r.alpha for r in failed] == [(0, 1, 1, 0, 0), (1, 1, 0, 0, 0)]
+
+
+def test_dvv_right_side_sums_perturbed_products_exactly():
+    # with <tau_0^3>_0 = 1 + eps, the right side at (0; 2, 0, 0, 0, 0) is the
+    # merging term 4 * 3!! <tau_1 tau_0^3>_0 = 12 plus the split products
+    # 1/2 * C(4, 2) <tau_0^3>_0^2, each summed over its own denominator
+    eps = Fraction(1, 10**9)
+    rec = check_dvv(perturbed_table((0, 3), (0, 0, 0), eps), 0, (2, 0, 0, 0, 0))
+    assert rec.lhs_value == 15
+    assert rec.rhs_value == 12 + 3 * (1 + eps) ** 2
 
 
 def test_compact_genus_two(table):

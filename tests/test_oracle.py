@@ -218,8 +218,8 @@ def test_batched_matches_dense_grid(batched, t):
 
 
 def test_moment_report_never_forms_the_node_pair_grid():
-    # the report's largest object is one 96 x 96 matrix of g(x_a + x_b, t),
-    # about 0.3 MB of float objects
+    # the report's largest object is one 96-node matrix of g(x_a + x_b, t),
+    # at most 0.3 MB of float objects, and cut where g = s
     tracemalloc.start()
     try:
         moment_validation_report()
@@ -249,6 +249,53 @@ def test_moment_report_records_pinned():
     assert report[0]["check"] == "F_1(0.0) quadrature"
     assert report[-1]["check"] == "G_{5,0}(5.0) quadrature"
     assert all(r["pass"] for r in report)
+
+
+def closed_form_float(poly, t):
+    # the report's float closed form: the terms q pi^(2(w - m)) t^(2m), in order
+    return sum(float(q) * math.pi ** (2 * (poly.weight - m)) * t ** (2 * m) for (m,), q in poly.items())
+
+
+def test_moment_report_is_the_public_quadrature(batched):
+    """Every record's deviation, recomputed from the value of quad_moment or
+    quad_double_moments and the closed form, is the reported one bit for bit."""
+    expected = [(h_moment(k), t, quad_moment(k, t).value) for k in range(9) for t in REPORT_TS]
+    expected += [
+        (h_double_moment(i, j), t, batched[t][i, j].value) for i, j in REPORT_PAIRS for t in REPORT_TS
+    ]
+    report = moment_validation_report()
+    assert len(report) == len(expected)
+    for rec, (poly, t, quad) in zip(report, expected):
+        ref = closed_form_float(poly, t)
+        assert rec["max_abs_dev"] == abs(quad - ref) / max(1.0, abs(ref)), rec["check"]
+
+
+@pytest.mark.parametrize("t", REPORT_TS + (10.0,))
+def test_float_closed_form_is_within_a_few_eps_of_exact(t):
+    # every term is positive, so the float sum loses only a few roundings
+    polys = [h_moment(k) for k in range(11)] + [h_double_moment(i, j) for i, j in REPORT_PAIRS]
+    for poly in polys:
+        exact = poly.eval_rational([Fraction(t)]).to_float()
+        assert abs(closed_form_float(poly, t) / exact - 1.0) < 2e-15, poly
+
+
+@pytest.mark.parametrize("n", oracle._SIZES)
+@pytest.mark.parametrize("t", [0.0, 1.0, 5.0, 10.0])
+def test_matrix_rows_stop_only_where_g_is_s_bit_for_bit(n, t):
+    # each row of g(x_a + x_b, t) is evaluated up to the cut; every skipped
+    # pair, contracted as s, must give exactly s in floats
+    s, rows = oracle._g_rows(t, n)
+    qs = oracle._gauss_laguerre(n)[2]
+    assert s == 2.0 * math.cosh(t / 2.0)
+    skipped = 0
+    for qa, row in zip(qs, rows):
+        head = [qa * qb for qb in qs[: len(row)]]
+        assert row == [(2.0 * q + s) / (q * (q + s) + 1.0) for q in head]
+        for q in (qa * qb for qb in qs[len(row):]):
+            assert (2.0 * q + s) / (q * (q + s) + 1.0) == s, (qa, q)
+            skipped += 1
+    # the cut skips most of the matrix: at n = 96 about seven pairs in eight
+    assert skipped > 0.75 * n * n
 
 
 def test_moment_report_deviations_far_below_the_gate():
