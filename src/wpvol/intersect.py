@@ -47,6 +47,7 @@ from .exact import PiPoly
 from .lpoly import LPoly, grlex_key
 from .recursion import (
     VolumeTable,
+    _odd_factorials,
     _orderings,
     _sorted_keys,
     is_stable,
@@ -75,13 +76,7 @@ __all__ = [
 @lru_cache(maxsize=None)
 def _double_factorial(m: int) -> int:
     """(m)!! for odd m >= -1, with (-1)!! = 1."""
-    if m < -1 or m % 2 == 0:
-        raise ValueError("expected an odd integer >= -1")
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
+    return prod(range(m, 0, -2))
 
 
 class IntersectionValue(NamedTuple):
@@ -123,20 +118,17 @@ def intersection_number(
 def psi_correlator(table: VolumeTable, g: int, alpha: Sequence[int]) -> Fraction:
     """<tau_{a_1} ... tau_{a_n}>_g, zero unless sum(alpha) = 3g - 3 + n
     with (g, n) stable.  Symmetric in alpha."""
-    alpha = tuple(alpha)
+    return Fraction(*_correlator(table, g, tuple(alpha)))
+
+
+def _correlator(table: VolumeTable, g: int, alpha: Tuple[int, ...]) -> Tuple[int, int]:
+    # the m = 0 case of intersection_number as (N, D prod_i (2 alpha_i+1)!!)
+    # from [alpha] = N / D, as (2a+1)! = (2a+1)!! 2^a a!; (0, 1) off degree
     n = len(alpha)
-    if (
-        g < 0
-        or n < 1
-        or not is_stable(g, n)
-        or any(a < 0 for a in alpha)
-        or sum(alpha) != moduli_dim(g, n)
-    ):
-        return Fraction(0)
-    # the m = 0 case of intersection_number, without building the PiPoly
-    return table.coefficient(g, alpha) * (
-        2 ** sum(alpha) * prod(factorial(a) for a in alpha)
-    )
+    if not is_stable(g, n) or min(alpha, default=0) < 0 or sum(alpha) != moduli_dim(g, n):
+        return 0, 1
+    x, den = table.normalized(g, alpha)
+    return x, den * prod(_double_factorial(2 * a + 1) for a in alpha)
 
 
 def genus0_correlator(alpha: Sequence[int]) -> Fraction:
@@ -253,9 +245,9 @@ def check_dvv(table: VolumeTable, g: int, k: Sequence[int]) -> CheckRecord:
 
 
 def _memo_correlator(table: VolumeTable) -> Callable[[int, Tuple[int, ...]], Tuple[int, int]]:
-    # psi_correlator as (numerator, denominator), memoized on (g, sorted
-    # alpha): it is symmetric in alpha
-    memo = lru_cache(maxsize=None)(lambda g, a: psi_correlator(table, g, a).as_integer_ratio())
+    # psi_correlator as an integer pair, memoized on (g, sorted alpha): it
+    # is symmetric in alpha
+    memo = lru_cache(maxsize=None)(lambda g, a: _correlator(table, g, a))
     return lambda g, alpha: memo(g, tuple(sorted(alpha)))
 
 
@@ -320,12 +312,16 @@ def _at_two_pi_i(
 ) -> Fraction:
     # the L^(2 beta) coefficient of V_{g,n+1}(2 pi i, L), or with derivative of
     # Q(2 pi i, L) where dV/dL_1 = L_1 Q: L_1^(2a) becomes (-4)^a pi^(2a), and
-    # 2a L_1^(2a-2) in Q
-    d = int(derivative)
-    return sum(
-        (2 * a) ** d * (-4) ** (a - d) * table.coefficient(g, (a,) + beta)
-        for a in range(d, moduli_dim(g, len(beta) + 1) - sum(beta) + 1)
+    # 2a L_1^(2a-2) in Q.  One sum over the stored row of the sorted rest
+    # beta, [(a,) + beta] = N_a / D, over (2A+1)! for its top a = A
+    d, (den, rows) = int(derivative), table._free1_view(g, len(beta) + 1)
+    row = rows[beta]
+    top = factorial(2 * len(row) - 1)
+    x = sum(
+        (2 * a) ** d * (-4) ** (a - d) * top // factorial(2 * a + 1) * y
+        for a, y in enumerate(row) if a >= d
     )
+    return Fraction(x, den * top * _odd_factorials(beta))
 
 
 def check_do_string(table: VolumeTable, g: int, n: int) -> CheckRecord:

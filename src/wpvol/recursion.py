@@ -25,14 +25,13 @@ to the constants r_i of :func:`wpvol.kernels.moment_constant`:
 
 Every index of r is at most 3g-3+n, and its top degree is DVV.
 
-V_{g,n} is symmetric in its labels, so :class:`VolumeTable` stores it
+V_{g,n} is symmetric in its labels, so :class:`VolumeTable` holds it
 only on the keys (a_1, a_2 >= ... >= a_n), one per orbit of the labels
-2..n, which the terms return and the table file holds: integers N_0, N_1,
-... per rest = (a_2, ..., a_n), [(a,) + rest] = N_a / D reduced by gcd(D,
-all N).  The terms read them and return (den, {key: x}); over one LCM,
-x / den is [alpha] of V_{g,n}, as dividing by prod_i (2 alpha_i+1)! also
-integrates back.  An LPoly is built only when read, and only ``volume``
-and ``true_volume`` expand.
+2..n, as integers N_0, N_1, ... per rest = (a_2, ..., a_n) with [(a,) +
+rest] = N_a / D reduced by gcd(D, all N), computed or loaded alike.  The
+terms read them and return (den, {key: x}); over one LCM, x / den is
+[alpha] of V_{g,n}, as dividing by prod_i (2 alpha_i+1)! also integrates
+back.  Readers take N and D in place; an LPoly is built only for output.
 
 Convolutions are products of packed integers (Kronecker substitution,
 arXiv:0712.4046): a row x_a is X = sum_a x_a 2^(8wa), w bytes a slot.  A
@@ -49,9 +48,10 @@ the sum over splittings of the weight times (sum mu1 N1)(sum mu2 N2)
 Every entry passes one check on its stored keys: weight 3g-3+n, a
 positive value at each orbit key equal to the one at its fully sorted key
 (L_1 against the other labels), and no term at any other key.  It reads N
-of a computed entry, or q of a loaded one through :func:`validate_volume`:
-the same check, as prod_i (2 alpha_i+1)! is symmetric.  A violation
-aborts; with exact arithmetic any mismatch is a logic bug.
+of a computed entry, or q of a base case or a loaded one, through
+:func:`validate_volume`, before it is stored: the same check, as prod_i
+(2 alpha_i+1)! is symmetric.  A violation aborts; with exact arithmetic
+any mismatch is a logic bug.
 """
 from __future__ import annotations
 
@@ -134,9 +134,15 @@ def _over_lcm(qs: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
     return den, tuple(q.numerator * (den // q.denominator) for q in qs)
 
 
-def _odd_factorials(alpha: MultiIndex) -> int:
+def _odd_factorials(alpha: Sequence[int]) -> int:
     # prod_i (2 alpha_i + 1)!, which normalizes the coefficient at alpha
     return prod(factorial(2 * a + 1) for a in alpha)
+
+
+def _numerators(p: LPoly) -> Tuple[int, dict[MultiIndex, int]]:
+    # (den, {alpha: x}) with x / den = [alpha] = q prod_i (2 alpha_i+1)!
+    den, xs = _over_lcm([q for _, q in p.items()])
+    return den, {a: x * _odd_factorials(a) for (a, _), x in zip(p.items(), xs)}
 
 
 @lru_cache(maxsize=None)
@@ -180,9 +186,9 @@ def a_con_term(g: int, n: int, table: "VolumeTable") -> Numerators:
     if g < 1 or not is_stable(g - 1, n + 1):
         return 1, {}
     d, (den, groups) = moduli_dim(g, n), table._free1_view(g - 1, n + 1)
-    e, w, reverse = _moment_pack(d, n * sum(sum(row) for _, row in groups))
+    e, w, reverse = _moment_pack(d, n * sum(map(sum, groups.values())))
     sums: dict[MultiIndex, int] = {}
-    for stored, row in groups:
+    for stored, row in groups.items():
         x = _pack(row, w)
         for i, b in enumerate(stored):
             if not i or stored[i - 1] != b:
@@ -212,13 +218,13 @@ def a_dcon_term(g: int, n: int, table: "VolumeTable") -> Numerators:
     splits = [(c * den // (d1 * d2), p1, p2) for c, (d1, p1), (d2, p2) in views]
 
     def mass(groups):
-        return sum(_orderings_count(rest) * sum(row) for rest, row in groups)
+        return sum(_orderings_count(rest) * sum(row) for rest, row in groups.items())
 
     e, w, reverse = _moment_pack(d, sum(c * mass(p1) * mass(p2) for c, p1, p2 in splits))
     sums: dict[MultiIndex, int] = {}
     for c, groups1, groups2 in splits:
-        packed2 = [(r2, _orderings_count(r2) * _pack(row, w)) for r2, row in groups2]
-        for rest1, row in groups1:
+        packed2 = [(r2, _orderings_count(r2) * _pack(row, w)) for r2, row in groups2.items()]
+        for rest1, row in groups1.items():
             x = c * _orderings_count(rest1) * _pack(row, w)
             for rest2, y in packed2:
                 rest = tuple(sorted(rest1 + rest2, reverse=True))
@@ -239,10 +245,10 @@ def b_term(g: int, n: int, table: "VolumeTable") -> Numerators:
         return 1, {}
     d = moduli_dim(g, n)
     den, groups = table._free1_view(g, n - 1)
-    most = max(sum(row) for _, row in groups)
+    most = max(map(sum, groups.values()))
     e, w, reverse = _moment_pack(d, (n - 1) ** 2 * (2 * d + 1) * most)
     sums: dict[MultiIndex, int] = {}
-    for rest, row in groups:
+    for rest, row in groups.items():
         c = _pack(row, w) * reverse
         for s in range(len(row) + 1):
             merged = tuple(sorted(rest + (s,), reverse=True))
@@ -293,16 +299,6 @@ def _orderings(rest: MultiIndex, memo: dict) -> Tuple[MultiIndex, ...]:
     return out
 
 
-def _expand(stored: LPoly) -> LPoly:
-    """The polynomial symmetric in the labels 2..n whose terms at the keys
-    (a_1, a_2 >= ... >= a_n) are those of ``stored``."""
-    memo: dict = {}
-    terms = {
-        key[:1] + r: q for key, q in stored.items() for r in _orderings(key[1:], memo)
-    }
-    return LPoly(stored.n, stored.weight, terms)
-
-
 def _check(g: int, n: int, given: dict[MultiIndex, Union[int, Fraction]]) -> None:
     # the invariants, on coefficients q or numerators N of [alpha] = N / D;
     # stops at the first missing key, so the work is bounded by the terms
@@ -348,62 +344,68 @@ def validate_volume(g: int, n: int, p: LPoly) -> LPoly:
 def iter_signatures(max_dim: int) -> Iterator[Tuple[int, int]]:
     """All stable (g, n) with n >= 1 and 3g - 3 + n <= max_dim, by
     increasing dimension then (g, n)."""
-    sigs = []
-    g = 0
-    while moduli_dim(g, 1) <= max_dim:
-        n = 1
-        while moduli_dim(g, n) <= max_dim:
-            if is_stable(g, n):
-                sigs.append((g, n))
-            n += 1
-        g += 1
-    sigs.sort(key=lambda s: (moduli_dim(*s), s))
-    return iter(sigs)
+    sigs = [
+        (g, n)
+        for g in range((max_dim + 2) // 3 + 1)
+        for n in range(1, max_dim - 3 * g + 4)
+        if is_stable(g, n)
+    ]
+    return iter(sorted(sigs, key=lambda s: (moduli_dim(*s), s)))
 
 
 class VolumeTable:
     """Memoized map from (g, n) to the internal-convention volume.
 
-    Each entry is stored on its keys (a_1, a_2 >= ... >= a_n) only, as the
-    integers the terms read; its LPoly is built when first read.  Entries
-    are computed on demand, dependencies first, and validated when
+    Each entry, computed or loaded, is held once on its keys (a_1, a_2 >=
+    ... >= a_n) as (D, {rest: [N_0, N_1, ...]}), [(a,) + rest] = N_a / D.
+    Entries are computed on demand, dependencies first, and validated when
     computed or loaded.  Completed entries are immutable.
     """
 
     def __init__(self):
-        self._entries: dict[Tuple[int, int], Tuple[int, list]] = {}
-        # each entry's LPoly, as loaded or built when first read
-        self._polys: dict[Tuple[int, int], LPoly] = {}
+        self._entries: dict[Tuple[int, int], Tuple[int, dict[MultiIndex, list]]] = {}
 
     def __contains__(self, sig: Tuple[int, int]) -> bool:
-        return sig in self._entries or sig in self._polys
+        return sig in self._entries
 
     def signatures(self) -> list[Tuple[int, int]]:
-        return sorted({*self._entries, *self._polys}, key=lambda s: (moduli_dim(*s), s))
+        return sorted(self._entries, key=lambda s: (moduli_dim(*s), s))
 
     def _stored(self, g: int, n: int) -> LPoly:
-        # V_{g,n} on its keys (a_1, a_2 >= ... >= a_n), built on first read
-        poly = self._polys.get((g, n))
-        if poly is None:
-            (den, groups), d = self._free1_view(g, n), moduli_dim(g, n)
-            pairs = zip(_orbit_keys(n, d), (x for _, row in groups for x in row))
-            terms = {a: Fraction(x, den * _odd_factorials(a)) for a, x in pairs}
-            poly = self._polys[(g, n)] = LPoly(n, d, terms)
-        return poly
+        # V_{g,n} on its keys (a_1, a_2 >= ... >= a_n), built from its rows
+        den, rows = self._free1_view(g, n)
+        terms = {
+            (a,) + rest: Fraction(x, den * _odd_factorials((a,) + rest))
+            for rest, row in rows.items()
+            for a, x in enumerate(row)
+        }
+        return LPoly(n, moduli_dim(g, n), terms)
 
     def volume(self, g: int, n: int) -> LPoly:
-        """V_{g,n} in the internal convention (halved at (1,1)), expanded."""
-        return _expand(self._stored(g, n))
+        """V_{g,n} in the internal convention (halved at (1,1)), expanded:
+        symmetric in the labels 2..n, with the stored terms at the keys."""
+        stored, memo = self._stored(g, n), {}
+        terms = {k[:1] + r: q for k, q in stored.items() for r in _orderings(k[1:], memo)}
+        return LPoly(n, stored.weight, terms)
+
+    def normalized(self, g: int, alpha: Sequence[int]) -> Tuple[int, int]:
+        """(N, D) with [alpha] = N / D, the L^(2 alpha) coefficient of
+        V_{g,len(alpha)} times prod_i (2 alpha_i+1)!, read in place; (0, 1)
+        where V has no term."""
+        key = tuple(alpha[:1]) + tuple(sorted(alpha[1:], reverse=True))
+        den, rows = self._free1_view(g, len(key))
+        row = rows.get(key[1:], ())
+        return (row[key[0]], den) if 0 <= key[0] < len(row) else (0, 1)
 
     def coefficient(self, g: int, alpha: Sequence[int]) -> Fraction:
         """The rational coefficient of L^(2 alpha) in V_{g,len(alpha)}."""
-        key = tuple(alpha[:1]) + tuple(sorted(alpha[1:], reverse=True))
-        return self._stored(g, len(key)).coefficient(key)
+        x, den = self.normalized(g, alpha)
+        return Fraction(x, den * _odd_factorials(alpha)) if x else Fraction(0)
 
-    def _free1_view(self, g: int, n: int) -> Tuple[int, list]:
-        """V_{g,n}'s stored form, (D, [(rest, [N_0, N_1, ...]), ...]) with
-        [(a,) + rest] = N_a / D, computed on first read after the inputs its
-        terms read, in their order, from a stack rather than nested calls."""
+    def _free1_view(self, g: int, n: int) -> Tuple[int, dict[MultiIndex, list]]:
+        """V_{g,n}'s entry (D, {rest: [N_0, N_1, ...]}), computed on first
+        read after the inputs its terms read, in their order, from a stack
+        rather than nested calls."""
         if (g, n) not in self:
             if n < 1:
                 raise ValueError(
@@ -417,36 +419,36 @@ class VolumeTable:
             h, k = sig = stack.pop()
             if sig in self._entries:
                 continue
-            if sig in self._polys or sig in BASE_SIGNATURES:
-                p = self._polys.get(sig) or validate_volume(h, k, base_volume(h, k))
-                den, xs = _over_lcm([q * _odd_factorials(a) for a, q in p.items()])
-                nums = dict(zip((a for a, _ in p.items()), xs))
+            if sig in BASE_SIGNATURES:
+                self._store(h, k, *_numerators(validate_volume(h, k, base_volume(h, k))))
+                continue
+            splits = stable_splittings(h, k)
+            pieces = [(g1, k1 + 1) for split in splits for g1, k1 in split]
+            inputs = [(h - 1, k + 1), *pieces, (h, k - 1)]
+            missing = [s for s in inputs if s[1] and is_stable(*s) and s not in self]
+            if missing:
+                stack += [sig, *reversed(missing)]
             else:
-                splits = stable_splittings(h, k)
-                pieces = [(g1, k1 + 1) for split in splits for g1, k1 in split]
-                inputs = [(h - 1, k + 1), *pieces, (h, k - 1)]
-                missing = [s for s in inputs if s[1] and is_stable(*s) and s not in self]
-                if missing:
-                    stack += [sig, *reversed(missing)]
-                    continue
-                den, nums = self._compute(h, k)
-            d = moduli_dim(h, k)
-            self._entries[sig] = den, [
-                (rest, [nums[(a,) + rest] for a in range(d - sum(rest) + 1)])
-                for rest in _sorted_keys(k - 1, d)
-            ]
+                self._store(h, k, *self._compute(h, k))
         return self._entries[(g, n)]
+
+    def _store(self, g: int, n: int, den: int, nums: dict[MultiIndex, int]) -> None:
+        # the one way in: [alpha] = nums[alpha] / den at every orbit key,
+        # reduced by the gcd, in rows over a_1; in sorted order the keys of
+        # each rest come by a_1, and the rests first appear in lexicographic order
+        common, rows = gcd(den, *nums.values()), {}
+        for key in sorted(nums):
+            rows.setdefault(key[1:], []).append(nums[key] // common)
+        self._entries[(g, n)] = den // common, rows
 
     def true_volume(self, g: int, n: int) -> LPoly:
         """The geometric Weil-Petersson volume: doubles only V_{1,1}."""
         v = self.volume(g, n)
-        if (g, n) == (1, 1):
-            return v.scale(2)
-        return v
+        return v.scale(2) if (g, n) == (1, 1) else v
 
     def _compute(self, g: int, n: int) -> Tuple[int, dict[MultiIndex, int]]:
         # d/dL_1 (L_1 V) = A^con + A^dcon + B, normalized, over one LCM, is
-        # [alpha] of V: dividing by prod_i (2 alpha_i + 1)! integrates back
+        # [alpha] of V: dividing by prod_i (2 alpha_i + 1)! also integrates back
         terms = (a_con_term(g, n, self), a_dcon_term(g, n, self), b_term(g, n, self))
         den = lcm(*(term_den for term_den, _ in terms))
         acc: dict[MultiIndex, int] = {}
@@ -454,16 +456,13 @@ class VolumeTable:
             c = den // term_den
             for key, x in sums.items():
                 acc[key] = acc.get(key, 0) + x * c
-        common = gcd(den, *acc.values())
-        nums = {key: x // common for key, x in acc.items()}
-        _check(g, n, nums)
-        return den // common, nums
+        _check(g, n, acc)
+        return den, acc
 
     def ensure(self, max_dim: int) -> None:
         """Compute every stable (g, n), n >= 1, with 3g-3+n <= max_dim."""
         for sig in iter_signatures(max_dim):
-            if sig not in self:
-                self._free1_view(*sig)
+            self._free1_view(*sig)
 
     # ------------------------------------------------------------------
     # serialization
@@ -490,5 +489,5 @@ class VolumeTable:
             # validate_volume would build an n-long key to name it
             if not poly:
                 raise ValueError(f"entry {key!r} holds no terms")
-            table._polys[(g, n)] = validate_volume(g, n, poly)
+            table._store(g, n, *_numerators(validate_volume(g, n, poly)))
         return table

@@ -569,7 +569,7 @@ def loop_a_con(g, n, table):
         return 1, {}
     den, groups = table._free1_view(g - 1, n + 1)
     sums = {}
-    for stored, p in groups:
+    for stored, p in groups.items():
         for i, b in enumerate(stored):
             if i and stored[i - 1] == b:
                 continue
@@ -588,8 +588,8 @@ def loop_a_dcon(g, n, table):
     sums = {}
     for (d1, groups1), (d2, groups2) in views:
         c = den // (d1 * d2)
-        for rest1, p1 in groups1:
-            for rest2, p2 in groups2:
+        for rest1, p1 in groups1.items():
+            for rest2, p2 in groups2.items():
                 rest = tuple(sorted(rest1 + rest2, reverse=True))
                 w = c * prod(comb(rest.count(v), rest1.count(v)) for v in set(rest1))
                 row = sums.setdefault(rest, {})
@@ -605,7 +605,7 @@ def loop_b(g, n, table):
     den, groups = table._free1_view(g, n - 1)
     e, r = loop_moment_row(moduli_dim(g, n))
     acc = {}
-    for rest, p in groups:
+    for rest, p in groups.items():
         for a, x in enumerate(p):
             for s in range(a + 2):
                 merged = tuple(sorted(rest + (s,), reverse=True))
