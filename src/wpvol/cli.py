@@ -43,6 +43,10 @@ CACHE_VERSION = 2
 # Convention stamp: a cache written under a different volume convention
 # must be rejected rather than silently reinterpreted.
 CONVENTION = "internal-halved-V11"
+# The largest dimension 3g-3+n a command computes to.  compact 15 reads
+# V_{15,1}, of dimension 43; the cost grows about tenfold per dimension,
+# so a signature far past this would run for days instead of answering.
+MAX_DIM = 60
 
 
 class UsageError(Exception):
@@ -174,6 +178,15 @@ def _check_path(path: str, option: str) -> None:
         raise UsageError(f"{path}: exists and is not a regular file")
 
 
+def _check_reach(dim: int, what: str) -> None:
+    # before any table work: what needs volumes up to dimension dim
+    if dim > MAX_DIM:
+        raise UsageError(
+            f"{what} needs dimension 3g-3+n = {dim}, beyond the largest wpvol "
+            f"computes, {MAX_DIM}"
+        )
+
+
 def _open_table(args) -> VolumeTable:
     """The command's volume table: empty, or read from the ``--cache`` file.
     No command writes that file; ``table --out`` is the only writer."""
@@ -222,6 +235,7 @@ def cmd_volume(args) -> int:
         raise UsageError("closed surfaces have no boundary polynomial; use 'compact'")
     if not is_stable(g, n):
         raise UsageError(f"({g},{n}) is not a stable signature")
+    _check_reach(moduli_dim(g, n), f"V_{{{g},{n}}}")
     values = None if args.lengths is None else _parse_lengths(args.lengths, n)
     table = _open_table(args)
     poly = table.volume(g, n) if args.internal_convention else table.true_volume(g, n)
@@ -280,8 +294,9 @@ def cmd_intersect(args) -> int:
         raise UsageError(f"the kappa_1 power --kappa must be non-negative, got {args.kappa}")
     if not is_stable(g, n):
         raise UsageError(f"({g},{n}) is not a stable signature")
-    table = _open_table(args)
     d = moduli_dim(g, n)
+    _check_reach(d, f"V_{{{g},{n}}}")
+    table = _open_table(args)
     m = d - sum(alpha)
     if args.kappa is not None and args.kappa != m:
         print("0")
@@ -307,6 +322,7 @@ def cmd_intersect(args) -> int:
 def cmd_compact(args) -> int:
     if args.g < 2:
         raise UsageError("closed-surface volumes need genus >= 2")
+    _check_reach(moduli_dim(args.g, 1), f"compact {args.g}, through V_{{{args.g},1}},")
     v = compact_volume(_open_table(args), args.g)
     if args.format == "json":
         print(json.dumps({"g": args.g, "n": 0, "value": v.to_records()}, indent=2))
@@ -318,6 +334,7 @@ def cmd_compact(args) -> int:
 
 
 def cmd_table(args) -> int:
+    _check_reach(args.max_dim, f"--max-dim {args.max_dim}")
     _check_path(args.out, "--out")
     table = _open_table(args)
     table.ensure(args.max_dim)
@@ -336,6 +353,7 @@ def cmd_diag_zograf(args) -> int:
             f"--gmax {args.gmax} is below the first genus {first} for --n {n}; "
             "the table would be empty"
         )
+    _check_reach(moduli_dim(args.gmax, max(n, 1)), f"--gmax {args.gmax} --n {n}")
     table = _open_table(args)
     print("# g  ratio V_{g,n}(0) / [(4 pi^2)^(2g+n-3) (2g+n-3)! / sqrt(g pi)]")
     for g in range(first, args.gmax + 1):
@@ -346,11 +364,11 @@ def cmd_diag_zograf(args) -> int:
 def cmd_verify(args) -> int:
     # before any work: every relation suite has an instance at dimension 1
     # and none at dimension 0, where passing would mean checking nothing
-    if args.relation != "kernels" and args.max_dim < 1:
-        raise UsageError(
-            f"verify {args.relation} --max-dim {args.max_dim} checks no relation "
-            "instance; use --max-dim 1 or more"
-        )
+    what = f"verify {args.relation} --max-dim {args.max_dim}"
+    if args.relation != "kernels":
+        if args.max_dim < 1:
+            raise UsageError(f"{what} checks no relation instance; use --max-dim 1 or more")
+        _check_reach(args.max_dim, what)
     # the kernel suite reads no table, so it ignores --cache
     table = None if args.relation == "kernels" else _open_table(args)
     failures = 0

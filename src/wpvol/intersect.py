@@ -26,10 +26,10 @@ The Do equations compare polynomials in the intersection-normalized
 intersection numbers, so the (1,1) instance needs the halved torus
 volume.  Both sides are symmetric in the remaining lengths, so 2 pi i is
 substituted for L_1, the label the stored keys (a_1, a_2 >= ... >= a_n)
-single out, and the sides are compared at every fully sorted key beta
-from stored coefficients alone.  L_1^(2a) becomes (-4)^a pi^(2a), so
-each side keeps its weight and stays in Q[pi^2]; the common factor
-2 pi i of the dilaton equation cancels symbolically against
+single out, and the sides are compared and written at every fully sorted
+key beta from stored coefficients alone.  L_1^(2a) becomes (-4)^a
+pi^(2a), so each side keeps its weight and stays in Q[pi^2]; the common
+factor 2 pi i of the dilaton equation cancels symbolically against
 dV/dL_1 = L_1 Q, keeping the scalar ring real and exact.
 """
 from __future__ import annotations
@@ -44,11 +44,10 @@ from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import PiPoly
-from .lpoly import LPoly, grlex_key
+from .lpoly import LPoly
 from .recursion import (
     VolumeTable,
     _odd_factorials,
-    _orderings,
     _sorted_keys,
     is_stable,
     iter_signatures,
@@ -150,24 +149,19 @@ def _side_str(side: Union[Fraction, LPoly]) -> str:
         return str(side)
     if not side:
         return "0"
-    # a polynomial side is held on its fully sorted keys: each key's
-    # coefficient is written once and shown at every ordering of the key
-    memo: dict = {}
-    text = {}
-    for key, _ in side.items():
-        coeff = side.pi_coefficient(key).as_str()
-        for alpha in _orderings(key, memo):
-            text[alpha] = coeff
+    # a polynomial side is symmetric and held on its fully sorted keys,
+    # which alone are written, in graded-lex order
     return "; ".join(
-        f"L^{list(alpha)}: {text[alpha]}" for alpha in sorted(text, key=grlex_key)
+        f"L^{list(alpha)}: {side.pi_coefficient(alpha).as_str()}"
+        for alpha, _ in side.sorted_items()
     )
 
 
 class CheckRecord(NamedTuple):
     """Outcome of one relation instance, with its exact sides: rationals,
     or for the Do equations symmetric polynomials on their fully sorted
-    keys.  The sides are expanded and rendered as text only when ``lhs``,
-    ``rhs`` or :meth:`to_json` is read."""
+    keys.  The sides are rendered as text, on those keys alone, only when
+    ``lhs``, ``rhs`` or :meth:`to_json` is read."""
 
     relation: str
     g: int

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from wpvol.cli import main
+from wpvol.cli import MAX_DIM, main
+from wpvol.recursion import moduli_dim
 
 
 def run(capsys, *argv):
@@ -208,6 +209,8 @@ def test_verify_kernels_suite(capsys):
 # with the pi power implied by the weight.  The quadrature deviations in
 # the kernel records are floats whose last digits depend on the platform's
 # math library, so they are masked; everything else is hashed byte for byte.
+# Re-recorded when the Do sides came to be written on their fully sorted
+# keys alone (898541bc... when they were written at every ordering).
 GOLDEN_COMMANDS = [
     ["volume", "1", "1"],
     ["volume", "1", "1", "--internal-convention"],
@@ -226,7 +229,7 @@ GOLDEN_COMMANDS = [
     ["compact", "3", "--format", "latex"],
     ["verify", "all", "--max-dim", "4", "--format", "json"],
 ]
-GOLDEN_DIGEST = "898541bcc307348d4e1f20ee8bf422d0b823a4dfd8754fed5b0ce0b3df41684f"
+GOLDEN_DIGEST = "1fecbfad56a047934657e14aefa36131b7c1942747317d1a3db0d152c32ecc13"
 
 
 def test_stdout_golden_digest(capsys):
@@ -240,19 +243,57 @@ def test_stdout_golden_digest(capsys):
 
 
 # The relation suites to dimension 7, recorded from the checks that
-# expanded every volume (Do) and dealt labels by bit mask (DVV); the
-# orbit-keyed checks must print the same bytes.
-RELATION_DIGEST_D7 = "197969e403dcf5a0e509b909b002be0fd496f56f49077077eb5c780e815b130f"
+# expanded every volume (Do) and dealt labels by bit mask (DVV), with each
+# Do side written at every ordering of its keys; the orbit-keyed checks
+# write a Do side on its fully sorted keys alone.
+RELATION_DIGEST_D7 = "5af7814e8666dfc25b50842ec83321869447460db8de351f41375582ccba82d5"
+RELATION_DIGEST_D7_EXPANDED = "197969e403dcf5a0e509b909b002be0fd496f56f49077077eb5c780e815b130f"
 
 
-def test_relation_suites_dimension_seven_golden_digest(capsys):
-    h = hashlib.sha256()
+def relation_suites_dimension_seven(capsys):
     for relation in ("string", "dilaton", "dvv", "do-string", "do-dilaton"):
         argv = ["verify", relation, "--max-dim", "7", "--format", "json"]
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
+        yield argv, out
+
+
+def test_relation_suites_dimension_seven_golden_digest(capsys):
+    h = hashlib.sha256()
+    for argv, out in relation_suites_dimension_seven(capsys):
         h.update(" ".join(argv).encode() + b"\n" + out.encode())
     assert h.hexdigest() == RELATION_DIGEST_D7
+
+
+def expanded_side(text):
+    # a Do side written on its fully sorted keys, as it was written at every
+    # ordering of each key, in graded-lex order
+    from wpvol.lpoly import grlex_key
+    from wpvol.recursion import _orderings
+
+    if text == "0":
+        return text
+    memo, coeffs = {}, {}
+    for item in text.split("; "):
+        key, coeff = item.split(": ")
+        sorted_key = tuple(json.loads(key[2:]))
+        assert list(sorted_key) == sorted(sorted_key, reverse=True), text
+        for alpha in _orderings(sorted_key, memo):
+            coeffs[alpha] = coeff
+    return "; ".join(f"L^{list(a)}: {coeffs[a]}" for a in sorted(coeffs, key=grlex_key))
+
+
+def test_sorted_key_do_sides_expand_to_every_ordering(capsys):
+    h, sides = hashlib.sha256(), 0
+    for argv, out in relation_suites_dimension_seven(capsys):
+        records = json.loads(out)
+        for rec in records:
+            if rec["relation"].startswith("do-"):
+                rec["lhs"], rec["rhs"] = expanded_side(rec["lhs"]), expanded_side(rec["rhs"])
+                sides += 2
+        h.update(" ".join(argv).encode() + b"\n" + (json.dumps(records, indent=2) + "\n").encode())
+    assert sides == 2 * (16 + 16)
+    assert h.hexdigest() == RELATION_DIGEST_D7_EXPANDED
 
 
 def test_usage_error_exit_code(capsys):
@@ -798,6 +839,7 @@ def forbid_table_work(monkeypatch):
     monkeypatch.setattr(VolumeTable, "volume", no_work)
     monkeypatch.setattr(VolumeTable, "ensure", no_work)
     monkeypatch.setattr(VolumeTable, "_stored", no_work)
+    monkeypatch.setattr(VolumeTable, "_free1_view", no_work)
 
 
 def forbid_kernel_work(monkeypatch):
@@ -1061,6 +1103,46 @@ def test_relation_suite_without_instances_rejected_before_work(
     assert stdout == ""
     assert_one_line_error(code, err, f"verify {relation} --max-dim 0", "no relation")
     assert cache.read_text() == "not a cache"
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (["volume", "200", "1"], "V_{200,1} needs dimension 3g-3+n = 598"),
+        (["volume", "0", "1000000000", "--lengths", "1"], "= 999999997"),
+        (["intersect", "300", "1"], "V_{300,1} needs dimension 3g-3+n = 898"),
+        (["intersect", "20", "0", "0", "0", "0", "--kappa", "0"], "V_{20,4} needs"),
+        (["compact", "21"], "compact 21, through V_{21,1}, needs dimension 3g-3+n = 61"),
+        (["verify", "dvv", "--max-dim", "100000"], "verify dvv --max-dim 100000 needs"),
+        (["verify", "all", "--max-dim", "61"], "verify all --max-dim 61 needs"),
+        (["table", "--max-dim", "61", "--out", "out.json"], "--max-dim 61 needs"),
+        (["diag-zograf", "--gmax", "21"], "--gmax 21 --n 1 needs dimension 3g-3+n = 61"),
+        (["diag-zograf", "--gmax", "21", "--n", "0"], "--gmax 21 --n 0 needs"),
+    ],
+)
+def test_out_of_reach_dimension_rejected_before_work(
+    tmp_path, capsys, monkeypatch, argv, words
+):
+    # each ran until a timeout killed it: V_{200,1} alone is dimension 598
+    forbid_table_work(monkeypatch)
+    forbid_kernel_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    cache = tmp_path / "cache.json"
+    cache.write_text("not a cache")
+    code, out, err = run(capsys, *argv, "--cache", str(cache))
+    assert out == ""
+    assert_one_line_error(code, err, words, f"the largest wpvol computes, {MAX_DIM}")
+    assert os.listdir(tmp_path) == ["cache.json"]
+
+
+def test_reach_covers_compact_fifteen_and_stops_at_its_limit(capsys, monkeypatch):
+    # compact 15 reads V_{15,1}; dimension MAX_DIM itself is accepted: the
+    # pairing below is zero by degree, so it needs no table work either
+    forbid_table_work(monkeypatch)
+    assert moduli_dim(15, 1) == 43 <= MAX_DIM
+    code, out, err = run(capsys, "intersect", "20", "0", "0", "6", "--kappa", "0")
+    assert moduli_dim(20, 3) == MAX_DIM and code == 0 and out == "0\n"
+    assert "zero by degree" in err
 
 
 def test_kernel_suite_needs_no_dimension(capsys, monkeypatch):
