@@ -37,16 +37,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import comb, factorial, prod
 from operator import mul
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import PiPoly
 from .lpoly import LPoly
 from .recursion import (
     VolumeTable,
+    _double_factorial,
     _odd_factorials,
     _sorted_keys,
     is_stable,
@@ -72,12 +72,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _double_factorial(m: int) -> int:
-    """(m)!! for odd m >= -1, with (-1)!! = 1."""
-    return prod(range(m, 0, -2))
-
-
 class IntersectionValue(NamedTuple):
     """An intersection number in both normalizations.
 
@@ -99,35 +93,23 @@ def intersection_number(
     The coefficient of L^(2 alpha) is a rational multiple of pi^(2m), so
     the kappa-normalized value (divided by (2 pi^2)^m) is a plain rational.
     """
-    alpha = tuple(alpha)
-    n = len(alpha)
-    d = moduli_dim(g, n)
-    total = sum(alpha)
-    if total > d:
+    m = moduli_dim(g, len(alpha)) - sum(alpha)
+    if m < 0:
         return IntersectionValue(PiPoly.zero(), Fraction(0), 0)
-    m = d - total
-    # the internal coefficient is the number over 2^|alpha| alpha! m!: the
-    # halved V_{1,1} absorbs the 2^(d11) of the true volume
-    q = table.coefficient(g, alpha) * (
-        2**total * prod(factorial(a) for a in alpha) * factorial(m)
-    )
+    # the halved V_{1,1} absorbs the 2^(d11) of the true volume
+    x, den = table.intersection_pair(g, alpha)
+    q = Fraction(x * factorial(m), den)
     return IntersectionValue(PiPoly.monomial(m, q), q / 2**m, m)
 
 
 def psi_correlator(table: VolumeTable, g: int, alpha: Sequence[int]) -> Fraction:
     """<tau_{a_1} ... tau_{a_n}>_g, zero unless sum(alpha) = 3g - 3 + n
     with (g, n) stable.  Symmetric in alpha."""
-    return Fraction(*_correlator(table, g, tuple(alpha)))
-
-
-def _correlator(table: VolumeTable, g: int, alpha: Tuple[int, ...]) -> Tuple[int, int]:
-    # the m = 0 case of intersection_number as (N, D prod_i (2 alpha_i+1)!!)
-    # from [alpha] = N / D, as (2a+1)! = (2a+1)!! 2^a a!; (0, 1) off degree
     n = len(alpha)
-    if not is_stable(g, n) or min(alpha, default=0) < 0 or sum(alpha) != moduli_dim(g, n):
-        return 0, 1
-    x, den = table.normalized(g, alpha)
-    return x, den * prod(_double_factorial(2 * a + 1) for a in alpha)
+    if not is_stable(g, n) or sum(alpha) != moduli_dim(g, n):
+        return Fraction(0)
+    # the m = 0 case of intersection_number
+    return Fraction(*table.intersection_pair(g, alpha))
 
 
 def genus0_correlator(alpha: Sequence[int]) -> Fraction:
@@ -235,25 +217,15 @@ def check_dvv(table: VolumeTable, g: int, k: Sequence[int]) -> CheckRecord:
     and only that one is summed.  The relation instantiates the recursion,
     so the base signatures (0,3) and (1,1) are out of scope.
     """
-    return _check_dvv(_memo_correlator(table), g, k)
-
-
-def _memo_correlator(table: VolumeTable) -> Callable[[int, Tuple[int, ...]], Tuple[int, int]]:
-    # psi_correlator as an integer pair, memoized on (g, sorted alpha): it
-    # is symmetric in alpha
-    memo = lru_cache(maxsize=None)(lambda g, a: _correlator(table, g, a))
-    return lambda g, alpha: memo(g, tuple(sorted(alpha)))
-
-
-def _check_dvv(
-    correlator: Callable[[int, Tuple[int, ...]], Tuple[int, int]], g: int, k: Sequence[int]
-) -> CheckRecord:
-    # check_dvv reading <tau_alpha>_g as correlator(g, alpha), which a
-    # suite run shares across its instances; the right side is summed as
-    # integer numerators per denominator, and divided out once
     k = tuple(k)
     n = len(k)
     k1, rest = k[0], k[1:]
+    if not is_stable(g, n) or sum(k) != moduli_dim(g, n):
+        # both sides vanish: each symbol is off degree by as much, or unstable
+        return CheckRecord("dvv", g, n, k, True, Fraction(0), Fraction(0))
+    # every symbol is now on degree at genus >= 0; the right side is summed
+    # as integer numerators per denominator, and divided out once
+    correlator = table.intersection_pair
     lhs = _double_factorial(2 * k1 + 1) * Fraction(*correlator(g, k))
 
     counts = Counter(rest)
@@ -411,7 +383,6 @@ def run_relation_suite(
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
     records: list[CheckRecord] = []
-    correlator = _memo_correlator(table)
     for g, n in iter_signatures(max_dim):
         d = moduli_dim(g, n)
         grows = moduli_dim(g, n + 1) <= max_dim
@@ -424,7 +395,7 @@ def run_relation_suite(
         elif relation == "dvv" and (g, n) not in {(0, 3), (1, 1)}:
             for k1 in range(d + 1):
                 for rest in _sorted_compositions(d - k1, n - 1):
-                    records.append(_check_dvv(correlator, g, (k1,) + rest))
+                    records.append(check_dvv(table, g, (k1,) + rest))
         elif relation == "do-string" and grows:
             records.append(check_do_string(table, g, n))
         elif relation == "do-dilaton" and grows:

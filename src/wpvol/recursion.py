@@ -139,6 +139,12 @@ def _odd_factorials(alpha: Sequence[int]) -> int:
     return prod(factorial(2 * a + 1) for a in alpha)
 
 
+@lru_cache(maxsize=None)
+def _double_factorial(m: int) -> int:
+    """(m)!! for odd m >= -1, with (-1)!! = 1."""
+    return prod(range(m, 0, -2))
+
+
 def _numerators(p: LPoly) -> Tuple[int, dict[MultiIndex, int]]:
     # (den, {alpha: x}) with x / den = [alpha] = q prod_i (2 alpha_i+1)!
     den, xs = _over_lcm([q for _, q in p.items()])
@@ -359,11 +365,13 @@ class VolumeTable:
     Each entry, computed or loaded, is held once on its keys (a_1, a_2 >=
     ... >= a_n) as (D, {rest: [N_0, N_1, ...]}), [(a,) + rest] = N_a / D.
     Entries are computed on demand, dependencies first, and validated when
-    computed or loaded.  Completed entries are immutable.
+    computed or loaded.  Completed entries are immutable, so what
+    :meth:`intersection_pair` reads off them is memoized for good.
     """
 
     def __init__(self):
         self._entries: dict[Tuple[int, int], Tuple[int, dict[MultiIndex, list]]] = {}
+        self._pairs: dict[Tuple[int, MultiIndex], Tuple[int, int]] = {}
 
     def __contains__(self, sig: Tuple[int, int]) -> bool:
         return sig in self._entries
@@ -396,6 +404,19 @@ class VolumeTable:
         den, rows = self._free1_view(g, len(key))
         row = rows.get(key[1:], ())
         return (row[key[0]], den) if 0 <= key[0] < len(row) else (0, 1)
+
+    def intersection_pair(self, g: int, alpha: Sequence[int]) -> Tuple[int, int]:
+        """(N, D prod_i (2 alpha_i+1)!!) with [alpha] = N / D: as (2a+1)! =
+        (2a+1)!! 2^a a!, its ratio is int psi^alpha omega^m / (m! pi^(2m)),
+        m = 3g-3+n-|alpha|.  Memoized on (g, sorted alpha) for alpha >= 0
+        with m >= 0, (0, 1) off them; raises as :meth:`normalized` does."""
+        key = (g, tuple(sorted(alpha, reverse=True)))
+        if key not in self._pairs:
+            if min(alpha, default=0) < 0 or sum(alpha) > moduli_dim(g, len(alpha)):
+                return 0, 1
+            x, den = self.normalized(g, key[1])
+            self._pairs[key] = x, den * prod(_double_factorial(2 * a + 1) for a in alpha)
+        return self._pairs[key]
 
     def coefficient(self, g: int, alpha: Sequence[int]) -> Fraction:
         """The rational coefficient of L^(2 alpha) in V_{g,len(alpha)}."""

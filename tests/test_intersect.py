@@ -21,7 +21,13 @@ from wpvol.intersect import (
     run_relation_suite,
     zograf_ratio,
 )
-from wpvol.recursion import VolumeTable, iter_signatures, moduli_dim, validate_volume
+from wpvol.recursion import (
+    VolumeTable,
+    _sorted_keys,
+    iter_signatures,
+    moduli_dim,
+    validate_volume,
+)
 
 
 @pytest.fixture(scope="module")
@@ -382,6 +388,38 @@ def test_loaded_table_holds_and_checks_as_the_computed_one():
         records = run_relation_suite(loaded, relation, 7)
         assert records == run_relation_suite(t, relation, 7), relation
         assert records and all(r.passed for r in records), relation
+
+
+def test_memoized_pairs_cannot_show_in_any_output():
+    # every top-degree reader and intersection_number share one memo per
+    # table: neither off-range queries nor the order of the suites may show
+    d = 6
+    fresh = {}
+    for relation in RELATIONS:
+        t = VolumeTable()
+        fresh[relation] = run_relation_suite(t, relation, d)
+    computed = VolumeTable()
+    computed.ensure(d)
+    loaded = VolumeTable.from_entries(computed.to_entries())
+    for t in (computed, loaded):
+        assert psi_correlator(t, 2, (99,)) == 0  # off degree
+        assert psi_correlator(t, 0, (0, 0)) == 0  # unstable
+        assert psi_correlator(t, 1, (3, -1)) == 0  # negative, on degree
+        assert intersection_number(t, 1, (5,)).kappa == 0  # past the dimension
+        assert intersection_number(t, 1, (3, -1)).kappa == 0
+        assert t._pairs == {}
+        for order in (RELATIONS, RELATIONS[::-1]):
+            for relation in order:
+                assert run_relation_suite(t, relation, d) == fresh[relation], relation
+        assert t._pairs
+        # the number is the coefficient times 2^|alpha| alpha! m!, over
+        # (2 pi^2)^m for kappa_1, at every key below the top degree too
+        for g, n in iter_signatures(d):
+            for alpha in _sorted_keys(n, moduli_dim(g, n)):
+                value = intersection_number(t, g, alpha)
+                scale = 2 ** sum(alpha) * math.prod(map(math.factorial, alpha))
+                q = t.coefficient(g, alpha) * scale * math.factorial(value.m)
+                assert value.kappa == q / 2**value.m, (g, alpha)
 
 
 def test_correlators_positive_in_range(table):
