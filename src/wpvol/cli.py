@@ -298,18 +298,18 @@ def cmd_intersect(args) -> int:
     _check_reach(d, f"V_{{{g},{n}}}")
     table = _open_table(args)
     m = d - sum(alpha)
+    if m < 0:
+        print("0")
+        print(
+            f"note: |alpha| exceeds 3g-3+n = {d}; the pairing is zero by degree",
+            file=sys.stderr,
+        )
+        return 0
     if args.kappa is not None and args.kappa != m:
         print("0")
         print(
             f"note: kappa power {args.kappa} does not match "
             f"3g-3+n-|alpha| = {m}; the pairing is zero by degree",
-            file=sys.stderr,
-        )
-        return 0
-    if m < 0:
-        print("0")
-        print(
-            f"note: |alpha| exceeds 3g-3+n = {d}; the pairing is zero by degree",
             file=sys.stderr,
         )
         return 0

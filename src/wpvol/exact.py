@@ -3,8 +3,8 @@ integers.
 
 Every quantity produced by the volume recursion is an exact element of
 Q[pi^2]: a finite sum of rational multiples of pi^(2k), held by
-:class:`PiPoly`.  Floating point enters only through
-:func:`PiPoly.to_float`, the bridge used by the numeric oracle and the CLI.
+:class:`PiPoly`.  Floating point enters only through :func:`PiPoly.to_float`,
+called by the CLI and ``zograf_ratio``; the oracle sums its floats itself.
 
 zeta(2i) is a rational multiple of pi^(2i); :func:`zeta_even` returns
 that rational, z_i = zeta(2i) / pi^(2i), from Euler's recurrence

@@ -8,13 +8,13 @@ polynomial homogeneous of weight w in (L^2, pi^2):
 with multi-index keys alpha = (a_1, ..., a_n), |alpha| <= w, and plain
 rational coefficients q_alpha.  Volumes V_{g,n} have weight 3g-3+n and
 the kernel moment F_{2k+1} has weight k+1, so the power of pi never needs
-storing.  :meth:`LPoly.integrate_back` keeps the weight.
+storing.
 
 Only even polynomials are representable: an exponent vector alpha always
 means ``prod_i L_i^(2 a_i)``, so evenness is an invariant of the
-representation.  The odd intermediate L_1 * V is handled as a (variable
-* even part) pair by :meth:`LPoly.integrate_back`; the recursion sums its
-terms on integers and folds the same division into each stored key.
+representation.  :meth:`LPoly.integrate_back` inverts d/dL_1 (L_1 q);
+the recursion folds that division into its integer sums, so nothing in
+the package calls it: it stays because ``perfbench/tracing.py`` wraps it.
 
 The canonical term order used for serialization and rendering is graded
 lexicographic on alpha.

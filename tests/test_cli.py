@@ -128,7 +128,18 @@ def test_intersect_degree_mismatch_prints_zero(capsys):
     code, out, err = run(capsys, "intersect", "1", "1", "--kappa", "3")
     assert code == 0
     assert out.strip() == "0"
-    assert "zero by degree" in err
+    assert err == (
+        "note: kappa power 3 does not match 3g-3+n-|alpha| = 0; "
+        "the pairing is zero by degree\n"
+    )
+
+
+@pytest.mark.parametrize("kappa", [(), ("--kappa", "0")])
+def test_intersect_alpha_past_the_dimension_prints_zero(capsys, kappa):
+    # named as such with or without --kappa, never as a negative kappa power
+    code, out, err = run(capsys, "intersect", "0", "1", "1", "1", "1", *kappa)
+    assert (code, out) == (0, "0\n")
+    assert err == "note: |alpha| exceeds 3g-3+n = 1; the pairing is zero by degree\n"
 
 
 def test_compact_genus_two(capsys):
