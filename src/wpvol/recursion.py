@@ -45,13 +45,13 @@ Packed values are positive, so a slot is at most the total summed into it:
 the sum over splittings of the weight times (sum mu1 N1)(sum mu2 N2)
 (A^dcon), or (n-1)^2 (2d+1) max row sum (B).
 
-Every entry passes one check on its stored keys: weight 3g-3+n, a
-positive value at each orbit key equal to the one at its fully sorted key
-(L_1 against the other labels), and no term at any other key.  It reads N
-of a computed entry, or q of a base case or a loaded one, through
-:func:`validate_volume`, before it is stored: the same check, as prod_i
-(2 alpha_i+1)! is symmetric.  A violation aborts; with exact arithmetic
-any mismatch is a logic bug.
+Every entry, computed, a base case or loaded, passes one check where it
+is stored, on the numerators N of its keys: a positive value at each
+orbit key with |alpha| <= 3g-3+n equal to the one at its fully sorted key
+(L_1 against the other labels), and no term at any other key.  As prod_i
+(2 alpha_i+1)! is symmetric and positive, it is the check
+:func:`validate_volume` makes on the coefficients q.  A violation aborts;
+with exact arithmetic any mismatch is a logic bug.
 """
 from __future__ import annotations
 
@@ -364,8 +364,8 @@ class VolumeTable:
 
     Each entry, computed or loaded, is held once on its keys (a_1, a_2 >=
     ... >= a_n) as (D, {rest: [N_0, N_1, ...]}), [(a,) + rest] = N_a / D.
-    Entries are computed on demand, dependencies first, and validated when
-    computed or loaded.  Completed entries are immutable, so what
+    Entries are computed on demand, dependencies first, and checked where
+    they are stored, computed or loaded.  Completed entries are immutable, so what
     :meth:`intersection_pair` reads off them is memoized for good.
     """
 
@@ -396,32 +396,29 @@ class VolumeTable:
         terms = {k[:1] + r: q for k, q in stored.items() for r in _orderings(k[1:], memo)}
         return LPoly(n, stored.weight, terms)
 
-    def normalized(self, g: int, alpha: Sequence[int]) -> Tuple[int, int]:
-        """(N, D) with [alpha] = N / D, the L^(2 alpha) coefficient of
-        V_{g,len(alpha)} times prod_i (2 alpha_i+1)!, read in place; (0, 1)
-        where V has no term."""
-        key = tuple(alpha[:1]) + tuple(sorted(alpha[1:], reverse=True))
-        den, rows = self._free1_view(g, len(key))
-        row = rows.get(key[1:], ())
-        return (row[key[0]], den) if 0 <= key[0] < len(row) else (0, 1)
-
     def intersection_pair(self, g: int, alpha: Sequence[int]) -> Tuple[int, int]:
         """(N, D prod_i (2 alpha_i+1)!!) with [alpha] = N / D: as (2a+1)! =
         (2a+1)!! 2^a a!, its ratio is int psi^alpha omega^m / (m! pi^(2m)),
         m = 3g-3+n-|alpha|.  Memoized on (g, sorted alpha) for alpha >= 0
-        with m >= 0, (0, 1) off them; raises as :meth:`normalized` does."""
+        with m >= 0, (0, 1) off them; raises as :meth:`_free1_view` does."""
         key = (g, tuple(sorted(alpha, reverse=True)))
         if key not in self._pairs:
             if min(alpha, default=0) < 0 or sum(alpha) > moduli_dim(g, len(alpha)):
                 return 0, 1
-            x, den = self.normalized(g, key[1])
+            # the value at the fully sorted key, which the table stores
+            den, rows = self._free1_view(g, len(alpha))
+            x = rows[key[1][1:]][key[1][0]]
             self._pairs[key] = x, den * prod(_double_factorial(2 * a + 1) for a in alpha)
         return self._pairs[key]
 
     def coefficient(self, g: int, alpha: Sequence[int]) -> Fraction:
-        """The rational coefficient of L^(2 alpha) in V_{g,len(alpha)}."""
-        x, den = self.normalized(g, alpha)
-        return Fraction(x, den * _odd_factorials(alpha)) if x else Fraction(0)
+        """The rational coefficient of L^(2 alpha) in V_{g,len(alpha)}:
+        x / (D' prod_i 2^a_i a_i!) for (x, D') its :meth:`intersection_pair`;
+        raises at an unstable signature, which that pair reads as (0, 1)."""
+        self._free1_view(g, len(alpha))
+        x, den = self.intersection_pair(g, alpha)
+        # off range x = 0, where 2^a a! need not exist
+        return Fraction(x, den * prod(2**a * factorial(a) for a in alpha)) if x else Fraction(0)
 
     def _free1_view(self, g: int, n: int) -> Tuple[int, dict[MultiIndex, list]]:
         """V_{g,n}'s entry (D, {rest: [N_0, N_1, ...]}), computed on first
@@ -441,7 +438,7 @@ class VolumeTable:
             if sig in self._entries:
                 continue
             if sig in BASE_SIGNATURES:
-                self._store(h, k, *_numerators(validate_volume(h, k, base_volume(h, k))))
+                self._store(h, k, *_numerators(base_volume(h, k)))
                 continue
             splits = stable_splittings(h, k)
             pieces = [(g1, k1 + 1) for split in splits for g1, k1 in split]
@@ -454,9 +451,11 @@ class VolumeTable:
         return self._entries[(g, n)]
 
     def _store(self, g: int, n: int, den: int, nums: dict[MultiIndex, int]) -> None:
-        # the one way in: [alpha] = nums[alpha] / den at every orbit key,
-        # reduced by the gcd, in rows over a_1; in sorted order the keys of
-        # each rest come by a_1, and the rests first appear in lexicographic order
+        # the one way in, and the one check: [alpha] = nums[alpha] / den at
+        # every orbit key, reduced by the gcd, in rows over a_1; in sorted order
+        # the keys of each rest come by a_1, and the rests first appear in
+        # lexicographic order
+        _check(g, n, nums)
         common, rows = gcd(den, *nums.values()), {}
         for key in sorted(nums):
             rows.setdefault(key[1:], []).append(nums[key] // common)
@@ -477,7 +476,6 @@ class VolumeTable:
             c = den // term_den
             for key, x in sums.items():
                 acc[key] = acc.get(key, 0) + x * c
-        _check(g, n, acc)
         return den, acc
 
     def ensure(self, max_dim: int) -> None:
@@ -506,9 +504,9 @@ class VolumeTable:
                     f"entry {key!r} is not a stable signature g,n with n >= 1"
                 )
             poly = LPoly.from_records(n, moduli_dim(g, n), records)
-            # only the records' keys bound n by the input: without one,
-            # validate_volume would build an n-long key to name it
+            # only the records' keys bound n by the input: without one, the
+            # check in _store would build an n-long key to name it
             if not poly:
                 raise ValueError(f"entry {key!r} holds no terms")
-            table._store(g, n, *_numerators(validate_volume(g, n, poly)))
+            table._store(g, n, *_numerators(poly))
         return table
