@@ -45,6 +45,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple, Union
 from .exact import PiPoly
 from .lpoly import LPoly
 from .recursion import (
+    BASE_SIGNATURES,
     VolumeTable,
     _double_factorial,
     _odd_factorials,
@@ -92,13 +93,20 @@ def intersection_number(
 
     The coefficient of L^(2 alpha) is a rational multiple of pi^(2m), so
     the kappa-normalized value (divided by (2 pi^2)^m) is a plain rational.
+    A closed surface, alpha = (), has <omega^m>_g = m! V_{g,0}, g >= 2.
     """
     m = moduli_dim(g, len(alpha)) - sum(alpha)
     if m < 0:
         return IntersectionValue(PiPoly.zero(), Fraction(0), 0)
-    # the halved V_{1,1} absorbs the 2^(d11) of the true volume
-    x, den = table.intersection_pair(g, alpha)
-    q = Fraction(x * factorial(m), den)
+    if alpha:
+        # the halved V_{1,1} absorbs the 2^(d11) of the true volume
+        x, den = table.intersection_pair(g, alpha)
+        q = Fraction(x * factorial(m), den)
+    elif g < 2:
+        raise ValueError(f"({g},0) is not a stable signature")
+    else:
+        [(_, v)] = compact_volume(table, g).items()
+        q = factorial(m) * v
     return IntersectionValue(PiPoly.monomial(m, q), q / 2**m, m)
 
 
@@ -124,6 +132,10 @@ def genus0_correlator(alpha: Sequence[int]) -> Fraction:
 
 # ----------------------------------------------------------------------
 # relation checks
+
+
+def _outside(relation: str, g: int, n: int) -> ValueError:
+    return ValueError(f"{relation} does not apply at (g, n) = ({g},{n})")
 
 
 def _side_str(side: Union[Fraction, LPoly]) -> str:
@@ -177,8 +189,11 @@ class CheckRecord(NamedTuple):
 
 def check_string(table: VolumeTable, g: int, alpha: Sequence[int]) -> CheckRecord:
     """<tau_0 tau_alpha>_g = sum_{alpha_i != 0} <tau_{alpha - e_i}>_g,
-    for |alpha| = 3g - 2 + n."""
+    for |alpha| = 3g - 2 + n.  Raises ValueError at (0, 2), where
+    <tau_0^3>_0 = 1 has no right side."""
     alpha = tuple(alpha)
+    if (g, len(alpha)) == (0, 2):
+        raise _outside("string", g, 2)
     lhs = psi_correlator(table, g, (0,) + alpha)
     rhs = Fraction(0)
     for i, a in enumerate(alpha):
@@ -189,9 +204,12 @@ def check_string(table: VolumeTable, g: int, alpha: Sequence[int]) -> CheckRecor
 
 def check_dilaton(table: VolumeTable, g: int, alpha: Sequence[int]) -> CheckRecord:
     """<tau_1 tau_alpha>_g = (2g - 2 + n) <tau_alpha>_g,
-    for |alpha| = 3g - 3 + n."""
+    for |alpha| = 3g - 3 + n.  Raises ValueError at (1, 0), where
+    <tau_1>_1 = 1/24 has no right side."""
     alpha = tuple(alpha)
     n = len(alpha)
+    if (g, n) == (1, 0):
+        raise _outside("dilaton", g, n)
     lhs = psi_correlator(table, g, (1,) + alpha)
     rhs = (2 * g - 2 + n) * psi_correlator(table, g, alpha)
     return CheckRecord("dilaton", g, n, alpha, lhs == rhs, lhs, rhs)
@@ -215,10 +233,13 @@ def check_dvv(table: VolumeTable, g: int, k: Sequence[int]) -> CheckRecord:
     i + |k_I| = 3g_1 - 2 + |I|, each split I has at most one non-zero g_1,
     g_1 = (i + |k_I| - |I| + 2) / 3 when that is an integer in [0, g],
     and only that one is summed.  The relation instantiates the recursion,
-    so the base signatures (0,3) and (1,1) are out of scope.
+    so it raises ValueError at the base signatures (0,3) and (1,1), and at
+    n = 0, where there is no k_1.
     """
     k = tuple(k)
     n = len(k)
+    if n == 0 or (g, n) in BASE_SIGNATURES:
+        raise _outside("dvv", g, n)
     k1, rest = k[0], k[1:]
     if not is_stable(g, n) or sum(k) != moduli_dim(g, n):
         # both sides vanish: each symbol is off degree by as much, or unstable
@@ -297,7 +318,10 @@ def check_do_string(table: VolumeTable, g: int, n: int) -> CheckRecord:
     constant zero.
 
     At a sorted key beta the right side is sum over distinct values v >= 1
-    of beta of count_v(beta) V_{g,n}[beta - e_v] / (2v)."""
+    of beta of count_v(beta) V_{g,n}[beta - e_v] / (2v).  Raises
+    ValueError at (0, 2), where V_{0,3} = 1 has no right side."""
+    if (g, n) == (0, 2):
+        raise _outside("do-string", g, n)
     d = moduli_dim(g, n + 1)
     lhs, rhs = {}, {}
     for b in _sorted_keys(n, d):
@@ -343,8 +367,11 @@ def zograf_ratio(table: VolumeTable, g: int, n: int) -> float:
 
     Informational only; the asymptotic regime is far beyond desk scale.
     For n >= 1, V_{g,n}(0) is the one stored coefficient at alpha = 0,
-    doubled at (1, 1) as in ``true_volume``.
+    doubled at (1, 1) as in ``true_volume``.  Raises ValueError at g <= 0,
+    where the asymptotic is not defined.
     """
+    if g <= 0:
+        raise _outside("zograf", g, n)
     if n == 0:
         value = compact_volume(table, g)
     else:
@@ -392,7 +419,7 @@ def run_relation_suite(
         elif relation == "dilaton" and grows:
             for alpha in _sorted_compositions(d, n):
                 records.append(check_dilaton(table, g, alpha))
-        elif relation == "dvv" and (g, n) not in {(0, 3), (1, 1)}:
+        elif relation == "dvv" and (g, n) not in BASE_SIGNATURES:
             for k1 in range(d + 1):
                 for rest in _sorted_compositions(d - k1, n - 1):
                     records.append(check_dvv(table, g, (k1,) + rest))

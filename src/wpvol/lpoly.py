@@ -20,16 +20,15 @@ The canonical term order used for serialization and rendering is graded
 lexicographic on alpha.
 
 An LPoly has no notion of label symmetry: a volume table stores each
-volume on one key per label orbit, and
-:func:`wpvol.recursion.validate_volume` checks the symmetry.
+volume on one key per label orbit, and checks the symmetry there.
 
 The constructor trusts its caller and only drops zero coefficients.  Each
 invariant is checked once, where its kind of data enters:
 :meth:`LPoly.from_records` checks records read from outside (integer
 exponents, keys of length n within the weight, the implied pi power, a
-rational coefficient), and the volume check of :mod:`wpvol.recursion`
-checks every volume, computed or loaded (a loaded one through
-``validate_volume``).  ``from_records`` keeps a zero coefficient for it.
+rational coefficient), and ``VolumeTable._store`` checks every volume,
+computed, a base case or loaded, on its integer numerators.
+``from_records`` keeps a zero coefficient for that check.
 """
 from __future__ import annotations
 
@@ -189,8 +188,8 @@ class LPoly:
         exponents with |alpha| <= weight, a record whose pi power is not the
         one its alpha implies, and an alpha listed twice.  A zero
         coefficient, which :meth:`to_records` never writes, is kept rather
-        than dropped, so that :func:`wpvol.recursion.validate_volume` can
-        name it."""
+        than dropped, so that the check of ``VolumeTable._store`` can name
+        it."""
         terms: dict[MultiIndex, Fraction] = {}
         for rec in records:
             alpha, pi_power, coeff = tuple(rec["alpha"]), rec["pi_power"], rec["coeff"]

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -359,6 +360,22 @@ def test_compact_genus_nine_and_ten():
     )
 
 
+def test_closed_surface_intersection_numbers(table):
+    # <kappa_1^(3g-3)>_g = (3g-3)! V_{g,0} / (2 pi^2)^(3g-3)
+    assert intersection_number(table, 2, ()).kappa == Fraction(43, 2880)
+    assert intersection_number(table, 3, ()).kappa == Fraction(176557, 107520)
+    t = VolumeTable()
+    for g in range(2, 9):
+        value = intersection_number(t, g, ())
+        m = moduli_dim(g, 0)
+        assert value.m == m
+        assert value.omega == compact_volume(t, g) * math.factorial(m)
+        volume = PiPoly.monomial(m, value.kappa * 2**m / math.factorial(m))
+        assert volume == compact_volume(t, g)
+    with pytest.raises(ValueError, match=r"^\(1,0\) is not a stable signature$"):
+        intersection_number(table, 1, ())
+
+
 def test_compact_needs_genus_two(table):
     with pytest.raises(ValueError):
         compact_volume(table, 1)
@@ -459,6 +476,36 @@ def test_zograf_ratio_finite_positive(table):
         if prev is not None:
             assert val != prev
         prev = val
+
+
+@pytest.mark.parametrize(
+    "check, g, arg, message",
+    [
+        (check_string, 0, (0, 0), "string does not apply at (g, n) = (0,2)"),
+        (check_dilaton, 1, (), "dilaton does not apply at (g, n) = (1,0)"),
+        (check_dvv, 1, (), "dvv does not apply at (g, n) = (1,0)"),
+        (check_dvv, 0, (0, 0, 0), "dvv does not apply at (g, n) = (0,3)"),
+        (check_dvv, 1, (1,), "dvv does not apply at (g, n) = (1,1)"),
+        (check_do_string, 0, 2, "do-string does not apply at (g, n) = (0,2)"),
+        (zograf_ratio, 0, 4, "zograf does not apply at (g, n) = (0,4)"),
+    ],
+)
+def test_relations_raise_outside_their_domain(table, check, g, arg, message):
+    # each instance returned a failing record, or raised IndexError or
+    # ZeroDivisionError, though the relation does not hold there
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check(table, g, arg)
+
+
+def test_relations_keep_their_verdicts_next_to_their_domain(table):
+    assert check_string(table, 0, (0, 0, 0)).passed  # both sides vanish
+    assert check_string(table, 1, (1,)).passed
+    assert check_dilaton(table, 1, (1,)).passed
+    assert check_dilaton(table, 0, (0, 0)).passed
+    assert check_dvv(table, 0, (0, 0)).passed  # unstable: both sides vanish
+    assert check_dvv(table, 0, (1, 0, 0, 0)).passed
+    assert check_do_string(table, 1, 0).passed
+    assert zograf_ratio(table, 1, 4) > 0
 
 
 def test_check_record_serialization(table):

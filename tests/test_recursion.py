@@ -10,6 +10,7 @@ from math import comb, factorial, lcm, prod
 
 import pytest
 
+from wpvol import recursion
 from wpvol.exact import PiPoly
 from wpvol.intersect import compact_volume
 from wpvol.kernels import h_double_moment, h_moment, moment_constant, shift_symmetrize
@@ -423,6 +424,82 @@ def test_from_entries_revalidates():
     bad = {"0,3": [{"alpha": [0, 0, 0], "pi_power": 0, "coeff": "-1"}]}
     with pytest.raises(InvariantViolation):
         VolumeTable.from_entries(bad)
+
+
+# ----------------------------------------------------------------------
+# the one check, in _store, whatever the source of the entry
+
+
+def test_store_checks_a_base_case(monkeypatch):
+    def negative_torus(g, n):
+        if (g, n) == (1, 1):
+            return LPoly(1, 1, {(0,): Fraction(1, 12), (1,): Fraction(-1, 48)})
+        return base_volume(g, n)
+
+    monkeypatch.setattr(recursion, "base_volume", negative_torus)
+    message = r"^V_\{1,1\}: coefficient of \(1,\) is not positive$"
+    with pytest.raises(InvariantViolation, match=message):
+        VolumeTable().volume(1, 2)
+
+
+def test_store_checks_a_computed_entry(monkeypatch):
+    def perturbed_b(g, n, table):
+        den, sums = b_term(g, n, table)
+        if (g, n) == (0, 4):
+            sums = {**sums, (0, 1, 0, 0): sums[(0, 1, 0, 0)] + 1}
+        return den, sums
+
+    monkeypatch.setattr(recursion, "b_term", perturbed_b)
+    with pytest.raises(InvariantViolation, match=r"^V_\{0,4\} is not label-symmetric$"):
+        VolumeTable().ensure(1)
+
+
+def test_store_checks_a_loaded_entry(table):
+    records = table._stored(0, 4).to_records()
+    for rec in records:
+        if rec["alpha"] == [0, 1, 0, 0]:
+            rec["coeff"] = "1/3"
+    with pytest.raises(InvariantViolation, match=r"^V_\{0,4\} is not label-symmetric$"):
+        VolumeTable.from_entries({"0,4": records})
+
+
+def test_each_entry_is_checked_once(monkeypatch):
+    check, checked = recursion._check, []
+
+    def counted(g, n, given):
+        checked.append((g, n))
+        return check(g, n, given)
+
+    monkeypatch.setattr(recursion, "_check", counted)
+    t = VolumeTable()
+    t.ensure(5)
+    assert sorted(checked) == sorted(t.signatures())
+    checked.clear()
+    VolumeTable.from_entries(t.to_entries())
+    assert sorted(checked) == sorted(t.signatures())
+
+
+@pytest.mark.parametrize(
+    "g, alpha, message",
+    [
+        (0, (0,), r"^\(0,1\) is not a stable signature$"),
+        (0, (0, 0), r"^\(0,2\) is not a stable signature$"),
+        (1, (), r"^\(1,0\): closed-surface volumes"),
+    ],
+)
+def test_coefficient_raises_at_unstable_signatures(g, alpha, message):
+    t = VolumeTable()
+    with pytest.raises(ValueError, match=message):
+        t.coefficient(g, alpha)
+    # intersection_pair reads every alpha at (0, 1) and (0, 2) as off range;
+    # at (1, 0) the one alpha, (), is in range, and it raises too
+    if g == 0:
+        for off in (alpha, (5,) + alpha[1:], (-1,) + alpha[1:]):
+            assert t.intersection_pair(g, off) == (0, 1)
+    else:
+        with pytest.raises(ValueError, match=message):
+            t.intersection_pair(g, alpha)
+    assert t._pairs == {} and t.signatures() == []
 
 
 def test_from_entries_rejects_pi_power_not_implied():
