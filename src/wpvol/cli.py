@@ -231,10 +231,10 @@ def _parse_lengths(text: str, n: int) -> list[Fraction]:
 
 def cmd_volume(args) -> int:
     g, n = args.g, args.n
-    if n == 0:
-        raise UsageError("closed surfaces have no boundary polynomial; use 'compact'")
     if not is_stable(g, n):
         raise UsageError(f"({g},{n}) is not a stable signature")
+    if n == 0:
+        raise UsageError("closed surfaces have no boundary polynomial; use 'compact'")
     _check_reach(moduli_dim(g, n), f"V_{{{g},{n}}}")
     values = None if args.lengths is None else _parse_lengths(args.lengths, n)
     table = _open_table(args)
@@ -494,14 +494,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "max_dim", 0) < 0:
             raise UsageError(f"--max-dim must be non-negative, got {args.max_dim}")
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"error: rejected invalid table data: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

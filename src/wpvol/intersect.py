@@ -31,6 +31,13 @@ key beta from stored coefficients alone.  L_1^(2a) becomes (-4)^a
 pi^(2a), so each side keeps its weight and stays in Q[pi^2]; the common
 factor 2 pi i of the dilaton equation cancels symbolically against
 dV/dL_1 = L_1 Q, keeping the scalar ring real and exact.
+
+As V_{g,n} is stored as [alpha] = x_alpha / D, x_alpha the numerator of
+``VolumeTable.intersection_pair``, and (2v+1)! / (2v-1)! = (2v+1) 2v, each
+right side times (2 beta+1)! = prod_i (2 beta_i+1)! is one integer over D:
+
+    string:   sum_(distinct v >= 1 in beta) count_v(beta) (2v+1) x_(beta-e_v)
+    dilaton:  (2g-2+n) x_beta
 """
 from __future__ import annotations
 
@@ -323,15 +330,18 @@ def check_do_string(table: VolumeTable, g: int, n: int) -> CheckRecord:
     if (g, n) == (0, 2):
         raise _outside("do-string", g, n)
     d = moduli_dim(g, n + 1)
-    lhs, rhs = {}, {}
-    for b in _sorted_keys(n, d):
-        lhs[b] = _at_two_pi_i(table, g, b)
-        rhs[b] = sum(
-            b.count(v) * table.coefficient(g, b[:i] + (v - 1,) + b[i + 1 :]) / (2 * v)
-            for i, v in enumerate(b)
-            if v and (not i or b[i - 1] != v)
+    keys = list(_sorted_keys(n, d))
+    lhs = LPoly(n, d, {b: _at_two_pi_i(table, g, b) for b in keys})
+    # at n = 0 the right side is empty, and V_{g,0} is not stored
+    den, pair = (table._free1_view(g, n)[0] if n else 1), table.intersection_pair
+    rhs = {}
+    for b in keys:
+        x = sum(
+            b.count(v) * (2 * v + 1) * pair(g, b[:i] + (v - 1,) + b[i + 1 :])[0]
+            for i, v in enumerate(b) if v and (not i or b[i - 1] != v)
         )
-    lhs, rhs = LPoly(n, d, lhs), LPoly(n, d, rhs)
+        rhs[b] = Fraction(x, den * _odd_factorials(b))
+    rhs = LPoly(n, d, rhs)
     return CheckRecord("do-string", g, n, None, lhs == rhs, lhs, rhs)
 
 
@@ -345,7 +355,8 @@ def check_do_dilaton(table: VolumeTable, g: int, n: int) -> CheckRecord:
     d = moduli_dim(g, n)
     keys = list(_sorted_keys(n, d))
     lhs = LPoly(n, d, {b: _at_two_pi_i(table, g, b, derivative=True) for b in keys})
-    rhs = LPoly(n, d, {b: (2 * g - 2 + n) * table.coefficient(g, b) for b in keys})
+    den, pair, c = table._free1_view(g, n)[0], table.intersection_pair, 2 * g - 2 + n
+    rhs = LPoly(n, d, {b: Fraction(c * pair(g, b)[0], den * _odd_factorials(b)) for b in keys})
     return CheckRecord("do-dilaton", g, n, None, lhs == rhs, lhs, rhs)
 
 
@@ -375,7 +386,7 @@ def zograf_ratio(table: VolumeTable, g: int, n: int) -> float:
     if n == 0:
         value = compact_volume(table, g)
     else:
-        q = table.coefficient(g, (0,) * n) * (2 if (g, n) == (1, 1) else 1)
+        q = Fraction(*table.intersection_pair(g, (0,) * n)) * (2 if (g, n) == (1, 1) else 1)
         value = PiPoly.monomial(moduli_dim(g, n), q)
     m = 2 * g + n - 3
     predicted = (4 * math.pi**2) ** m * factorial(m) / math.sqrt(g * math.pi)

@@ -362,11 +362,11 @@ def iter_signatures(max_dim: int) -> Iterator[Tuple[int, int]]:
 class VolumeTable:
     """Memoized map from (g, n) to the internal-convention volume.
 
-    Each entry, computed or loaded, is held once on its keys (a_1, a_2 >=
-    ... >= a_n) as (D, {rest: [N_0, N_1, ...]}), [(a,) + rest] = N_a / D.
-    Entries are computed on demand, dependencies first, and checked where
-    they are stored, computed or loaded.  Completed entries are immutable, so what
-    :meth:`intersection_pair` reads off them is memoized for good.
+    Each entry, computed on demand (dependencies first) or loaded, is
+    checked and held once on its keys (a_1, a_2 >= ... >= a_n) as (D,
+    {rest: [N_0, N_1, ...]}), [(a,) + rest] = N_a / D.  Entries never
+    change, so :meth:`intersection_pair`, which the correlators, DVV, Do's
+    right sides and ``zograf_ratio`` read, memoizes its reads for good.
     """
 
     def __init__(self):
@@ -411,27 +411,18 @@ class VolumeTable:
             self._pairs[key] = x, den * prod(_double_factorial(2 * a + 1) for a in alpha)
         return self._pairs[key]
 
-    def coefficient(self, g: int, alpha: Sequence[int]) -> Fraction:
-        """The rational coefficient of L^(2 alpha) in V_{g,len(alpha)}:
-        x / (D' prod_i 2^a_i a_i!) for (x, D') its :meth:`intersection_pair`;
-        raises at an unstable signature, which that pair reads as (0, 1)."""
-        self._free1_view(g, len(alpha))
-        x, den = self.intersection_pair(g, alpha)
-        # off range x = 0, where 2^a a! need not exist
-        return Fraction(x, den * prod(2**a * factorial(a) for a in alpha)) if x else Fraction(0)
-
     def _free1_view(self, g: int, n: int) -> Tuple[int, dict[MultiIndex, list]]:
         """V_{g,n}'s entry (D, {rest: [N_0, N_1, ...]}), computed on first
         read after the inputs its terms read, in their order, from a stack
         rather than nested calls."""
         if (g, n) not in self:
+            if not is_stable(g, n):
+                raise ValueError(f"({g},{n}) is not a stable signature")
             if n < 1:
                 raise ValueError(
                     f"({g},{n}): closed-surface volumes come from the boundary "
                     "removal relation, not the recursion"
                 )
-            if not is_stable(g, n):
-                raise ValueError(f"({g},{n}) is not a stable signature")
         stack = [(g, n)]
         while stack:
             h, k = sig = stack.pop()

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from wpvol.cli import MAX_DIM, main
-from wpvol.recursion import moduli_dim
+from wpvol.recursion import VolumeTable, moduli_dim
 
 
 def run(capsys, *argv):
@@ -103,6 +103,34 @@ def test_volume_unstable_rejected(capsys):
 def test_volume_zero_boundaries_redirects(capsys):
     code, _, err = run(capsys, "volume", "2", "0")
     assert code == 2 and "compact" in err
+
+
+@pytest.mark.parametrize(
+    "g, cli_message, pair_message",
+    [
+        (0, "(0,0) is not a stable signature", None),
+        (1, "(1,0) is not a stable signature", "(1,0) is not a stable signature"),
+        (
+            2,
+            "closed surfaces have no boundary polynomial; use 'compact'",
+            "(2,0): closed-surface volumes come from the boundary removal relation",
+        ),
+    ],
+    ids=["g0", "g1", "g2"],
+)
+def test_closed_signatures_name_their_route(capsys, g, cli_message, pair_message):
+    # only a stable closed surface, g >= 2, is pointed to 'compact'
+    code, out, err = run(capsys, "volume", str(g), "0")
+    assert out == ""
+    assert_one_line_error(code, err, cli_message)
+    t = VolumeTable()
+    if pair_message is None:
+        # |alpha| = 0 > 3g - 3: off range, read as (0, 1)
+        assert t.intersection_pair(g, ()) == (0, 1)
+    else:
+        with pytest.raises(ValueError, match=re.escape(pair_message)):
+            t.intersection_pair(g, ())
+    assert t.signatures() == []
 
 
 def test_volume_bad_lengths(capsys):

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from wpvol import recursion
 from wpvol.exact import PiPoly
 from wpvol.lpoly import LPoly
 from wpvol.intersect import (
@@ -305,6 +306,29 @@ def test_perturbed_lower_volume_fails_do_string():
     assert not all(r.passed for r in run_relation_suite(wrong, "do-string", 3))
 
 
+def test_do_suites_see_a_doubled_moment_constant_the_top_degree_suites_miss(monkeypatch):
+    # with r_2 doubled every build passes its check, and string, dilaton and
+    # DVV still hold, as the top degree reads only r_0; the Do equations,
+    # which read every coefficient, fail at most instances
+    moment_constant = recursion.moment_constant
+    monkeypatch.setattr(
+        recursion, "moment_constant", lambda i: moment_constant(i) * (2 if i == 2 else 1)
+    )
+    t = VolumeTable()
+    t.ensure(8)
+    failures = {}
+    for relation in RELATIONS:
+        records = run_relation_suite(t, relation, 8)
+        failures[relation] = (sum(not r.passed for r in records), len(records))
+    assert failures == {
+        "string": (0, 153),
+        "dilaton": (0, 112),
+        "dvv": (0, 480),
+        "do-string": (19, 20),
+        "do-dilaton": (17, 20),
+    }
+
+
 def test_perturbed_correlator_fails_dvv_but_passes_validation():
     # <tau_1^2 tau_0^3>_0 is read off V_{0,5} at the orbit of (1, 1, 0, 0, 0),
     # on the left of two DVV instances at dimension 2
@@ -432,10 +456,11 @@ def test_memoized_pairs_cannot_show_in_any_output():
         # the number is the coefficient times 2^|alpha| alpha! m!, over
         # (2 pi^2)^m for kappa_1, at every key below the top degree too
         for g, n in iter_signatures(d):
+            v = t.volume(g, n)
             for alpha in _sorted_keys(n, moduli_dim(g, n)):
                 value = intersection_number(t, g, alpha)
                 scale = 2 ** sum(alpha) * math.prod(map(math.factorial, alpha))
-                q = t.coefficient(g, alpha) * scale * math.factorial(value.m)
+                q = v.coefficient(alpha) * scale * math.factorial(value.m)
                 assert value.kappa == q / 2**value.m, (g, alpha)
 
 

@@ -324,17 +324,18 @@ def test_table_stores_one_key_per_orbit():
 
 def test_coefficient_reads_every_alpha(table5):
     # each volume has a term at every alpha with |alpha| <= d, a set closed
-    # under permutations, so this reads every alpha in every order
-    from math import comb
-
+    # under permutations, so this reads every alpha in every order; the
+    # intersection pair is the coefficient times prod_i 2^a_i a_i!
     for g, n in iter_signatures(5):
         d = moduli_dim(g, n)
         v = table5.volume(g, n)
         assert len(v) == comb(d + n, n)
         for alpha, q in v.items():
-            assert table5.coefficient(g, alpha) == q
             assert v.coefficient(sorted(alpha, reverse=True)) == q
-        assert table5.coefficient(g, (d + 1,) + (0,) * (n - 1)) == 0
+            x, den = table5.intersection_pair(g, alpha)
+            assert Fraction(x, den) == q * prod(2**a * factorial(a) for a in alpha)
+        off = (d + 1,) + (0,) * (n - 1)
+        assert v.coefficient(off) == 0 and table5.intersection_pair(g, off) == (0, 1)
 
 
 def test_top_coefficient_matches_correlator(table):
@@ -378,7 +379,9 @@ def test_genus0_constant_terms_match_zograf_recursion():
     table = VolumeTable()
     table.ensure(9)
     for n in range(4, 13):
-        assert table.coefficient(0, (0,) * n) * factorial(n - 3) == v[n] * 2 ** (n - 3)
+        # at alpha = 0 the intersection pair is the coefficient itself
+        at_zero = Fraction(*table.intersection_pair(0, (0,) * n))
+        assert at_zero * factorial(n - 3) == v[n] * 2 ** (n - 3)
 
 
 # ----------------------------------------------------------------------
@@ -484,21 +487,15 @@ def test_each_entry_is_checked_once(monkeypatch):
     [
         (0, (0,), r"^\(0,1\) is not a stable signature$"),
         (0, (0, 0), r"^\(0,2\) is not a stable signature$"),
-        (1, (), r"^\(1,0\): closed-surface volumes"),
     ],
 )
 def test_coefficient_raises_at_unstable_signatures(g, alpha, message):
     t = VolumeTable()
     with pytest.raises(ValueError, match=message):
-        t.coefficient(g, alpha)
-    # intersection_pair reads every alpha at (0, 1) and (0, 2) as off range;
-    # at (1, 0) the one alpha, (), is in range, and it raises too
-    if g == 0:
-        for off in (alpha, (5,) + alpha[1:], (-1,) + alpha[1:]):
-            assert t.intersection_pair(g, off) == (0, 1)
-    else:
-        with pytest.raises(ValueError, match=message):
-            t.intersection_pair(g, alpha)
+        t.volume(g, len(alpha))
+    # intersection_pair reads every alpha at (0, 1) and (0, 2) as off range
+    for off in (alpha, (5,) + alpha[1:], (-1,) + alpha[1:]):
+        assert t.intersection_pair(g, off) == (0, 1)
     assert t._pairs == {} and t.signatures() == []
 
 
