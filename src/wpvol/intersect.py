@@ -301,21 +301,12 @@ def check_dvv(table: VolumeTable, g: int, k: Sequence[int]) -> CheckRecord:
     return CheckRecord("dvv", g, n, k, lhs == rhs, lhs, rhs)
 
 
-def _at_two_pi_i(
-    table: VolumeTable, g: int, beta: Tuple[int, ...], derivative: bool = False
-) -> Fraction:
-    # the L^(2 beta) coefficient of V_{g,n+1}(2 pi i, L), or with derivative of
-    # Q(2 pi i, L) where dV/dL_1 = L_1 Q: L_1^(2a) becomes (-4)^a pi^(2a), and
-    # 2a L_1^(2a-2) in Q.  One sum over the stored row of the sorted rest
-    # beta, [(a,) + beta] = N_a / D, over (2A+1)! for its top a = A
-    d, (den, rows) = int(derivative), table._free1_view(g, len(beta) + 1)
-    row = rows[beta]
-    top = factorial(2 * len(row) - 1)
-    x = sum(
-        (2 * a) ** d * (-4) ** (a - d) * top // factorial(2 * a + 1) * y
-        for a, y in enumerate(row) if a >= d
-    )
-    return Fraction(x, den * top * _odd_factorials(beta))
+def _stored_den(table: VolumeTable, g: int, n: int) -> int:
+    # V_{g,n}'s stored D: its pair at alpha = 0, as (2*0+1)!! = 1; the pair
+    # is (0, 1) off the stable signatures, so those raise here
+    if not is_stable(g, n):
+        raise ValueError(f"({g},{n}) is not a stable signature")
+    return table.intersection_pair(g, (0,) * n)[1]
 
 
 def check_do_string(table: VolumeTable, g: int, n: int) -> CheckRecord:
@@ -331,9 +322,9 @@ def check_do_string(table: VolumeTable, g: int, n: int) -> CheckRecord:
         raise _outside("do-string", g, n)
     d = moduli_dim(g, n + 1)
     keys = list(_sorted_keys(n, d))
-    lhs = LPoly(n, d, {b: _at_two_pi_i(table, g, b) for b in keys})
+    lhs = LPoly(n, d, {b: table.at_two_pi_i(g, b) for b in keys})
     # at n = 0 the right side is empty, and V_{g,0} is not stored
-    den, pair = (table._free1_view(g, n)[0] if n else 1), table.intersection_pair
+    den, pair = (_stored_den(table, g, n) if n else 1), table.intersection_pair
     rhs = {}
     for b in keys:
         x = sum(
@@ -354,8 +345,8 @@ def check_do_dilaton(table: VolumeTable, g: int, n: int) -> CheckRecord:
     """
     d = moduli_dim(g, n)
     keys = list(_sorted_keys(n, d))
-    lhs = LPoly(n, d, {b: _at_two_pi_i(table, g, b, derivative=True) for b in keys})
-    den, pair, c = table._free1_view(g, n)[0], table.intersection_pair, 2 * g - 2 + n
+    lhs = LPoly(n, d, {b: table.at_two_pi_i(g, b, derivative=True) for b in keys})
+    den, pair, c = _stored_den(table, g, n), table.intersection_pair, 2 * g - 2 + n
     rhs = LPoly(n, d, {b: Fraction(c * pair(g, b)[0], den * _odd_factorials(b)) for b in keys})
     return CheckRecord("do-dilaton", g, n, None, lhs == rhs, lhs, rhs)
 
@@ -368,7 +359,7 @@ def compact_volume(table: VolumeTable, g: int) -> PiPoly:
     """
     if g < 2:
         raise ValueError("closed surfaces need genus >= 2")
-    q = _at_two_pi_i(table, g, (), derivative=True)
+    q = table.at_two_pi_i(g, (), derivative=True)
     return PiPoly.monomial(moduli_dim(g, 0), q / (2 * g - 2))
 
 

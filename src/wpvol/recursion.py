@@ -364,9 +364,11 @@ class VolumeTable:
 
     Each entry, computed on demand (dependencies first) or loaded, is
     checked and held once on its keys (a_1, a_2 >= ... >= a_n) as (D,
-    {rest: [N_0, N_1, ...]}), [(a,) + rest] = N_a / D.  Entries never
-    change, so :meth:`intersection_pair`, which the correlators, DVV, Do's
-    right sides and ``zograf_ratio`` read, memoizes its reads for good.
+    {rest: [N_0, N_1, ...]}), [(a,) + rest] = N_a / D, which only this
+    module reads: :meth:`intersection_pair` serves the correlators, DVV,
+    Do's right sides and ``zograf_ratio``, and memoizes its reads for good
+    as entries never change; :meth:`at_two_pi_i` serves Do's left sides and
+    ``compact_volume``.
     """
 
     def __init__(self):
@@ -410,6 +412,22 @@ class VolumeTable:
             x = rows[key[1][1:]][key[1][0]]
             self._pairs[key] = x, den * prod(_double_factorial(2 * a + 1) for a in alpha)
         return self._pairs[key]
+
+    def at_two_pi_i(self, g: int, beta: MultiIndex, derivative: bool = False) -> Fraction:
+        """The L^(2 beta) coefficient of V_{g,n+1}(2 pi i, L), beta sorted,
+        or with ``derivative`` of Q(2 pi i, L) where dV/dL_1 = L_1 Q.
+
+        L_1^(2a) becomes (-4)^a pi^(2a), and 2a L_1^(2a-2) in Q: one sum over
+        the stored row of the rest beta, [(a,) + beta] = N_a / D, over
+        (2A+1)! for its top a = A.  Raises as :meth:`_free1_view` does."""
+        d, (den, rows) = int(derivative), self._free1_view(g, len(beta) + 1)
+        row = rows[beta]
+        top = factorial(2 * len(row) - 1)
+        x = sum(
+            (2 * a) ** d * (-4) ** (a - d) * top // factorial(2 * a + 1) * y
+            for a, y in enumerate(row) if a >= d
+        )
+        return Fraction(x, den * top * _odd_factorials(beta))
 
     def _free1_view(self, g: int, n: int) -> Tuple[int, dict[MultiIndex, list]]:
         """V_{g,n}'s entry (D, {rest: [N_0, N_1, ...]}), computed on first
