@@ -33,11 +33,16 @@ factor 2 pi i of the dilaton equation cancels symbolically against
 dV/dL_1 = L_1 Q, keeping the scalar ring real and exact.
 
 As V_{g,n} is stored as [alpha] = x_alpha / D, x_alpha the numerator of
-``VolumeTable.intersection_pair``, and (2v+1)! / (2v-1)! = (2v+1) 2v, each
-right side times (2 beta+1)! = prod_i (2 beta_i+1)! is one integer over D:
+``VolumeTable.intersection_pair`` and D the denominator of its pair at
+alpha = 0, and (2v+1)! / (2v-1)! = (2v+1) 2v, each right side times
+(2 beta+1)! = prod_i (2 beta_i+1)! is one integer over D:
 
     string:   sum_(distinct v >= 1 in beta) count_v(beta) (2v+1) x_(beta-e_v)
     dilaton:  (2g-2+n) x_beta
+
+The left sides come from ``VolumeTable.at_two_pi_i``.  This module reads
+the table through those two readers alone; the stored rows are known
+only to :mod:`wpvol.recursion`.
 """
 from __future__ import annotations
 
@@ -100,8 +105,11 @@ def intersection_number(
 
     The coefficient of L^(2 alpha) is a rational multiple of pi^(2m), so
     the kappa-normalized value (divided by (2 pi^2)^m) is a plain rational.
-    A closed surface, alpha = (), has <omega^m>_g = m! V_{g,0}, g >= 2.
+    A closed surface, alpha = (), has <omega^m>_g = m! V_{g,0}, g >= 2,
+    and raises ValueError at g < 2, where (g, 0) is unstable.
     """
+    if not alpha and g < 2:
+        raise ValueError(f"({g},0) is not a stable signature")
     m = moduli_dim(g, len(alpha)) - sum(alpha)
     if m < 0:
         return IntersectionValue(PiPoly.zero(), Fraction(0), 0)
@@ -109,8 +117,6 @@ def intersection_number(
         # the halved V_{1,1} absorbs the 2^(d11) of the true volume
         x, den = table.intersection_pair(g, alpha)
         q = Fraction(x * factorial(m), den)
-    elif g < 2:
-        raise ValueError(f"({g},0) is not a stable signature")
     else:
         [(_, v)] = compact_volume(table, g).items()
         q = factorial(m) * v
@@ -341,8 +347,12 @@ def check_do_dilaton(table: VolumeTable, g: int, n: int) -> CheckRecord:
     dV_{g,n+1}/dL_1(2 pi i, L) = 2 pi i (2g - 2 + n) V_{g,n}(L).
 
     Both sides are 2 pi i times an element of Q[pi^2]; the factor is
-    cancelled symbolically and the Q[pi^2] parts compared exactly.
+    cancelled symbolically and the Q[pi^2] parts compared exactly.  Raises
+    ValueError at n = 0, before reading the table: there the equation is
+    the definition of V_{g,0} (``compact_volume``) and checks nothing.
     """
+    if n == 0:
+        raise _outside("do-dilaton", g, n)
     d = moduli_dim(g, n)
     keys = list(_sorted_keys(n, d))
     lhs = LPoly(n, d, {b: table.at_two_pi_i(g, b, derivative=True) for b in keys})

@@ -414,8 +414,9 @@ class VolumeTable:
         return self._pairs[key]
 
     def at_two_pi_i(self, g: int, beta: MultiIndex, derivative: bool = False) -> Fraction:
-        """The L^(2 beta) coefficient of V_{g,n+1}(2 pi i, L), beta sorted,
-        or with ``derivative`` of Q(2 pi i, L) where dV/dL_1 = L_1 Q.
+        """The L^(2 beta) coefficient of V_{g,n+1}(2 pi i, L), or with
+        ``derivative`` of Q(2 pi i, L) where dV/dL_1 = L_1 Q, at a stored
+        rest beta: non-increasing, with |beta| <= 3g-2+n.
 
         L_1^(2a) becomes (-4)^a pi^(2a), and 2a L_1^(2a-2) in Q: one sum over
         the stored row of the rest beta, [(a,) + beta] = N_a / D, over

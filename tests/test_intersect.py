@@ -87,6 +87,35 @@ def test_one_point_closed_form_to_genus_seven():
         assert got == Fraction(1, 24**g * math.factorial(g)), g
 
 
+def dijkgraaf_two_point(g, c):
+    """[<tau_k tau_(3g-1-k)>_g for k = 0 .. 3g-1] from Dijkgraaf's closed
+    form (hep-th/9201003), with c = 1/24: the degree-3g part of
+    exp(c (x^3+y^3)) sum_n n!/(2n+1)! (xy(x+y)/2)^n, divided exactly by
+    x + y.  A form of degree D is its coefficients of x^k y^(D-k)."""
+    part = [Fraction(0)] * (3 * g + 1)
+    for a in range(g + 1):
+        n = g - a
+        w = c**a / math.factorial(a) * Fraction(math.factorial(n), math.factorial(2 * n + 1) * 2**n)
+        # (x^3 + y^3)^a times (xy(x+y))^n
+        for i, j in product(range(a + 1), range(n + 1)):
+            part[3 * i + n + j] += w * math.comb(a, i) * math.comb(n, j)
+    quotient = [part[0]]
+    for k in range(1, 3 * g):
+        quotient.append(part[k] - quotient[-1])
+    assert quotient[-1] == part[3 * g]  # x + y divides x^3 + y^3 and xy(x+y)
+    return quotient
+
+
+@pytest.mark.parametrize("c, agree", [(Fraction(1, 24), True), (Fraction(1, 23), False)])
+def test_two_point_function_closed_form_to_genus_eight(c, agree):
+    # 108 correlators against a generating function that reads neither the
+    # recursion nor DVV; with 1/23 in place of 1/24 every one of them differs
+    t = VolumeTable()
+    for g in range(1, 9):
+        for k, value in enumerate(dijkgraaf_two_point(g, c)):
+            assert (psi_correlator(t, g, (k, 3 * g - 1 - k)) == value) is agree, (g, k)
+
+
 def test_degree_mismatch_vanishes(table):
     assert psi_correlator(table, 1, (2,)) == 0
     assert psi_correlator(table, 0, (0, 0)) == 0  # unstable
@@ -266,6 +295,25 @@ def test_do_dilaton_three_boundaries(table):
     assert rec.passed and rec.lhs == rec.rhs == "L^[0, 0, 0]: 1"
 
 
+@pytest.mark.parametrize("g", range(4))
+def test_do_dilaton_has_no_closed_instance(g):
+    # at n = 0 the equation defines V_{g,0} (compact_volume): nothing to check
+    t = VolumeTable()
+    with pytest.raises(ValueError, match=rf"^do-dilaton does not apply at \(g, n\) = \({g},0\)$"):
+        check_do_dilaton(t, g, 0)
+    assert t.signatures() == []
+
+
+@pytest.mark.parametrize(
+    "check, g, n", [(check_do_dilaton, 0, 2), (check_do_string, 1, -1), (check_do_dilaton, 2, -1)]
+)
+def test_do_right_sides_raise_at_unstable_signatures(table, check, g, n):
+    # V_{g,n}'s stored denominator is read as its intersection pair at
+    # alpha = 0, which reads as (0, 1) off the stable signatures
+    with pytest.raises(ValueError, match=rf"^\({g},{n}\) is not a stable signature$"):
+        check(table, g, n)
+
+
 def test_do_equations_at_torus(table):
     # int L V_{1,1} dL with the halved V_{1,1} = pi^2/12 + L^2/48
     rec = check_do_string(table, 1, 1)
@@ -396,8 +444,11 @@ def test_closed_surface_intersection_numbers(table):
         assert value.omega == compact_volume(t, g) * math.factorial(m)
         volume = PiPoly.monomial(m, value.kappa * 2**m / math.factorial(m))
         assert volume == compact_volume(t, g)
-    with pytest.raises(ValueError, match=r"^\(1,0\) is not a stable signature$"):
-        intersection_number(table, 1, ())
+    for g in (-1, 0, 1):
+        with pytest.raises(ValueError, match=rf"^\({g},0\) is not a stable signature$"):
+            intersection_number(table, g, ())
+    # an unstable signature with a point still reads zero by degree
+    assert intersection_number(table, 0, (1,)).kappa == 0
 
 
 def test_compact_needs_genus_two(table):
