@@ -52,7 +52,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
 from operator import mul
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import PiPoly
 from .lpoly import LPoly
@@ -80,6 +80,7 @@ __all__ = [
     "compact_volume",
     "zograf_ratio",
     "CheckRecord",
+    "relation_instances",
     "run_relation_suite",
     "RELATIONS",
 ]
@@ -151,6 +152,12 @@ def _outside(relation: str, g: int, n: int) -> ValueError:
     return ValueError(f"{relation} does not apply at (g, n) = ({g},{n})")
 
 
+def _check_domain(relation: str, g: int, n: int) -> None:
+    # every check calls this first, before it reads the table
+    if not _REGISTRY[relation][1](g, n):  # the entry's domain
+        raise _outside(relation, g, n)
+
+
 def _side_str(side: Union[Fraction, LPoly]) -> str:
     if not isinstance(side, LPoly):
         return str(side)
@@ -205,8 +212,7 @@ def check_string(table: VolumeTable, g: int, alpha: Sequence[int]) -> CheckRecor
     for |alpha| = 3g - 2 + n.  Raises ValueError at (0, 2), where
     <tau_0^3>_0 = 1 has no right side."""
     alpha = tuple(alpha)
-    if (g, len(alpha)) == (0, 2):
-        raise _outside("string", g, 2)
+    _check_domain("string", g, len(alpha))
     lhs = psi_correlator(table, g, (0,) + alpha)
     rhs = Fraction(0)
     for i, a in enumerate(alpha):
@@ -221,8 +227,7 @@ def check_dilaton(table: VolumeTable, g: int, alpha: Sequence[int]) -> CheckReco
     <tau_1>_1 = 1/24 has no right side."""
     alpha = tuple(alpha)
     n = len(alpha)
-    if (g, n) == (1, 0):
-        raise _outside("dilaton", g, n)
+    _check_domain("dilaton", g, n)
     lhs = psi_correlator(table, g, (1,) + alpha)
     rhs = (2 * g - 2 + n) * psi_correlator(table, g, alpha)
     return CheckRecord("dilaton", g, n, alpha, lhs == rhs, lhs, rhs)
@@ -251,8 +256,7 @@ def check_dvv(table: VolumeTable, g: int, k: Sequence[int]) -> CheckRecord:
     """
     k = tuple(k)
     n = len(k)
-    if n == 0 or (g, n) in BASE_SIGNATURES:
-        raise _outside("dvv", g, n)
+    _check_domain("dvv", g, n)
     k1, rest = k[0], k[1:]
     if not is_stable(g, n) or sum(k) != moduli_dim(g, n):
         # both sides vanish: each symbol is off degree by as much, or unstable
@@ -307,14 +311,6 @@ def check_dvv(table: VolumeTable, g: int, k: Sequence[int]) -> CheckRecord:
     return CheckRecord("dvv", g, n, k, lhs == rhs, lhs, rhs)
 
 
-def _stored_den(table: VolumeTable, g: int, n: int) -> int:
-    # V_{g,n}'s stored D: its pair at alpha = 0, as (2*0+1)!! = 1; the pair
-    # is (0, 1) off the stable signatures, so those raise here
-    if not is_stable(g, n):
-        raise ValueError(f"({g},{n}) is not a stable signature")
-    return table.intersection_pair(g, (0,) * n)[1]
-
-
 def check_do_string(table: VolumeTable, g: int, n: int) -> CheckRecord:
     """Do's boundary-removal string equation
     V_{g,n+1}(2 pi i, L) = sum_k int L_k V_{g,n}(L) dL_k,
@@ -324,13 +320,12 @@ def check_do_string(table: VolumeTable, g: int, n: int) -> CheckRecord:
     At a sorted key beta the right side is sum over distinct values v >= 1
     of beta of count_v(beta) V_{g,n}[beta - e_v] / (2v).  Raises
     ValueError at (0, 2), where V_{0,3} = 1 has no right side."""
-    if (g, n) == (0, 2):
-        raise _outside("do-string", g, n)
+    _check_domain("do-string", g, n)
     d = moduli_dim(g, n + 1)
     keys = list(_sorted_keys(n, d))
     lhs = LPoly(n, d, {b: table.at_two_pi_i(g, b) for b in keys})
     # at n = 0 the right side is empty, and V_{g,0} is not stored
-    den, pair = (_stored_den(table, g, n) if n else 1), table.intersection_pair
+    den, pair = (table.intersection_pair(g, (0,) * n)[1] if n else 1), table.intersection_pair
     rhs = {}
     for b in keys:
         x = sum(
@@ -351,12 +346,11 @@ def check_do_dilaton(table: VolumeTable, g: int, n: int) -> CheckRecord:
     ValueError at n = 0, before reading the table: there the equation is
     the definition of V_{g,0} (``compact_volume``) and checks nothing.
     """
-    if n == 0:
-        raise _outside("do-dilaton", g, n)
+    _check_domain("do-dilaton", g, n)
     d = moduli_dim(g, n)
     keys = list(_sorted_keys(n, d))
     lhs = LPoly(n, d, {b: table.at_two_pi_i(g, b, derivative=True) for b in keys})
-    den, pair, c = _stored_den(table, g, n), table.intersection_pair, 2 * g - 2 + n
+    den, pair, c = table.intersection_pair(g, (0,) * n)[1], table.intersection_pair, 2 * g - 2 + n
     rhs = LPoly(n, d, {b: Fraction(c * pair(g, b)[0], den * _odd_factorials(b)) for b in keys})
     return CheckRecord("do-dilaton", g, n, None, lhs == rhs, lhs, rhs)
 
@@ -395,9 +389,7 @@ def zograf_ratio(table: VolumeTable, g: int, n: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# suite runners
-
-RELATIONS = ("string", "dilaton", "dvv", "do-string", "do-dilaton")
+# the relation registry
 
 
 def _sorted_compositions(total: int, parts: int) -> list[Tuple[int, ...]]:
@@ -407,36 +399,44 @@ def _sorted_compositions(total: int, parts: int) -> list[Tuple[int, ...]]:
     return [c for c in _sorted_keys(parts, total) if sum(c) == total][::-1]
 
 
-def run_relation_suite(
-    table: VolumeTable, relation: str, max_dim: int
-) -> list[CheckRecord]:
-    """Every instance of one relation whose volumes all lie within
-    3g - 3 + n <= max_dim.
+def _within(instances):
+    # a relation that reads V_{g,n+1} has no instance where that lies beyond max_dim
+    return lambda g, n, top: instances(g, n) if moduli_dim(g, n + 1) <= top else []
 
-    String and dilaton instances are enumerated once per orbit of the
-    symmetric group (both sides are symmetric in alpha); DVV instances
-    once per orbit fixing the distinguished first index.  DVV applies
-    where the recursion does, so the base signatures (0,3) and (1,1)
-    carry no instances.
-    """
-    if relation not in RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}")
-    records: list[CheckRecord] = []
+
+# name: (check, domain(g, n), instances(g, n, max_dim)), each instance the
+# argument its check takes after (table, g).  String and dilaton run once
+# per orbit of alpha (both sides are symmetric), DVV once per orbit fixing
+# k_1; DVV instantiates the recursion, so its base cases are outside.
+_REGISTRY = {
+    "string": (check_string, lambda g, n: (g, n) != (0, 2),
+               _within(lambda g, n: _sorted_compositions(moduli_dim(g, n) + 1, n))),
+    "dilaton": (check_dilaton, lambda g, n: (g, n) != (1, 0),
+                _within(lambda g, n: _sorted_compositions(moduli_dim(g, n), n))),
+    "dvv": (check_dvv, lambda g, n: n >= 1 and (g, n) not in BASE_SIGNATURES,
+            lambda g, n, top: [(k1,) + rest for k1 in range(moduli_dim(g, n) + 1)
+                               for rest in _sorted_compositions(moduli_dim(g, n) - k1, n - 1)]),
+    "do-string": (check_do_string, lambda g, n: is_stable(g, n) or (n == 0 and g >= 1),
+                  _within(lambda g, n: [n])),
+    "do-dilaton": (check_do_dilaton, lambda g, n: is_stable(g, n) and n >= 1,
+                   _within(lambda g, n: [n])),
+}
+RELATIONS = tuple(_REGISTRY)
+
+
+def relation_instances(relation: str, max_dim: int) -> Iterator[Tuple[int, object]]:
+    """(g, argument) of every instance of one relation whose volumes all
+    lie within 3g - 3 + n <= max_dim, by signature.  Reads no table."""
+    _, domain, instances = _REGISTRY[relation]
     for g, n in iter_signatures(max_dim):
-        d = moduli_dim(g, n)
-        grows = moduli_dim(g, n + 1) <= max_dim
-        if relation == "string" and grows:
-            for alpha in _sorted_compositions(d + 1, n):
-                records.append(check_string(table, g, alpha))
-        elif relation == "dilaton" and grows:
-            for alpha in _sorted_compositions(d, n):
-                records.append(check_dilaton(table, g, alpha))
-        elif relation == "dvv" and (g, n) not in BASE_SIGNATURES:
-            for k1 in range(d + 1):
-                for rest in _sorted_compositions(d - k1, n - 1):
-                    records.append(check_dvv(table, g, (k1,) + rest))
-        elif relation == "do-string" and grows:
-            records.append(check_do_string(table, g, n))
-        elif relation == "do-dilaton" and grows:
-            records.append(check_do_dilaton(table, g, n))
-    return records
+        if domain(g, n):
+            for arg in instances(g, n, max_dim):
+                yield g, arg
+
+
+def run_relation_suite(table: VolumeTable, relation: str, max_dim: int) -> list[CheckRecord]:
+    """The record of each of :func:`relation_instances`, in order."""
+    if relation not in _REGISTRY:
+        raise ValueError(f"unknown relation {relation!r}")
+    check, _, _ = _REGISTRY[relation]
+    return [check(table, g, arg) for g, arg in relation_instances(relation, max_dim)]

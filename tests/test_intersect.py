@@ -308,9 +308,10 @@ def test_do_dilaton_has_no_closed_instance(g):
     "check, g, n", [(check_do_dilaton, 0, 2), (check_do_string, 1, -1), (check_do_dilaton, 2, -1)]
 )
 def test_do_right_sides_raise_at_unstable_signatures(table, check, g, n):
-    # V_{g,n}'s stored denominator is read as its intersection pair at
-    # alpha = 0, which reads as (0, 1) off the stable signatures
-    with pytest.raises(ValueError, match=rf"^\({g},{n}\) is not a stable signature$"):
+    # the right sides read V_{g,n}'s stored denominator, which the unstable
+    # signatures lack; the domain is checked first and names the call
+    name = check.__name__[len("check_"):].replace("_", "-")
+    with pytest.raises(ValueError, match=rf"^{name} does not apply at \(g, n\) = \({g},{n}\)$"):
         check(table, g, n)
 
 
