@@ -22,6 +22,7 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import count
 from typing import Optional, Sequence
 
 from . import __version__
@@ -30,6 +31,7 @@ from .intersect import (
     RELATIONS,
     compact_volume,
     intersection_number,
+    relation_instances,
     run_relation_suite,
     zograf_ratio,
 )
@@ -362,12 +364,15 @@ def cmd_diag_zograf(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # before any work: every relation suite has an instance at dimension 1
-    # and none at dimension 0, where passing would mean checking nothing
+    # before any work: a run that has no relation instance to check would
+    # pass by checking nothing; the instances are counted without a table
     what = f"verify {args.relation} --max-dim {args.max_dim}"
+    relations = RELATIONS if args.relation == "all" else (args.relation,)
     if args.relation != "kernels":
-        if args.max_dim < 1:
-            raise UsageError(f"{what} checks no relation instance; use --max-dim 1 or more")
+        # the least --max-dim at which a named suite has an instance
+        least = next(d for d in count() if any(any(relation_instances(r, d)) for r in relations))
+        if args.max_dim < least:
+            raise UsageError(f"{what} checks no relation instance; use --max-dim {least} or more")
         _check_reach(args.max_dim, what)
     # the kernel suite reads no table, so it ignores --cache
     table = None if args.relation == "kernels" else _open_table(args)
@@ -390,7 +395,6 @@ def cmd_verify(args) -> int:
                 )
 
     if table is not None:
-        relations = RELATIONS if args.relation == "all" else (args.relation,)
         table.ensure(args.max_dim)
         for rel in relations:
             records = run_relation_suite(table, rel, args.max_dim)

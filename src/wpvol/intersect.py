@@ -19,7 +19,13 @@ Verified identities:
 * the coefficient-level Virasoro (DVV) recursion, with genus bookkeeping
   mirroring the three recursion terms,
 * Do's boundary-removal equations relating V_{g,n+1} at one length 2 pi i
-  to V_{g,n}, which also produce the closed-surface volumes V_{g,0}.
+  to V_{g,n}, which also produce the closed-surface volumes V_{g,0},
+* Dijkgraaf's closed two-point function <tau_k tau_(3g-1-k)>_g.
+
+Each relation is one entry of a registry: its check, its domain and its
+instances up to a dimension bound.  A check called outside its domain
+raises ValueError naming the (g, n) it was given, before it reads the
+table.
 
 The Do equations compare polynomials in the intersection-normalized
 (internal) convention: the forgetful-map identities behind them live on
@@ -77,6 +83,7 @@ __all__ = [
     "check_dvv",
     "check_do_string",
     "check_do_dilaton",
+    "check_two_point",
     "compact_volume",
     "zograf_ratio",
     "CheckRecord",
@@ -252,7 +259,7 @@ def check_dvv(table: VolumeTable, g: int, k: Sequence[int]) -> CheckRecord:
     g_1 = (i + |k_I| - |I| + 2) / 3 when that is an integer in [0, g],
     and only that one is summed.  The relation instantiates the recursion,
     so it raises ValueError at the base signatures (0,3) and (1,1), and at
-    n = 0, where there is no k_1.
+    n = 0, where there is no k_1, before reading the table.
     """
     k = tuple(k)
     n = len(k)
@@ -318,8 +325,10 @@ def check_do_string(table: VolumeTable, g: int, n: int) -> CheckRecord:
     constant zero.
 
     At a sorted key beta the right side is sum over distinct values v >= 1
-    of beta of count_v(beta) V_{g,n}[beta - e_v] / (2v).  Raises
-    ValueError at (0, 2), where V_{0,3} = 1 has no right side."""
+    of beta of count_v(beta) V_{g,n}[beta - e_v] / (2v).  Applies at the
+    stable (g, n) and at n = 0 with g >= 1, where V_{g,1}(2 pi i) = 0.
+    Raises ValueError elsewhere, before reading the table, as at (0, 2),
+    where V_{0,3} = 1 has no right side."""
     _check_domain("do-string", g, n)
     d = moduli_dim(g, n + 1)
     keys = list(_sorted_keys(n, d))
@@ -342,9 +351,11 @@ def check_do_dilaton(table: VolumeTable, g: int, n: int) -> CheckRecord:
     dV_{g,n+1}/dL_1(2 pi i, L) = 2 pi i (2g - 2 + n) V_{g,n}(L).
 
     Both sides are 2 pi i times an element of Q[pi^2]; the factor is
-    cancelled symbolically and the Q[pi^2] parts compared exactly.  Raises
-    ValueError at n = 0, before reading the table: there the equation is
-    the definition of V_{g,0} (``compact_volume``) and checks nothing.
+    cancelled symbolically and the Q[pi^2] parts compared exactly.  Applies
+    at the stable (g, n) with n >= 1.  Raises ValueError elsewhere, before
+    reading the table: at n = 0 the equation is the definition of V_{g,0}
+    (``compact_volume``) and checks nothing, and an unstable V_{g,n} has no
+    right side.
     """
     _check_domain("do-dilaton", g, n)
     d = moduli_dim(g, n)
@@ -353,6 +364,38 @@ def check_do_dilaton(table: VolumeTable, g: int, n: int) -> CheckRecord:
     den, pair, c = table.intersection_pair(g, (0,) * n)[1], table.intersection_pair, 2 * g - 2 + n
     rhs = LPoly(n, d, {b: Fraction(c * pair(g, b)[0], den * _odd_factorials(b)) for b in keys})
     return CheckRecord("do-dilaton", g, n, None, lhs == rhs, lhs, rhs)
+
+
+def _two_point_form(g: int) -> list[Fraction]:
+    """[<tau_k tau_(3g-1-k)>_g for k = 0 .. 3g-1] by Dijkgraaf's closed form
+    (hep-th/9201003): the degree-3g part of
+    exp((x^3+y^3)/24) sum_m m!/(2m+1)! (xy(x+y)/2)^m, divided by x + y.
+    Entry k of a form of degree D is its coefficient of x^k y^(D-k)."""
+    part = [Fraction(0)] * (3 * g + 1)
+    for a in range(g + 1):
+        m = g - a  # (x^3+y^3)^a / (24^a a!) times m!/(2m+1)! (xy(x+y)/2)^m
+        w = Fraction(factorial(m), 24**a * factorial(a) * factorial(2 * m + 1) * 2**m)
+        for i, j in product(range(a + 1), range(m + 1)):
+            part[3 * i + m + j] += w * comb(a, i) * comb(m, j)
+    # each term holds (x + y)^(a+m) = (x + y)^g, so part = (x + y) q
+    # exactly, with part[k] = q[k-1] + q[k]
+    q = [part[0]]
+    for k in range(1, 3 * g):
+        q.append(part[k] - q[-1])
+    return q
+
+
+def check_two_point(table: VolumeTable, g: int, alpha: Sequence[int]) -> CheckRecord:
+    """<tau_k tau_l>_g against Dijkgraaf's two-point function, a closed form
+    that reads neither the recursion nor DVV.  Off the degree condition
+    k + l = 3g - 1 both sides vanish.  Raises ValueError unless n = 2 and
+    g >= 1, before reading the table."""
+    alpha = tuple(alpha)
+    _check_domain("two-point", g, len(alpha))
+    lhs = psi_correlator(table, g, alpha)
+    on_degree = min(alpha) >= 0 and sum(alpha) == moduli_dim(g, 2)
+    rhs = _two_point_form(g)[alpha[0]] if on_degree else Fraction(0)
+    return CheckRecord("two-point", g, 2, alpha, lhs == rhs, lhs, rhs)
 
 
 def compact_volume(table: VolumeTable, g: int) -> PiPoly:
@@ -420,6 +463,8 @@ _REGISTRY = {
                   _within(lambda g, n: [n])),
     "do-dilaton": (check_do_dilaton, lambda g, n: is_stable(g, n) and n >= 1,
                    _within(lambda g, n: [n])),
+    "two-point": (check_two_point, lambda g, n: n == 2 and g >= 1,
+                  lambda g, n, top: _sorted_compositions(moduli_dim(g, n), n)),
 }
 RELATIONS = tuple(_REGISTRY)
 

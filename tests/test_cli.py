@@ -249,7 +249,9 @@ def test_verify_kernels_suite(capsys):
 # the kernel records are floats whose last digits depend on the platform's
 # math library, so they are masked; everything else is hashed byte for byte.
 # Re-recorded when the Do sides came to be written on their fully sorted
-# keys alone (898541bc... when they were written at every ordering).
+# keys alone (898541bc... when they were written at every ordering), and
+# when verify all gained the two-point relation (1fecbfad... before, which
+# is also the digest of this output with its two two-point records removed).
 GOLDEN_COMMANDS = [
     ["volume", "1", "1"],
     ["volume", "1", "1", "--internal-convention"],
@@ -268,7 +270,7 @@ GOLDEN_COMMANDS = [
     ["compact", "3", "--format", "latex"],
     ["verify", "all", "--max-dim", "4", "--format", "json"],
 ]
-GOLDEN_DIGEST = "1fecbfad56a047934657e14aefa36131b7c1942747317d1a3db0d152c32ecc13"
+GOLDEN_DIGEST = "43d6605b7edb41cebf7425dca04c916c20be98b02c6a433620bb2dcf11efdf44"
 
 
 def test_stdout_golden_digest(capsys):
@@ -1127,20 +1129,36 @@ def test_negative_max_dim_rejected_before_work(tmp_path, capsys, monkeypatch, ar
 
 
 @pytest.mark.parametrize(
-    "relation", ["string", "dilaton", "dvv", "do-string", "do-dilaton", "all"]
+    "relation, max_dim, least",
+    [
+        pytest.param(relation, max_dim, least, id=relation)
+        for relation, max_dim, least in [
+            ("string", 0, 1),
+            ("dilaton", 0, 1),
+            ("dvv", 0, 1),
+            ("do-string", 0, 1),
+            ("do-dilaton", 0, 1),
+            ("all", 0, 1),
+            ("two-point", 1, 2),
+        ]
+    ],
 )
 def test_relation_suite_without_instances_rejected_before_work(
-    tmp_path, capsys, monkeypatch, relation
+    tmp_path, capsys, monkeypatch, relation, max_dim, least
 ):
-    # at --max-dim 0 no suite has an instance: a pass would check nothing
+    # at --max-dim 0 no suite has an instance, and the two-point function
+    # has none below dimension 2: a pass would check nothing
     forbid_table_work(monkeypatch)
     forbid_kernel_work(monkeypatch)
     cache = tmp_path / "cache.json"
     cache.write_text("not a cache")
-    argv = ["verify", relation, "--max-dim", "0", "--cache", str(cache)]
+    argv = ["verify", relation, "--max-dim", str(max_dim), "--cache", str(cache)]
     code, stdout, err = run(capsys, *argv)
     assert stdout == ""
-    assert_one_line_error(code, err, f"verify {relation} --max-dim 0", "no relation")
+    assert_one_line_error(
+        code, err, f"verify {relation} --max-dim {max_dim}", "no relation",
+        f"use --max-dim {least} or more",
+    )
     assert cache.read_text() == "not a cache"
 
 

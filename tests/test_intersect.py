@@ -16,6 +16,7 @@ from wpvol.intersect import (
     check_do_string,
     check_dvv,
     check_string,
+    check_two_point,
     compact_volume,
     genus0_correlator,
     intersection_number,
@@ -355,10 +356,24 @@ def test_perturbed_lower_volume_fails_do_string():
     assert not all(r.passed for r in run_relation_suite(wrong, "do-string", 3))
 
 
+def test_perturbed_two_point_correlator_fails_two_point():
+    # <tau_1 tau_1>_1 is the top-degree coefficient of V_{1,2} at (1, 1)
+    clean = perturbed_table((1, 2), (1, 1), eps=0)
+    assert all(r.passed for r in run_relation_suite(clean, "two-point", 3))
+    wrong = perturbed_table((1, 2), (1, 1))
+    records = run_relation_suite(wrong, "two-point", 3)
+    assert [(r.g, r.n, r.alpha, r.passed) for r in records] == [
+        (1, 2, (2, 0), True),
+        (1, 2, (1, 1), False),
+    ]
+    assert records[1].rhs_value == Fraction(1, 24) != records[1].lhs_value
+
+
 def test_do_suites_see_a_doubled_moment_constant_the_top_degree_suites_miss(monkeypatch):
-    # with r_2 doubled every build passes its check, and string, dilaton and
-    # DVV still hold, as the top degree reads only r_0; the Do equations,
-    # which read every coefficient, fail at most instances
+    # with r_2 doubled every build passes its check, and string, dilaton,
+    # DVV and the two-point function still hold, as the top degree reads
+    # only r_0; the Do equations, which read every coefficient, fail at most
+    # instances
     moment_constant = recursion.moment_constant
     monkeypatch.setattr(
         recursion, "moment_constant", lambda i: moment_constant(i) * (2 if i == 2 else 1)
@@ -375,6 +390,7 @@ def test_do_suites_see_a_doubled_moment_constant_the_top_degree_suites_miss(monk
         "dvv": (0, 480),
         "do-string": (19, 20),
         "do-dilaton": (17, 20),
+        "two-point": (0, 10),
     }
 
 
@@ -564,6 +580,7 @@ def test_zograf_ratio_finite_positive(table):
         (check_dvv, 0, (0, 0, 0), "dvv does not apply at (g, n) = (0,3)"),
         (check_dvv, 1, (1,), "dvv does not apply at (g, n) = (1,1)"),
         (check_do_string, 0, 2, "do-string does not apply at (g, n) = (0,2)"),
+        (check_two_point, 0, (1, 0), "two-point does not apply at (g, n) = (0,2)"),
         (zograf_ratio, 0, 4, "zograf does not apply at (g, n) = (0,4)"),
     ],
 )
@@ -582,7 +599,43 @@ def test_relations_keep_their_verdicts_next_to_their_domain(table):
     assert check_dvv(table, 0, (0, 0)).passed  # unstable: both sides vanish
     assert check_dvv(table, 0, (1, 0, 0, 0)).passed
     assert check_do_string(table, 1, 0).passed
+    assert check_two_point(table, 1, (3, -1)).passed  # on degree, negative: both vanish
     assert zograf_ratio(table, 1, 4) > 0
+
+
+@pytest.mark.parametrize(
+    "check, raises",
+    [
+        (check_string, 1),
+        (check_dilaton, 1),
+        (check_dvv, 7),
+        (check_do_string, 12),
+        (check_do_dilaton, 15),
+        (check_two_point, 17),
+    ],
+)
+def test_every_check_names_the_signature_it_was_called_at(check, raises):
+    # a check returns a record, or raises naming the (g, n) it was given
+    # before it reads the table; the Do checks take n, the others an
+    # exponent tuple of length n, on degree where one exists
+    raised = 0
+    for g, n in product(range(-1, 4), repeat=2):
+        if check in (check_do_string, check_do_dilaton):
+            arg = n
+        elif n >= 0:
+            arg = (max(moduli_dim(g, n), 0),) + (0,) * (n - 1) if n else ()
+        else:
+            continue
+        t = VolumeTable()
+        try:
+            record = check(t, g, arg)
+        except ValueError as exc:
+            assert f"({g},{n})" in str(exc), (g, n, str(exc))
+            assert t.signatures() == [], (g, n)
+            raised += 1
+        else:
+            assert (record.g, record.n) == (g, n)
+    assert raised == raises
 
 
 def test_check_record_serialization(table):
