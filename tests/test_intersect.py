@@ -369,22 +369,54 @@ def test_perturbed_two_point_correlator_fails_two_point():
     assert records[1].rhs_value == Fraction(1, 24) != records[1].lhs_value
 
 
-def test_do_suites_see_a_doubled_moment_constant_the_top_degree_suites_miss(monkeypatch):
-    # with r_2 doubled every build passes its check, and string, dilaton,
-    # DVV and the two-point function still hold, as the top degree reads
-    # only r_0; the Do equations, which read every coefficient, fail at most
-    # instances
-    moment_constant = recursion.moment_constant
-    monkeypatch.setattr(
-        recursion, "moment_constant", lambda i: moment_constant(i) * (2 if i == 2 else 1)
+def kill_mutants():
+    # name -> (the name in wpvol.recursion a mutant rebinds, its value): each
+    # r_i doubled, and each coefficient of V_{1,1} = 1/12 pi^2 + L^2/48 off by one
+    moment_constant, base_volume = recursion.moment_constant, recursion.base_volume
+
+    def doubled(i):
+        return lambda j: moment_constant(j) * (2 if j == i else 1)
+
+    def torus(terms):
+        return lambda g, n: LPoly(1, 1, terms) if (g, n) == (1, 1) else base_volume(g, n)
+
+    mutants = {f"r_{i} x2": ("moment_constant", doubled(i)) for i in range(9)}
+    mutants["V_11 1/12 -> 1/11"] = (
+        "base_volume", torus({(0,): Fraction(1, 11), (1,): Fraction(1, 48)})
     )
+    mutants["V_11 1/48 -> 1/47"] = (
+        "base_volume", torus({(0,): Fraction(1, 12), (1,): Fraction(1, 47)})
+    )
+    return mutants
+
+
+def kill_row(max_dim):
+    # the text of the check in _store that stops the build, or (failures,
+    # instances) of every registered relation
     t = VolumeTable()
-    t.ensure(8)
-    failures = {}
+    try:
+        t.ensure(max_dim)
+    except recursion.InvariantViolation as e:
+        return str(e)
+    row = {}
     for relation in RELATIONS:
-        records = run_relation_suite(t, relation, 8)
-        failures[relation] = (sum(not r.passed for r in records), len(records))
-    assert failures == {
+        records = run_relation_suite(t, relation, max_dim)
+        row[relation] = (sum(not r.passed for r in records), len(records))
+    return row
+
+
+def test_do_suites_see_a_doubled_moment_constant_the_top_degree_suites_miss(monkeypatch):
+    # the kill matrix at dimension 8.  With r_2 doubled every build passes
+    # its check, and string, dilaton, DVV and the two-point function still
+    # hold, as the top degree reads only r_0; the Do equations, which read
+    # every coefficient, fail at most instances.  Doubling r_0 or r_1, or
+    # moving a coefficient of V_{1,1}, breaks label symmetry at build
+    matrix = {}
+    for name, (attr, value) in kill_mutants().items():
+        with monkeypatch.context() as m:
+            m.setattr(recursion, attr, value)
+            matrix[name] = kill_row(8)
+    assert matrix["r_2 x2"] == {
         "string": (0, 153),
         "dilaton": (0, 112),
         "dvv": (0, 480),
@@ -392,6 +424,30 @@ def test_do_suites_see_a_doubled_moment_constant_the_top_degree_suites_miss(monk
         "do-dilaton": (17, 20),
         "two-point": (0, 10),
     }
+
+    def top_degree_blind(do_string, do_dilaton):
+        return {
+            "string": (0, 153),
+            "dilaton": (0, 112),
+            "dvv": (0, 480),
+            "do-string": (do_string, 20),
+            "do-dilaton": (do_dilaton, 20),
+            "two-point": (0, 10),
+        }
+
+    do_failures = [(19, 17), (17, 15), (15, 13), (13, 10), (10, 7), (7, 4), (4, 0)]
+    assert matrix == {
+        "r_0 x2": "V_{0,5} is not label-symmetric",
+        "r_1 x2": "V_{1,2} is not label-symmetric",
+        **{f"r_{i} x2": top_degree_blind(*do) for i, do in enumerate(do_failures, 2)},
+        "V_11 1/12 -> 1/11": "V_{1,2} is not label-symmetric",
+        "V_11 1/48 -> 1/47": "V_{1,2} is not label-symmetric",
+    }
+    # every mutant is killed: at build, or by some relation's failure
+    assert all(
+        isinstance(row, str) or any(failed for failed, _ in row.values())
+        for row in matrix.values()
+    )
 
 
 def test_perturbed_correlator_fails_dvv_but_passes_validation():
