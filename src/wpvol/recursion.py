@@ -46,19 +46,20 @@ the sum over splittings of the weight times (sum mu1 N1)(sum mu2 N2)
 (A^dcon), or (n-1)^2 (2d+1) max row sum (B).
 
 Every entry, computed, a base case or loaded, passes one check where it
-is stored, on the numerators N of its keys: a positive value at each
-orbit key with |alpha| <= 3g-3+n equal to the one at its fully sorted key
-(L_1 against the other labels), and no term at any other key.  As prod_i
-(2 alpha_i+1)! is symmetric and positive, it is the check
-:func:`validate_volume` makes on the coefficients q.  A violation aborts;
-with exact arithmetic any mismatch is a logic bug.
+is stored, on the integer numerators N of its keys: a positive value at
+each orbit key with |alpha| <= 3g-3+n equal to the one at its fully sorted
+key (L_1 against the other labels), and no term at any other key.  It walks
+the keys once and returns the rows it walked, which the table keeps.  As
+prod_i (2 alpha_i+1)! is symmetric and positive, :func:`validate_volume`
+checks the coefficients q by running it on N.  A violation aborts; with
+exact arithmetic any mismatch is a logic bug.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple
 
 from .kernels import moment_constant
 from .lpoly import LPoly, MultiIndex, grlex_key
@@ -282,14 +283,6 @@ def _sorted_keys(k: int, d: int) -> Iterator[MultiIndex]:
             return
 
 
-def _orbit_keys(n: int, d: int) -> Iterator[MultiIndex]:
-    # every (a_1, a_2 >= ... >= a_n) with |alpha| <= d: the rests in
-    # lexicographic order, each with a_1 = 0, 1, ...
-    for rest in _sorted_keys(n - 1, d):
-        for a in range(d - sum(rest) + 1):
-            yield (a,) + rest
-
-
 def _orderings(rest: MultiIndex, memo: dict) -> Tuple[MultiIndex, ...]:
     # every distinct ordering of the non-increasing rest: each distinct value
     # first, then each ordering of the others; ((),) for the empty rest.
@@ -305,27 +298,33 @@ def _orderings(rest: MultiIndex, memo: dict) -> Tuple[MultiIndex, ...]:
     return out
 
 
-def _check(g: int, n: int, given: dict[MultiIndex, Union[int, Fraction]]) -> None:
-    # the invariants, on coefficients q or numerators N of [alpha] = N / D;
-    # stops at the first missing key, so the work is bounded by the terms
-    d = moduli_dim(g, n)
-    count = 0
-    for key in _orbit_keys(n, d):
-        q = given.get(key)
-        if q is None:
-            raise InvariantViolation(f"V_{{{g},{n}}} has no term at {key}")
-        if q.numerator <= 0:
-            raise InvariantViolation(f"V_{{{g},{n}}}: coefficient of {key} is not positive")
-        if n > 1 and key[0] < key[1]:
-            if given.get(tuple(sorted(key, reverse=True))) != q:
-                raise InvariantViolation(f"V_{{{g},{n}}} is not label-symmetric")
-        count += 1
-    if len(given) != count:
-        alpha = min(set(given) - set(_orbit_keys(n, d)), key=grlex_key)
+def _check(g: int, n: int, nums: dict[MultiIndex, int]) -> dict[MultiIndex, list]:
+    # the invariants on the numerators N of [alpha] = N / D, walked once over
+    # the keys (a_1, a_2 >= ... >= a_n), |alpha| <= d, into the rows {rest:
+    # [N_0, N_1, ...]} it returns, the rests in lexicographic order; stops at
+    # the first missing key, so the work is bounded by the terms
+    d, rows = moduli_dim(g, n), {}
+    for rest in _sorted_keys(n - 1, d):
+        row = rows[rest] = []
+        for a in range(d - sum(rest) + 1):
+            key = (a,) + rest
+            x = nums.get(key)
+            if x is None:
+                raise InvariantViolation(f"V_{{{g},{n}}} has no term at {key}")
+            if x <= 0:
+                raise InvariantViolation(f"V_{{{g},{n}}}: coefficient of {key} is not positive")
+            if rest and a < rest[0]:
+                if nums.get(tuple(sorted(key, reverse=True))) != x:
+                    raise InvariantViolation(f"V_{{{g},{n}}} is not label-symmetric")
+            row.append(x)
+    if len(nums) != sum(map(len, rows.values())):
+        walked = {(a,) + rest for rest, row in rows.items() for a in range(len(row))}
+        alpha = min(set(nums) - walked, key=grlex_key)
         raise InvariantViolation(
             f"V_{{{g},{n}}} has a term at {alpha}, which is not a key "
             f"(a_1, a_2 >= ... >= a_{n}) with |alpha| <= {d}"
         )
+    return rows
 
 
 def validate_volume(g: int, n: int, p: LPoly) -> LPoly:
@@ -343,7 +342,7 @@ def validate_volume(g: int, n: int, p: LPoly) -> LPoly:
         raise InvariantViolation(f"V_{{{g},{n}}} has {p.n} variables, expected {n}")
     if p.weight != d:
         raise InvariantViolation(f"V_{{{g},{n}}} has weight {p.weight}, expected {d}")
-    _check(g, n, dict(p.items()))
+    _check(g, n, _numerators(p)[1])
     return p
 
 
@@ -462,13 +461,10 @@ class VolumeTable:
 
     def _store(self, g: int, n: int, den: int, nums: dict[MultiIndex, int]) -> None:
         # the one way in, and the one check: [alpha] = nums[alpha] / den at
-        # every orbit key, reduced by the gcd, in rows over a_1; in sorted order
-        # the keys of each rest come by a_1, and the rests first appear in
-        # lexicographic order
-        _check(g, n, nums)
-        common, rows = gcd(den, *nums.values()), {}
-        for key in sorted(nums):
-            rows.setdefault(key[1:], []).append(nums[key] // common)
+        # every orbit key, kept reduced by the gcd in the rows over a_1 that
+        # the check returns, the rests in lexicographic order
+        walked, common = _check(g, n, nums), gcd(den, *nums.values())
+        rows = {rest: [x // common for x in row] for rest, row in walked.items()}
         self._entries[(g, n)] = den // common, rows
 
     def true_volume(self, g: int, n: int) -> LPoly:
