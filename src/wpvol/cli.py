@@ -288,8 +288,6 @@ def cmd_intersect(args) -> int:
     g = args.g
     alpha = tuple(args.alpha)
     n = len(alpha)
-    if n == 0:
-        raise UsageError("alpha must have at least one entry")
     if any(a < 0 for a in alpha):
         raise UsageError("psi exponents must be non-negative")
     if args.kappa is not None and args.kappa < 0:

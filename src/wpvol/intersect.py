@@ -416,10 +416,10 @@ def zograf_ratio(table: VolumeTable, g: int, n: int) -> float:
 
     Informational only; the asymptotic regime is far beyond desk scale.
     For n >= 1, V_{g,n}(0) is the one stored coefficient at alpha = 0,
-    doubled at (1, 1) as in ``true_volume``.  Raises ValueError at g <= 0,
-    where the asymptotic is not defined.
+    doubled at (1, 1) as in ``true_volume``.  Raises ValueError before any
+    table read at g <= 0, where the asymptotic is not defined, and at n < 0.
     """
-    if g <= 0:
+    if g <= 0 or n < 0:
         raise _outside("zograf", g, n)
     if n == 0:
         value = compact_volume(table, g)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .exact import zeta_even
 from .lpoly import LPoly
@@ -28,7 +28,6 @@ __all__ = [
     "moment_constant",
     "h_moment",
     "h_double_moment",
-    "shift_symmetrize",
 ]
 
 
@@ -75,19 +74,3 @@ def h_double_moment(i: int, j: int) -> LPoly:
         factorial(2 * i + 1) * factorial(2 * j + 1), factorial(2 * i + 2 * j + 3)
     )
     return h_moment(i + j + 1).scale(scale)
-
-
-def shift_symmetrize(f: LPoly) -> LPoly:
-    """The bivariate even polynomial (F(a+b) + F(a-b)) / 2.
-
-    Expanding binomially, odd cross powers cancel and each t^(2m) term of
-    F splits into sum_s C(2m, 2s) a^(2s) b^(2(m-s)); the weight is kept.
-    """
-    if f.n != 1:
-        raise ValueError("expected a one-variable polynomial")
-    terms = {
-        (s, m - s): q * comb(2 * m, 2 * s)
-        for (m,), q in f.items()
-        for s in range(m + 1)
-    }
-    return LPoly(2, f.weight, terms)

@@ -162,6 +162,14 @@ def test_intersect_degree_mismatch_prints_zero(capsys):
     )
 
 
+def test_intersect_needs_an_alpha(capsys):
+    # alpha takes one or more exponents, so argparse rejects an empty one
+    with pytest.raises(SystemExit) as exc:
+        main(["intersect", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("kappa", [(), ("--kappa", "0")])
 def test_intersect_alpha_past_the_dimension_prints_zero(capsys, kappa):
     # named as such with or without --kappa, never as a negative kappa power

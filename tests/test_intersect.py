@@ -638,13 +638,17 @@ def test_zograf_ratio_finite_positive(table):
         (check_do_string, 0, 2, "do-string does not apply at (g, n) = (0,2)"),
         (check_two_point, 0, (1, 0), "two-point does not apply at (g, n) = (0,2)"),
         (zograf_ratio, 0, 4, "zograf does not apply at (g, n) = (0,4)"),
+        (zograf_ratio, 2, -1, "zograf does not apply at (g, n) = (2,-1)"),
     ],
 )
-def test_relations_raise_outside_their_domain(table, check, g, arg, message):
-    # each instance returned a failing record, or raised IndexError or
-    # ZeroDivisionError, though the relation does not hold there
+def test_relations_raise_outside_their_domain(check, g, arg, message):
+    # each instance returned a failing record, or raised IndexError,
+    # ZeroDivisionError or the table's error, though the relation does not
+    # hold there; each raises before it reads the table
+    t = VolumeTable()
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        check(table, g, arg)
+        check(t, g, arg)
+    assert not t.signatures()
 
 
 def test_relations_keep_their_verdicts_next_to_their_domain(table):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wpvol.exact import PiPoly
-from wpvol.kernels import h_double_moment, h_moment, moment_constant, shift_symmetrize
+from wpvol.kernels import h_double_moment, h_moment, moment_constant
 from wpvol.lpoly import LPoly
 
 
@@ -64,37 +64,3 @@ def test_double_moment_symmetric(i, j):
 @pytest.mark.parametrize("i,j", [(0, 0), (1, 2), (3, 2), (0, 5)])
 def test_double_moment_degree(i, j):
     assert max(m for (m,), _ in h_double_moment(i, j).items()) == i + j + 2
-
-
-# ----------------------------------------------------------------------
-# shifted symmetrization
-
-
-def test_shift_symmetrize_quadratic():
-    t2 = LPoly(1, 1, {(1,): Fraction(1)})
-    got = shift_symmetrize(t2)
-    assert got == LPoly(2, 1, {(1, 0): 1, (0, 1): 1})
-
-
-def test_shift_symmetrize_quartic():
-    t4 = LPoly(1, 2, {(2,): Fraction(1)})
-    got = shift_symmetrize(t4)
-    want = LPoly(2, 2, {(2, 0): 1, (1, 1): 6, (0, 2): 1})
-    assert got == want
-
-
-def test_shift_symmetrize_constant():
-    c = LPoly(1, 2, {(0,): Fraction(5, 7)})
-    got = shift_symmetrize(c)
-    assert got == LPoly(2, 2, {(0, 0): Fraction(5, 7)})
-
-
-def test_shift_symmetrize_matches_float_evaluation():
-    f = F(2)
-    s = shift_symmetrize(f)
-    for a, b in [(0, 0), (1, 2), (3, Fraction(1, 2))]:
-        lhs = s.eval_rational([a, b]).to_float()
-        rhs = 0.5 * (
-            f.eval_rational([a + b]).to_float() + f.eval_rational([a - b]).to_float()
-        )
-        assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -13,7 +13,7 @@ import pytest
 from wpvol import recursion
 from wpvol.exact import PiPoly
 from wpvol.intersect import compact_volume
-from wpvol.kernels import h_double_moment, h_moment, moment_constant, shift_symmetrize
+from wpvol.kernels import h_double_moment, h_moment, moment_constant
 from wpvol.lpoly import LPoly
 from wpvol.recursion import (
     BASE_SIGNATURES,
@@ -567,6 +567,52 @@ def reference_a_dcon(g, n, table):
                     base[0] = kt
                     _add(acc, tuple(base), c1 * Fraction(1, 2) * c2 * cg)
     return acc
+
+
+def shift_symmetrize(f):
+    """The bivariate even polynomial (F(a+b) + F(a-b)) / 2.
+
+    Expanding binomially, odd cross powers cancel and each t^(2m) term of
+    F splits into sum_s C(2m, 2s) a^(2s) b^(2(m-s)); the weight is kept.
+    """
+    if f.n != 1:
+        raise ValueError("expected a one-variable polynomial")
+    terms = {
+        (s, m - s): q * comb(2 * m, 2 * s)
+        for (m,), q in f.items()
+        for s in range(m + 1)
+    }
+    return LPoly(2, f.weight, terms)
+
+
+def test_shift_symmetrize_quadratic():
+    t2 = LPoly(1, 1, {(1,): Fraction(1)})
+    got = shift_symmetrize(t2)
+    assert got == LPoly(2, 1, {(1, 0): 1, (0, 1): 1})
+
+
+def test_shift_symmetrize_quartic():
+    t4 = LPoly(1, 2, {(2,): Fraction(1)})
+    got = shift_symmetrize(t4)
+    want = LPoly(2, 2, {(2, 0): 1, (1, 1): 6, (0, 2): 1})
+    assert got == want
+
+
+def test_shift_symmetrize_constant():
+    c = LPoly(1, 2, {(0,): Fraction(5, 7)})
+    got = shift_symmetrize(c)
+    assert got == LPoly(2, 2, {(0, 0): Fraction(5, 7)})
+
+
+def test_shift_symmetrize_matches_float_evaluation():
+    f = h_moment(2)
+    s = shift_symmetrize(f)
+    for a, b in [(0, 0), (1, 2), (3, Fraction(1, 2))]:
+        lhs = s.eval_rational([a, b]).to_float()
+        rhs = 0.5 * (
+            f.eval_rational([a + b]).to_float() + f.eval_rational([a - b]).to_float()
+        )
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def reference_b(g, n, table):
