@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Structured
 output goes to stdout, diagnostics to stderr.  ``--cache`` names a table
-file that is only read; ``table --out`` is the one file a command writes.
+file that is only read, and only where each entry equals the volume the
+recursion computes; ``table --out`` is the one file a command writes.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .intersect import (
     zograf_ratio,
 )
 from .lpoly import LPoly
-from .recursion import InvariantViolation, VolumeTable, is_stable, moduli_dim
+from .recursion import InvariantViolation, VolumeTable, _sorted_keys, is_stable, moduli_dim
 
 CACHE_FORMAT = "wp-volume-table"
 # 2: each entry holds the records of its stored keys (a_1, a_2 >= ... >= a_n)
@@ -46,8 +47,9 @@ CACHE_VERSION = 2
 # must be rejected rather than silently reinterpreted.
 CONVENTION = "internal-halved-V11"
 # The largest dimension 3g-3+n a command computes to.  compact 15 reads
-# V_{15,1}, of dimension 43; the cost grows about tenfold per dimension,
-# so a signature far past this would run for days instead of answering.
+# V_{15,1}, of dimension 43; a whole table costs about 1.5-1.7x more per
+# dimension and compact about 2.5x more per genus, so a signature far past
+# this would run for days instead of answering.
 MAX_DIM = 60
 
 
@@ -60,8 +62,6 @@ class UsageError(Exception):
 
 
 def render_pipoly_latex(p: PiPoly) -> str:
-    if not p:
-        return "0"
     parts = []
     for k, q in p.items():
         coeff = (
@@ -82,8 +82,6 @@ def _monomial_latex(alpha) -> str:
 
 
 def _render_lpoly(p: LPoly, render_coeff, render_mono, joiner: str) -> str:
-    if not p:
-        return "0"
     parts = []
     for alpha, _ in p.sorted_items():
         head, mono = render_coeff(p.pi_coefficient(alpha)), render_mono(alpha)
@@ -137,7 +135,17 @@ def save_cache(table: VolumeTable, path: str) -> None:
         fh.write("\n")
 
 
+def _entry_error(path: str, key: str, what: str) -> UsageError:
+    return UsageError(
+        f"{path}: entry {_shown(key)!r} {what}; rebuild it with 'wpvol table'"
+    )
+
+
 def load_cache(path: str) -> VolumeTable:
+    """The table that computes every entry of the table file at ``path``,
+    once each entry's records equal the computed ones byte for byte: the
+    file can hold nothing the recursion does not compute, and a file that
+    differs exits 2 rather than changing an answer."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -159,10 +167,32 @@ def load_cache(path: str) -> VolumeTable:
     entries = payload.get("entries")
     if not isinstance(entries, dict):
         raise UsageError(f"{path}: cache has no 'entries' table")
-    try:
-        return VolumeTable.from_entries(entries)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: malformed cache entry: {exc!r}") from None
+    table = VolumeTable()
+    for key, records in entries.items():
+        g_text, _, n_text = key.partition(",")
+        try:
+            g, n = int(g_text), int(n_text)
+        except ValueError:
+            g = n = -1
+        if key != f"{g},{n}" or n < 1 or not is_stable(g, n):
+            raise _entry_error(path, key, "is not a stable signature g,n with n >= 1")
+        if not isinstance(records, list) or not records:
+            raise _entry_error(path, key, "holds no terms")
+        d = moduli_dim(g, n)
+        _check_reach(d, f"{path}: entry {_shown(key)!r}")
+        # one record per stored key, counted no further than the file's own
+        # records before any volume is computed
+        keys = 0
+        for rest in _sorted_keys(n - 1, d):
+            keys += d - sum(rest) + 1
+            if keys > len(records):
+                break
+        if keys != len(records):
+            more = "fewer" if keys > len(records) else "more"
+            raise _entry_error(path, key, f"holds {more} records than V_{{{g},{n}}} has keys")
+        if json.dumps(records) != json.dumps(table._stored(g, n).to_records()):
+            raise _entry_error(path, key, f"differs from V_{{{g},{n}}} as computed")
+    return table
 
 
 def _check_path(path: str, option: str) -> None:
@@ -184,8 +214,8 @@ def _check_reach(dim: int, what: str) -> None:
     # before any table work: what needs volumes up to dimension dim
     if dim > MAX_DIM:
         raise UsageError(
-            f"{what} needs dimension 3g-3+n = {dim}, beyond the largest wpvol "
-            f"computes, {MAX_DIM}"
+            f"{what} needs dimension 3g-3+n = {_shown(str(dim))}, beyond the "
+            f"largest wpvol computes, {MAX_DIM}"
         )
 
 
@@ -393,7 +423,6 @@ def cmd_verify(args) -> int:
                 )
 
     if table is not None:
-        table.ensure(args.max_dim)
         for rel in relations:
             records = run_relation_suite(table, rel, args.max_dim)
             for rec in records:
@@ -500,7 +529,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
-        print(f"error: rejected invalid table data: {exc}", file=sys.stderr)
+        print(f"error: a computed volume failed its check: {exc}", file=sys.stderr)
         return 2
 
 

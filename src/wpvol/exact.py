@@ -14,9 +14,8 @@ that rational, z_i = zeta(2i) / pi^(2i), from Euler's recurrence
 the identity sum_{k=1}^{i-1} zeta(2k) zeta(2i-2k) = (i + 1/2) zeta(2i).
 
 Nothing parses a :class:`PiPoly` from outside data.  Every value is
-computed by this package from zeta values and from volumes, which were
-checked where they entered (:meth:`wpvol.lpoly.LPoly.from_records` for
-cache records, the volume check of :mod:`wpvol.recursion` for every volume).
+computed by this package from zeta values and from volumes, which the
+volume check of :mod:`wpvol.recursion` checked where they were stored.
 The constructor therefore checks nothing and only drops zero
 coefficients.
 """

@@ -22,13 +22,11 @@ lexicographic on alpha.
 An LPoly has no notion of label symmetry: a volume table stores each
 volume on one key per label orbit, and checks the symmetry there.
 
-The constructor trusts its caller and only drops zero coefficients.  Each
-invariant is checked once, where its kind of data enters:
-:meth:`LPoly.from_records` checks records read from outside (integer
-exponents, keys of length n within the weight, the implied pi power, a
-rational coefficient), and ``VolumeTable._store`` checks every volume,
-computed, a base case or loaded, on its integer numerators.
-``from_records`` keeps a zero coefficient for that check.
+The constructor trusts its caller and only drops zero coefficients.  An
+LPoly has no parser for outside data: every volume is computed, and
+``VolumeTable._store`` checks it, or a base case, on its integer
+numerators.  A table file is compared with the records of computed
+volumes, never read into an LPoly.
 """
 from __future__ import annotations
 
@@ -43,13 +41,6 @@ MultiIndex = Tuple[int, ...]
 _ZERO = Fraction(0)
 
 
-def _not_integers(rec: dict) -> ValueError:
-    return ValueError(
-        f"term {rec['alpha']!r} with pi power {rec['pi_power']!r}: "
-        "exponents and pi powers must be integers"
-    )
-
-
 def grlex_key(alpha: MultiIndex) -> Tuple[int, MultiIndex]:
     """Sort key for the graded-lexicographic term order."""
     return (sum(alpha), alpha)
@@ -60,8 +51,7 @@ class LPoly:
     in (L^2, pi^2), stored as rational coefficients.
 
     Instances are immutable after construction and no stored coefficient
-    is zero, except a zero record kept by :meth:`from_records`.  The
-    caller passes ``Fraction`` coefficients and keys of
+    is zero.  The caller passes ``Fraction`` coefficients and keys of
     length ``n`` with non-negative entries and |alpha| <= weight; nothing
     re-checks them here.
     """
@@ -168,7 +158,7 @@ class LPoly:
         """Canonical JSON term list.
 
         One record per alpha, sorted by graded-lex alpha, with the implied
-        pi power written out; round-trips bit-exactly through from_records.
+        pi power written out and the coefficient as its canonical text.
         """
         return [
             {
@@ -178,53 +168,3 @@ class LPoly:
             }
             for alpha, q in self.sorted_items()
         ]
-
-    @classmethod
-    def from_records(cls, n: int, weight: int, records) -> "LPoly":
-        """Inverse of :meth:`to_records`, and the parser of outside data.
-
-        Exponents and ``pi_power`` must be integers and ``coeff`` a string
-        naming a rational.  Rejects an alpha that is not n non-negative
-        exponents with |alpha| <= weight, a record whose pi power is not the
-        one its alpha implies, and an alpha listed twice.  A zero
-        coefficient, which :meth:`to_records` never writes, is kept rather
-        than dropped, so that the check of ``VolumeTable._store`` can name
-        it."""
-        terms: dict[MultiIndex, Fraction] = {}
-        for rec in records:
-            alpha, pi_power, coeff = tuple(rec["alpha"]), rec["pi_power"], rec["coeff"]
-            # type(), not isinstance(): JSON true and false are not exponents
-            if type(pi_power) is not int:
-                raise _not_integers(rec)
-            for x in alpha:
-                if type(x) is not int:
-                    raise _not_integers(rec)
-            if len(alpha) != n:
-                raise ValueError(
-                    f"term {list(alpha)} has length {len(alpha)}, expected {n}"
-                )
-            if alpha and min(alpha) < 0:
-                raise ValueError(f"term {list(alpha)} has a negative exponent")
-            total = sum(alpha)
-            if total > weight:
-                raise ValueError(f"term {list(alpha)} exceeds the weight {weight}")
-            implied = 2 * (weight - total)
-            if pi_power != implied:
-                raise ValueError(
-                    f"term {list(alpha)} has pi power {pi_power}, expected {implied}"
-                )
-            if alpha in terms:
-                raise ValueError(f"term {list(alpha)} is listed twice")
-            if not isinstance(coeff, str):
-                raise ValueError(
-                    f"term {list(alpha)} has coefficient {coeff!r}, not a string"
-                )
-            try:
-                terms[alpha] = Fraction(coeff)
-            except ZeroDivisionError:
-                raise ValueError(
-                    f"term {list(alpha)} has coefficient {coeff!r} with denominator 0"
-                ) from None
-        poly = cls(n, weight)
-        poly._terms = terms
-        return poly

@@ -28,7 +28,7 @@ Every index of r is at most 3g-3+n, and its top degree is DVV.
 V_{g,n} is symmetric in its labels, so :class:`VolumeTable` holds it
 only on the keys (a_1, a_2 >= ... >= a_n), one per orbit of the labels
 2..n, as integers N_0, N_1, ... per rest = (a_2, ..., a_n) with [(a,) +
-rest] = N_a / D reduced by gcd(D, all N), computed or loaded alike.  The
+rest] = N_a / D reduced by gcd(D, all N).  The
 terms read them and return (den, {key: x}); over one LCM, x / den is
 [alpha] of V_{g,n}, as dividing by prod_i (2 alpha_i+1)! also integrates
 back.  Readers take N and D in place; an LPoly is built only for output.
@@ -45,8 +45,8 @@ Packed values are positive, so a slot is at most the total summed into it:
 the sum over splittings of the weight times (sum mu1 N1)(sum mu2 N2)
 (A^dcon), or (n-1)^2 (2d+1) max row sum (B).
 
-Every entry, computed, a base case or loaded, passes one check where it
-is stored, on the integer numerators N of its keys: a positive value at
+Every entry, computed or a base case, passes one check where it is
+stored, on the integer numerators N of its keys: a positive value at
 each orbit key with |alpha| <= 3g-3+n equal to the one at its fully sorted
 key (L_1 against the other labels), and no term at any other key.  It walks
 the keys once and returns the rows it walked, which the table keeps.  As
@@ -361,8 +361,8 @@ def iter_signatures(max_dim: int) -> Iterator[Tuple[int, int]]:
 class VolumeTable:
     """Memoized map from (g, n) to the internal-convention volume.
 
-    Each entry, computed on demand (dependencies first) or loaded, is
-    checked and held once on its keys (a_1, a_2 >= ... >= a_n) as (D,
+    Each entry, computed on demand (dependencies first), is checked and
+    held once on its keys (a_1, a_2 >= ... >= a_n) as (D,
     {rest: [N_0, N_1, ...]}), [(a,) + rest] = N_a / D, which only this
     module reads: :meth:`intersection_pair` serves the correlators, DVV,
     Do's right sides and ``zograf_ratio``, and memoizes its reads for good
@@ -494,25 +494,6 @@ class VolumeTable:
 
     def to_entries(self) -> dict[str, list[dict]]:
         """Canonically ordered map ``"g,n" -> term records`` of the
-        stored form, each entry's records in graded-lex order."""
+        stored form, each entry's records in graded-lex order: the table
+        file's entries, which ``cli.load_cache`` compares with these."""
         return {f"{g},{n}": self._stored(g, n).to_records() for g, n in self.signatures()}
-
-    @classmethod
-    def from_entries(cls, entries: dict[str, list[dict]]) -> "VolumeTable":
-        """Inverse of :meth:`to_entries`: rebuild a table from stored-form
-        entries, validating each one before it is trusted."""
-        table = cls()
-        for key, records in entries.items():
-            g_str, n_str = key.split(",")
-            g, n = int(g_str), int(n_str)
-            if key != f"{g},{n}" or n < 1 or not is_stable(g, n):
-                raise ValueError(
-                    f"entry {key!r} is not a stable signature g,n with n >= 1"
-                )
-            poly = LPoly.from_records(n, moduli_dim(g, n), records)
-            # only the records' keys bound n by the input: without one, the
-            # check in _store would build an n-long key to name it
-            if not poly:
-                raise ValueError(f"entry {key!r} holds no terms")
-            table._store(g, n, *_numerators(poly))
-        return table

@@ -174,7 +174,9 @@ def test_criterion_6_kernel_oracle():
     report(6, "closed-form kernels match quadrature; D/R/H identities in bound", ok)
 
 
-def test_criterion_7_determinism():
+def test_criterion_7_determinism(tmp_path):
+    from wpvol.cli import load_cache, save_cache
+
     def serialized(t):
         return json.dumps(t.to_entries(), indent=2).encode()
 
@@ -183,7 +185,9 @@ def test_criterion_7_determinism():
         on_demand.volume(*sig)  # largest first: dependencies depth-first
     ensured = VolumeTable()
     ensured.ensure(MAX_DIM)
-    reloaded = VolumeTable.from_entries(json.loads(serialized(ensured)))
+    path = str(tmp_path / "table.json")
+    save_cache(ensured, path)
+    reloaded = load_cache(path)
     a, b, c = serialized(on_demand), serialized(ensured), serialized(reloaded)
     report(7, f"depth-first, ensured and reloaded builds serialize "
               f"byte-identically ({len(a)} bytes)", a == b == c)

