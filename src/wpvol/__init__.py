@@ -3,28 +3,9 @@ tautological intersection numbers extracted from their coefficients, and
 verification suites for the string, dilaton, Virasoro (DVV) and
 boundary-removal identities.
 
-The quadrature oracle is not imported here; use ``wpvol.oracle``.
+The package binds only ``__version__``, so importing one module loads only
+what that module imports; names are imported from the submodules, e.g.
+``from wpvol.recursion import VolumeTable``.
 """
 
 __version__ = "0.1.0"
-
-from .exact import PiPoly
-from .lpoly import LPoly
-from .recursion import VolumeTable
-from .intersect import (
-    compact_volume,
-    intersection_number,
-    psi_correlator,
-    run_relation_suite,
-)
-
-__all__ = [
-    "__version__",
-    "PiPoly",
-    "LPoly",
-    "VolumeTable",
-    "compact_volume",
-    "intersection_number",
-    "psi_correlator",
-    "run_relation_suite",
-]

@@ -53,10 +53,6 @@ CONVENTION = "internal-halved-V11"
 MAX_DIM = 60
 
 
-class UsageError(Exception):
-    pass
-
-
 # ----------------------------------------------------------------------
 # rendering
 
@@ -135,8 +131,8 @@ def save_cache(table: VolumeTable, path: str) -> None:
         fh.write("\n")
 
 
-def _entry_error(path: str, key: str, what: str) -> UsageError:
-    return UsageError(
+def _entry_error(path: str, key: str, what: str) -> ValueError:
+    return ValueError(
         f"{path}: entry {_shown(key)!r} {what}; rebuild it with 'wpvol table'"
     )
 
@@ -151,22 +147,22 @@ def load_cache(path: str) -> VolumeTable:
             payload = json.load(fh)
         # nesting deeper than the parser's recursion limit
         except (ValueError, RecursionError) as exc:
-            raise UsageError(f"{path}: not a JSON file: {exc}") from None
+            raise ValueError(f"{path}: not a JSON file: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
-        raise UsageError(f"{path}: not a recognized volume table cache")
+        raise ValueError(f"{path}: not a recognized volume table cache")
     if payload.get("version") != CACHE_VERSION:
-        raise UsageError(
+        raise ValueError(
             f"{path}: volume table cache version {payload.get('version')!r}, "
             f"expected version {CACHE_VERSION}; rebuild it with 'wpvol table'"
         )
     if payload.get("convention") != CONVENTION:
-        raise UsageError(
+        raise ValueError(
             f"{path}: cache written under convention "
             f"{payload.get('convention')!r}, expected {CONVENTION!r}"
         )
     entries = payload.get("entries")
     if not isinstance(entries, dict):
-        raise UsageError(f"{path}: cache has no 'entries' table")
+        raise ValueError(f"{path}: cache has no 'entries' table")
     table = VolumeTable()
     for key, records in entries.items():
         g_text, _, n_text = key.partition(",")
@@ -201,21 +197,24 @@ def _check_path(path: str, option: str) -> None:
     # read or be replaced by a regular file.  A symbolic link stands for the
     # file it names, which is the one read or written.
     if not path:
-        raise UsageError(f"{option}: the path is empty")
+        raise ValueError(f"{option}: the path is empty")
     real = os.path.realpath(path)
     parent = os.path.dirname(real)
     if not os.path.isdir(parent):
-        raise UsageError(f"{path}: directory {parent} does not exist")
+        raise ValueError(f"{path}: directory {parent} does not exist")
     if os.path.exists(real) and not os.path.isfile(real):
-        raise UsageError(f"{path}: exists and is not a regular file")
+        raise ValueError(f"{path}: exists and is not a regular file")
 
 
 def _check_reach(dim: int, what: str) -> None:
     # before any table work: what needs volumes up to dimension dim
     if dim > MAX_DIM:
-        raise UsageError(
-            f"{what} needs dimension 3g-3+n = {_shown(str(dim))}, beyond the "
-            f"largest wpvol computes, {MAX_DIM}"
+        # str() refuses an integer of more digits than the limit
+        limit = _digit_limit()
+        shown = f">= 10^{limit}" if limit and dim >= 10**limit else f"= {_shown(dim)}"
+        raise ValueError(
+            f"{what} needs dimension 3g-3+n {shown}, beyond the largest wpvol "
+            f"computes, {MAX_DIM}"
         )
 
 
@@ -237,37 +236,38 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _shown(text: str) -> str:
+def _shown(value: object) -> str:
+    text = str(value)
     return text if len(text) <= 40 else f"{text[:20]}...({len(text)} characters)"
 
 
 def _parse_lengths(text: str, n: int) -> list[Fraction]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
-        raise UsageError(f"expected {n} lengths, got {len(parts)}")
+        raise ValueError(f"expected {n} lengths, got {len(parts)}")
     try:
         values = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
         limit = _digit_limit()
         runs = [len(digits) for p in parts for digits in re.findall(r"\d+", p)]
         if limit and max(runs, default=0) > limit:
-            raise UsageError(
+            raise ValueError(
                 f"--lengths {_shown(text)}: a length has more than {limit} digits, "
                 "too many for Python to read"
             ) from None
-        raise UsageError(f"bad length list: {exc}") from None
+        raise ValueError(f"bad length list: {exc}") from None
     if any(v < 0 for v in values):
-        raise UsageError("boundary lengths must be non-negative")
+        raise ValueError("boundary lengths must be non-negative")
     return values
 
 
 def cmd_volume(args) -> int:
     g, n = args.g, args.n
     if not is_stable(g, n):
-        raise UsageError(f"({g},{n}) is not a stable signature")
+        raise ValueError(f"({_shown(g)},{_shown(n)}) is not a stable signature")
     if n == 0:
-        raise UsageError("closed surfaces have no boundary polynomial; use 'compact'")
-    _check_reach(moduli_dim(g, n), f"V_{{{g},{n}}}")
+        raise ValueError("closed surfaces have no boundary polynomial; use 'compact'")
+    _check_reach(moduli_dim(g, n), f"V_{{{_shown(g)},{_shown(n)}}}")
     values = None if args.lengths is None else _parse_lengths(args.lengths, n)
     table = _open_table(args)
     poly = table.volume(g, n) if args.internal_convention else table.true_volume(g, n)
@@ -276,7 +276,7 @@ def cmd_volume(args) -> int:
         try:
             approx = exact.to_float()
         except OverflowError:
-            raise UsageError(
+            raise ValueError(
                 f"the value at --lengths {args.lengths} is too large for a float"
             ) from None
         try:
@@ -299,7 +299,7 @@ def cmd_volume(args) -> int:
             limit = _digit_limit()
             if not limit:
                 raise
-            raise UsageError(
+            raise ValueError(
                 f"--lengths {_shown(args.lengths)}: the exact value has more than "
                 f"{limit} digits in a numerator or denominator, too many for Python "
                 "to write out"
@@ -319,13 +319,13 @@ def cmd_intersect(args) -> int:
     alpha = tuple(args.alpha)
     n = len(alpha)
     if any(a < 0 for a in alpha):
-        raise UsageError("psi exponents must be non-negative")
+        raise ValueError("psi exponents must be non-negative")
     if args.kappa is not None and args.kappa < 0:
-        raise UsageError(f"the kappa_1 power --kappa must be non-negative, got {args.kappa}")
+        raise ValueError(f"the kappa_1 power --kappa must be non-negative, got {_shown(args.kappa)}")
     if not is_stable(g, n):
-        raise UsageError(f"({g},{n}) is not a stable signature")
+        raise ValueError(f"({_shown(g)},{_shown(n)}) is not a stable signature")
     d = moduli_dim(g, n)
-    _check_reach(d, f"V_{{{g},{n}}}")
+    _check_reach(d, f"V_{{{_shown(g)},{n}}}")
     table = _open_table(args)
     m = d - sum(alpha)
     if m < 0:
@@ -351,8 +351,8 @@ def cmd_intersect(args) -> int:
 
 def cmd_compact(args) -> int:
     if args.g < 2:
-        raise UsageError("closed-surface volumes need genus >= 2")
-    _check_reach(moduli_dim(args.g, 1), f"compact {args.g}, through V_{{{args.g},1}},")
+        raise ValueError("closed-surface volumes need genus >= 2")
+    _check_reach(moduli_dim(args.g, 1), f"compact {_shown(args.g)}, through V_{{{_shown(args.g)},1}},")
     v = compact_volume(_open_table(args), args.g)
     if args.format == "json":
         print(json.dumps({"g": args.g, "n": 0, "value": v.to_records()}, indent=2))
@@ -364,7 +364,7 @@ def cmd_compact(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _check_reach(args.max_dim, f"--max-dim {args.max_dim}")
+    _check_reach(args.max_dim, f"--max-dim {_shown(args.max_dim)}")
     _check_path(args.out, "--out")
     table = _open_table(args)
     table.ensure(args.max_dim)
@@ -376,14 +376,14 @@ def cmd_table(args) -> int:
 def cmd_diag_zograf(args) -> int:
     n = args.n
     if n < 0:
-        raise UsageError("the number of boundaries --n must be non-negative")
+        raise ValueError("the number of boundaries --n must be non-negative")
     first = 1 if n >= 1 else 2
     if args.gmax < first:
-        raise UsageError(
-            f"--gmax {args.gmax} is below the first genus {first} for --n {n}; "
+        raise ValueError(
+            f"--gmax {_shown(args.gmax)} is below the first genus {first} for --n {n}; "
             "the table would be empty"
         )
-    _check_reach(moduli_dim(args.gmax, max(n, 1)), f"--gmax {args.gmax} --n {n}")
+    _check_reach(moduli_dim(args.gmax, max(n, 1)), f"--gmax {_shown(args.gmax)} --n {_shown(n)}")
     table = _open_table(args)
     print("# g  ratio V_{g,n}(0) / [(4 pi^2)^(2g+n-3) (2g+n-3)! / sqrt(g pi)]")
     for g in range(first, args.gmax + 1):
@@ -394,13 +394,13 @@ def cmd_diag_zograf(args) -> int:
 def cmd_verify(args) -> int:
     # before any work: a run that has no relation instance to check would
     # pass by checking nothing; the instances are counted without a table
-    what = f"verify {args.relation} --max-dim {args.max_dim}"
+    what = f"verify {args.relation} --max-dim {_shown(args.max_dim)}"
     relations = RELATIONS if args.relation == "all" else (args.relation,)
     if args.relation != "kernels":
         # the least --max-dim at which a named suite has an instance
         least = next(d for d in count() if any(any(relation_instances(r, d)) for r in relations))
         if args.max_dim < least:
-            raise UsageError(f"{what} checks no relation instance; use --max-dim {least} or more")
+            raise ValueError(f"{what} checks no relation instance; use --max-dim {least} or more")
         _check_reach(args.max_dim, what)
     # the kernel suite reads no table, so it ignores --cache
     table = None if args.relation == "kernels" else _open_table(args)
@@ -523,9 +523,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         # before any work: a negative bound would check or build nothing
         if getattr(args, "max_dim", 0) < 0:
-            raise UsageError(f"--max-dim must be non-negative, got {args.max_dim}")
+            raise ValueError(f"--max-dim must be non-negative, got {_shown(args.max_dim)}")
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

@@ -64,15 +64,6 @@ class PiPoly:
     # constructors
 
     @classmethod
-    def zero(cls) -> "PiPoly":
-        return cls()
-
-    @classmethod
-    def rational(cls, q: Scalar) -> "PiPoly":
-        """The constant polynomial q (pi-degree zero)."""
-        return cls({0: Fraction(q)})
-
-    @classmethod
     def monomial(cls, k: int, q: Scalar = 1) -> "PiPoly":
         """The single term q * pi^(2k)."""
         return cls({k: Fraction(q)})
@@ -115,8 +106,6 @@ class PiPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PiPoly):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == PiPoly.rational(other)
         return NotImplemented
 
     # ------------------------------------------------------------------

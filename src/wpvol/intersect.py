@@ -120,7 +120,7 @@ def intersection_number(
         raise ValueError(f"({g},0) is not a stable signature")
     m = moduli_dim(g, len(alpha)) - sum(alpha)
     if m < 0:
-        return IntersectionValue(PiPoly.zero(), Fraction(0), 0)
+        return IntersectionValue(PiPoly(), Fraction(0), 0)
     if alpha:
         # the halved V_{1,1} absorbs the 2^(d11) of the true volume
         x, den = table.intersection_pair(g, alpha)

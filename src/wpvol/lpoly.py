@@ -95,11 +95,7 @@ class LPoly:
 
     def pi_coefficient(self, alpha: Sequence[int]) -> PiPoly:
         """The coefficient of L^(2 alpha) with its pi power, as a PiPoly."""
-        alpha = tuple(alpha)
-        q = self._terms.get(alpha)
-        if q is None:
-            return PiPoly.zero()
-        return PiPoly.monomial(self.weight - sum(alpha), q)
+        return PiPoly.monomial(self.weight - sum(alpha), self.coefficient(alpha))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LPoly):

@@ -886,8 +886,10 @@ def test_cache_key_not_a_stable_signature_rejected(tmp_path, capsys, key):
             "entry '11111111111111111111...(4002 characters)' needs dimension "
             "3g-3+n = 33333333333333333333...(4000 characters)",
         ),
+        # g within the limit, but its dimension 3g-2 past it
+        ("4" * 4300, "entry '44444444444444444444...(4302 characters)' needs dimension 3g-3+n "),
     ],
-    ids=["past-the-digit-limit", "within-the-digit-limit"],
+    ids=["past-the-digit-limit", "within-the-digit-limit", "dimension-past-the-digit-limit"],
 )
 def test_cache_key_of_many_digits_named_in_one_short_line(tmp_path, capsys, g, words):
     # the key was echoed whole: a 100 KB error line
@@ -1222,6 +1224,32 @@ def test_import_cli_does_not_load_numpy():
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "module,loaded",
+    [
+        ("wpvol.oracle", ["wpvol", "wpvol.oracle"]),
+        (
+            "wpvol.recursion",
+            ["wpvol", "wpvol.exact", "wpvol.kernels", "wpvol.lpoly", "wpvol.recursion"],
+        ),
+    ],
+    ids=["oracle", "recursion"],
+)
+def test_import_loads_only_what_the_module_imports(module, loaded):
+    # the package re-exported names from four modules, so importing any one
+    # module loaded seven, the CLI's intersect among them
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'wpvol'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == repr(loaded)
+
+
 def test_verify_runs_without_numpy():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -1323,6 +1351,24 @@ def test_out_of_reach_dimension_rejected_before_work(
     assert out == ""
     assert_one_line_error(code, err, words, f"the largest wpvol computes, {MAX_DIM}")
     assert os.listdir(tmp_path) == ["cache.json"]
+
+
+@pytest.mark.parametrize("g", ["4" * 4300, "1" * 4300], ids=["dimension-past-the-limit", "dimension-within-the-limit"])
+@pytest.mark.parametrize(
+    "argv",
+    [["volume", "{g}", "1"], ["intersect", "{g}", "1"], ["compact", "{g}"]],
+    ids=["volume", "intersect", "compact"],
+)
+def test_genus_of_many_digits_named_in_one_short_line(capsys, g, argv):
+    # str() of the dimension 3g-2 of 4301 digits raised the interpreter's
+    # digit-limit text, and the label repeated g whole: a 4419-byte line
+    code, out, err = run(capsys, *(a.format(g=g) for a in argv))
+    assert out == ""
+    assert_one_line_error(
+        code, err, f"V_{{{g[:20]}...(4300 characters),1}}", "needs dimension 3g-3+n "
+    )
+    assert "Exceeds" not in err and "set_int_max_str_digits" not in err
+    assert len(err.encode()) < 250
 
 
 def test_reach_covers_compact_fifteen_and_stops_at_its_limit(capsys, monkeypatch):

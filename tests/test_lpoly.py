@@ -33,7 +33,7 @@ def test_zero_coefficients_pruned():
 
 def test_pi_coefficient_carries_implied_power():
     assert v04().pi_coefficient((0, 0, 0, 0)) == PiPoly.monomial(1, 2)
-    assert v04().pi_coefficient((1, 0, 0, 0)) == PiPoly.rational(Fraction(1, 2))
+    assert v04().pi_coefficient((1, 0, 0, 0)) == PiPoly.monomial(0, Fraction(1, 2))
     assert not v04().pi_coefficient((5, 0, 0, 0))
 
 
