@@ -255,7 +255,8 @@ def _parse_lengths(text: str, n: int) -> list[Fraction]:
                 f"--lengths {_shown(text)}: a length has more than {limit} digits, "
                 "too many for Python to read"
             ) from None
-        raise ValueError(f"bad length list: {exc}") from None
+        # Fraction's message quotes the entry whole
+        raise ValueError(f"bad length list: {' '.join(map(_shown, str(exc).split()))}") from None
     if any(v < 0 for v in values):
         raise ValueError("boundary lengths must be non-negative")
     return values
@@ -320,8 +321,6 @@ def cmd_intersect(args) -> int:
     n = len(alpha)
     if any(a < 0 for a in alpha):
         raise ValueError("psi exponents must be non-negative")
-    if args.kappa is not None and args.kappa < 0:
-        raise ValueError(f"the kappa_1 power --kappa must be non-negative, got {_shown(args.kappa)}")
     if not is_stable(g, n):
         raise ValueError(f"({_shown(g)},{_shown(n)}) is not a stable signature")
     d = moduli_dim(g, n)
@@ -332,14 +331,6 @@ def cmd_intersect(args) -> int:
         print("0")
         print(
             f"note: |alpha| exceeds 3g-3+n = {d}; the pairing is zero by degree",
-            file=sys.stderr,
-        )
-        return 0
-    if args.kappa is not None and args.kappa != m:
-        print("0")
-        print(
-            f"note: kappa power {args.kappa} does not match "
-            f"3g-3+n-|alpha| = {m}; the pairing is zero by degree",
             file=sys.stderr,
         )
         return 0
@@ -452,8 +443,15 @@ def cmd_verify(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    # every usage error leaves through main's one-line handler, each word
+    # that quotes a long argument shortened; subparsers inherit the class
+    def error(self, message: str):
+        raise ValueError(" ".join(map(_shown, message.split())))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wpvol",
         description="Exact Weil-Petersson volume polynomials, intersection "
         "numbers, and identity verification.",
@@ -480,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("g", type=int)
     p.add_argument("alpha", type=int, nargs="+", help="psi exponents d_1 .. d_n")
-    p.add_argument("--kappa", type=int, help="expected kappa_1 power (checked)")
     p.set_defaults(func=cmd_intersect)
 
     p = sub.add_parser(
@@ -518,9 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # before any work: a negative bound would check or build nothing
         if getattr(args, "max_dim", 0) < 0:
             raise ValueError(f"--max-dim must be non-negative, got {_shown(args.max_dim)}")

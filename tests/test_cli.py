@@ -153,6 +153,16 @@ def test_volume_lengths_not_non_negative_rationals_rejected(capsys, lengths, wor
     assert_one_line_error(code, err, words)
 
 
+def test_long_length_that_is_not_a_number_named_in_one_short_line(capsys):
+    # Fraction's message quoted the entry whole: a 100 057-byte line
+    code, out, err = run(capsys, "volume", "0", "4", "--lengths", "x" * 100_000 + ",1,1,1")
+    assert out == ""
+    assert_one_line_error(
+        code, err, "bad length list: Invalid literal for Fraction: 'xxxxxxxxxxxxxxxxxxx...(100002 characters)"
+    )
+    assert len(err.encode()) < 250
+
+
 # ----------------------------------------------------------------------
 # intersect / compact / diagnostics
 
@@ -167,28 +177,16 @@ def test_intersect_genus0(capsys):
     assert code == 0 and "kappa-normalized: 1" in out
 
 
-def test_intersect_degree_mismatch_prints_zero(capsys):
-    code, out, err = run(capsys, "intersect", "1", "1", "--kappa", "3")
-    assert code == 0
-    assert out.strip() == "0"
-    assert err == (
-        "note: kappa power 3 does not match 3g-3+n-|alpha| = 0; "
-        "the pairing is zero by degree\n"
-    )
-
-
 def test_intersect_needs_an_alpha(capsys):
     # alpha takes one or more exponents, so argparse rejects an empty one
-    with pytest.raises(SystemExit) as exc:
-        main(["intersect", "2"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    code, out, err = run(capsys, "intersect", "2")
+    assert out == ""
+    assert_one_line_error(code, err, "the following arguments are required: alpha")
 
 
-@pytest.mark.parametrize("kappa", [(), ("--kappa", "0")])
-def test_intersect_alpha_past_the_dimension_prints_zero(capsys, kappa):
-    # named as such with or without --kappa, never as a negative kappa power
-    code, out, err = run(capsys, "intersect", "0", "1", "1", "1", "1", *kappa)
+def test_intersect_alpha_past_the_dimension_prints_zero(capsys):
+    # named as such, never as a negative kappa power
+    code, out, err = run(capsys, "intersect", "0", "1", "1", "1", "1")
     assert (code, out) == (0, "0\n")
     assert err == "note: |alpha| exceeds 3g-3+n = 1; the pairing is zero by degree\n"
 
@@ -290,7 +288,9 @@ def test_verify_kernels_suite(capsys):
 # Re-recorded when the Do sides came to be written on their fully sorted
 # keys alone (898541bc... when they were written at every ordering), and
 # when verify all gained the two-point relation (1fecbfad... before, which
-# is also the digest of this output with its two two-point records removed).
+# is also the digest of this output with its two two-point records removed),
+# and when intersect lost --kappa (43d6605b... with "intersect 1 0 1 --kappa
+# 1", whose output is the same bytes).
 GOLDEN_COMMANDS = [
     ["volume", "1", "1"],
     ["volume", "1", "1", "--internal-convention"],
@@ -303,13 +303,13 @@ GOLDEN_COMMANDS = [
     ["volume", "2", "1", "--lengths", "1/2", "--format", "latex"],
     ["intersect", "1", "1"],
     ["intersect", "2", "1"],
-    ["intersect", "1", "0", "1", "--kappa", "1"],
+    ["intersect", "1", "0", "1"],
     ["compact", "3"],
     ["compact", "3", "--format", "json"],
     ["compact", "3", "--format", "latex"],
     ["verify", "all", "--max-dim", "4", "--format", "json"],
 ]
-GOLDEN_DIGEST = "43d6605b7edb41cebf7425dca04c916c20be98b02c6a433620bb2dcf11efdf44"
+GOLDEN_DIGEST = "4e27b908b06728e5d9745354e27885f2d5a6596b60fe60ee1f27deb7b6387418"
 
 
 def test_stdout_golden_digest(capsys):
@@ -377,9 +377,91 @@ def test_sorted_key_do_sides_expand_to_every_ordering(capsys):
 
 
 def test_usage_error_exit_code(capsys):
+    code, out, err = run(capsys, "verify", "nonsense")
+    assert out == ""
+    assert_one_line_error(code, err, "argument relation: invalid choice: 'nonsense'")
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (["volume", "1" * 5000, "1"], "argument g: invalid int value: '1111111111111111111...(5002 characters)"),
+        (["verify", "x" * 5000], "argument relation: invalid choice: 'xxxxxxxxxxxxxxxxxxx...(5002 characters)"),
+        (["verify", "all", "--max-dim", "x" * 5000], "argument --max-dim: invalid int value: 'xxx"),
+        (["volume"], "the following arguments are required: g, n"),
+        (["volume", "1", "1", "a\nb", "--bogus"], "unrecognized arguments: a b --bogus"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["long-int", "long-choice", "long-option-int", "missing", "unrecognized", "no-command"],
+)
+def test_argparse_usage_error_in_one_short_line(capsys, argv, words):
+    # argparse printed its usage text and echoed the whole argument: 5213
+    # bytes on four lines for a 5000-digit genus
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    assert_one_line_error(code, err, words)
+    assert len(err.encode()) < 250
+
+
+@pytest.mark.parametrize(
+    "argv,start",
+    [(["--version"], "wpvol "), (["intersect", "--help"], "usage: wpvol intersect ")],
+    ids=["version", "help"],
+)
+def test_help_and_version_exit_zero(capsys, argv, start):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "nonsense"])
-    assert exc.value.code == 2
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    assert captured.out.startswith(start)
+
+
+def test_invariant_violation_exits_in_one_line(capsys, monkeypatch):
+    # r_1 doubled in the build: V_{1,2} fails its check as it is stored
+    from wpvol import recursion
+
+    moment_constant = recursion.moment_constant
+    monkeypatch.setattr(
+        recursion, "moment_constant", lambda j: moment_constant(j) * (2 if j == 1 else 1)
+    )
+    code, out, err = run(capsys, "volume", "1", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: a computed volume failed its check: V_{1,2} is not label-symmetric\n"
+
+
+def test_installed_script_output_pins(tmp_path, capsys):
+    # the table file and the relation suites byte for byte; compact 12, at
+    # 2.5 s, is pinned in CI only
+    def digest(*argvs):
+        h = hashlib.sha256()
+        for argv in argvs:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            h.update(out.encode())
+        return h.hexdigest()
+
+    path = tmp_path / "d9.json"
+    assert run(capsys, "table", "--max-dim", "9", "--out", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "2f0701c10f6d9f2fc3687ed45d5c0188b6c50ce43cbd4a9fae9731866fcf48ec"
+    )
+    suites = ("string", "dilaton", "dvv", "do-string", "do-dilaton")
+    assert digest(*(["verify", r, "--max-dim", "9"] for r in suites)) == (
+        "514e9c6214555a3d540a88bfad163c15bbfe893f1195853e45f06ae539fa0133"
+    )
+    assert digest(*(["verify", r, "--max-dim", "9", "--format", "json"] for r in suites)) == (
+        "276b5c1bf31f1ea98d363a63c9cfece6c424d38acd8a55f440ff4fa4090ce2da"
+    )
+    do = ("do-string", "do-dilaton")
+    assert digest(*(["verify", r, "--max-dim", "11", "--format", "json"] for r in do)) == (
+        "f77e50d8a59267d3694cb8c50707b05b4c7b26ecf49fc3b78b54c7bfbc34f281"
+    )
+    assert digest(["verify", "two-point", "--max-dim", "11", "--format", "json"]) == (
+        "5f9e6fa44986a527f3787f6c48ce65cb5de1edd2035a82b9ec92abad099e057f"
+    )
+    code, out, _ = run(capsys, "verify", "two-point", "--max-dim", "11")
+    assert code == 0
+    assert sum(line.startswith("two-point PASS") for line in out.splitlines()) == 16
 
 
 # ----------------------------------------------------------------------
@@ -1038,7 +1120,6 @@ def test_negative_genus_rejected_before_work(capsys, monkeypatch):
     [
         (["-1", "0", "0", "0", "0", "0"], "(-1,5) is not a stable signature"),
         (["0", "-1", "2", "0", "0"], "psi exponents must be non-negative"),
-        (["1", "1", "--kappa", "-1"], "--kappa must be non-negative, got -1"),
     ],
 )
 def test_intersect_negative_arguments_rejected_before_work(capsys, monkeypatch, argv, words):
@@ -1329,7 +1410,7 @@ def test_relation_suite_without_instances_rejected_before_work(
         (["volume", "200", "1"], "V_{200,1} needs dimension 3g-3+n = 598"),
         (["volume", "0", "1000000000", "--lengths", "1"], "= 999999997"),
         (["intersect", "300", "1"], "V_{300,1} needs dimension 3g-3+n = 898"),
-        (["intersect", "20", "0", "0", "0", "0", "--kappa", "0"], "V_{20,4} needs"),
+        (["intersect", "20", "0", "0", "0", "0"], "V_{20,4} needs"),
         (["compact", "21"], "compact 21, through V_{21,1}, needs dimension 3g-3+n = 61"),
         (["verify", "dvv", "--max-dim", "100000"], "verify dvv --max-dim 100000 needs"),
         (["verify", "all", "--max-dim", "61"], "verify all --max-dim 61 needs"),
@@ -1376,7 +1457,7 @@ def test_reach_covers_compact_fifteen_and_stops_at_its_limit(capsys, monkeypatch
     # pairing below is zero by degree, so it needs no table work either
     forbid_table_work(monkeypatch)
     assert moduli_dim(15, 1) == 43 <= MAX_DIM
-    code, out, err = run(capsys, "intersect", "20", "0", "0", "6", "--kappa", "0")
+    code, out, err = run(capsys, "intersect", "20", "0", "0", "61")
     assert moduli_dim(20, 3) == MAX_DIM and code == 0 and out == "0\n"
     assert "zero by degree" in err
 
