@@ -488,12 +488,3 @@ class VolumeTable:
         """Compute every stable (g, n), n >= 1, with 3g-3+n <= max_dim."""
         for sig in iter_signatures(max_dim):
             self._free1_view(*sig)
-
-    # ------------------------------------------------------------------
-    # serialization
-
-    def to_entries(self) -> dict[str, list[dict]]:
-        """Canonically ordered map ``"g,n" -> term records`` of the
-        stored form, each entry's records in graded-lex order: the table
-        file's entries, which ``cli.load_cache`` compares with these."""
-        return {f"{g},{n}": self._stored(g, n).to_records() for g, n in self.signatures()}

@@ -5,7 +5,6 @@ One test per criterion; each prints a single PASS/FAIL line (run with
 intersection comparisons are exact; the kernel oracle checks carry the
 stated floating-point tolerances.
 """
-import json
 import time
 from fractions import Fraction
 
@@ -177,17 +176,17 @@ def test_criterion_6_kernel_oracle():
 def test_criterion_7_determinism(tmp_path):
     from wpvol.cli import load_cache, save_cache
 
-    def serialized(t):
-        return json.dumps(t.to_entries(), indent=2).encode()
+    def serialized(t, name):
+        path = tmp_path / name
+        save_cache(t, str(path))
+        return path.read_bytes()
 
     on_demand = VolumeTable()
     for sig in reversed(list(iter_signatures(MAX_DIM))):
         on_demand.volume(*sig)  # largest first: dependencies depth-first
     ensured = VolumeTable()
     ensured.ensure(MAX_DIM)
-    path = str(tmp_path / "table.json")
-    save_cache(ensured, path)
-    reloaded = load_cache(path)
-    a, b, c = serialized(on_demand), serialized(ensured), serialized(reloaded)
+    a, b = serialized(on_demand, "on_demand.json"), serialized(ensured, "ensured.json")
+    c = serialized(load_cache(str(tmp_path / "ensured.json")), "reloaded.json")
     report(7, f"depth-first, ensured and reloaded builds serialize "
               f"byte-identically ({len(a)} bytes)", a == b == c)

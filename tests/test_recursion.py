@@ -418,8 +418,11 @@ def reloaded(table, tmp_path):
 
 
 def test_entries_round_trip(table, tmp_path):
-    entries = table.to_entries()
-    assert reloaded(table, tmp_path).to_entries() == entries
+    from wpvol.cli import save_cache
+
+    path = tmp_path / "again.json"
+    save_cache(reloaded(table, tmp_path), str(path))
+    assert path.read_bytes() == (tmp_path / "table.json").read_bytes()
 
 
 @pytest.mark.parametrize("sig", [(2, 2), (1, 4)])
