@@ -102,13 +102,15 @@ def _atomic_write(path: str):
     """A text file that replaces ``path`` only once it is completely
     written: a reader never sees a partial file, and concurrent writers
     never interleave.  A symbolic link keeps pointing at the file it
-    names, which is the one replaced."""
+    names, which is the one replaced.  Only a temporary file this call
+    created is removed: one that already exists makes the write fail."""
     path = os.path.realpath(path)
     tmp = os.path.join(
         os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp"
     )
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        with fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())

@@ -63,7 +63,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 from .exact import PiPoly
 from .lpoly import LPoly
 from .recursion import (
-    BASE_SIGNATURES,
+    BASE,
     VolumeTable,
     _double_factorial,
     _odd_factorials,
@@ -77,7 +77,6 @@ __all__ = [
     "IntersectionValue",
     "intersection_number",
     "psi_correlator",
-    "genus0_correlator",
     "check_string",
     "check_dilaton",
     "check_dvv",
@@ -139,16 +138,6 @@ def psi_correlator(table: VolumeTable, g: int, alpha: Sequence[int]) -> Fraction
         return Fraction(0)
     # the m = 0 case of intersection_number
     return Fraction(*table.intersection_pair(g, alpha))
-
-
-def genus0_correlator(alpha: Sequence[int]) -> Fraction:
-    """Closed form <tau_alpha>_0 = (n-3)! / prod alpha_i!, the multinomial
-    coefficient for n - 3; zero off the degree condition |alpha| = n-3."""
-    alpha = tuple(alpha)
-    n = len(alpha)
-    if n < 3 or any(a < 0 for a in alpha) or sum(alpha) != n - 3:
-        return Fraction(0)
-    return Fraction(factorial(n - 3), prod(factorial(a) for a in alpha))
 
 
 # ----------------------------------------------------------------------
@@ -456,7 +445,7 @@ _REGISTRY = {
                _within(lambda g, n: _sorted_compositions(moduli_dim(g, n) + 1, n))),
     "dilaton": (check_dilaton, lambda g, n: (g, n) != (1, 0),
                 _within(lambda g, n: _sorted_compositions(moduli_dim(g, n), n))),
-    "dvv": (check_dvv, lambda g, n: n >= 1 and (g, n) not in BASE_SIGNATURES,
+    "dvv": (check_dvv, lambda g, n: n >= 1 and (g, n) not in BASE,
             lambda g, n, top: [(k1,) + rest for k1 in range(moduli_dim(g, n) + 1)
                                for rest in _sorted_compositions(moduli_dim(g, n) - k1, n - 1)]),
     "do-string": (check_do_string, lambda g, n: is_stable(g, n) or (n == 0 and g >= 1),

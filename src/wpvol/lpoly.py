@@ -66,13 +66,6 @@ class LPoly:
         self._terms = {a: q for a, q in terms.items() if q} if terms else {}
 
     # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def one(cls, n: int) -> "LPoly":
-        return cls(n, 0, {(0,) * n: Fraction(1)})
-
-    # ------------------------------------------------------------------
     # inspection
 
     def __bool__(self) -> bool:

@@ -45,14 +45,15 @@ Packed values are positive, so a slot is at most the total summed into it:
 the sum over splittings of the weight times (sum mu1 N1)(sum mu2 N2)
 (A^dcon), or (n-1)^2 (2d+1) max row sum (B).
 
-Every entry, computed or a base case, passes one check where it is
-stored, on the integer numerators N of its keys: a positive value at
-each orbit key with |alpha| <= 3g-3+n equal to the one at its fully sorted
-key (L_1 against the other labels), and no term at any other key.  It walks
-the keys once and returns the rows it walked, which the table keeps.  As
-prod_i (2 alpha_i+1)! is symmetric and positive, :func:`validate_volume`
-checks the coefficients q by running it on N.  A violation aborts; with
-exact arithmetic any mismatch is a logic bug.
+Every entry enters the table one way, as (D, {key: N}): a base case as
+the stored numerators :data:`BASE`, any other as the sum of its terms.
+The one check, :func:`validate_volume`, runs where it is stored, on the
+integer numerators N of its keys: a positive value at each orbit key with
+|alpha| <= 3g-3+n equal to the one at its fully sorted key (L_1 against
+the other labels), and no term at any other key.  It walks the keys once
+and returns the rows it walked, which the table keeps.  As prod_i (2
+alpha_i+1)! is symmetric and positive, this checks the coefficients q.
+A violation aborts; with exact arithmetic any mismatch is a logic bug.
 """
 from __future__ import annotations
 
@@ -67,7 +68,6 @@ from .lpoly import LPoly, MultiIndex, grlex_key
 __all__ = [
     "is_stable",
     "moduli_dim",
-    "base_volume",
     "stable_splittings",
     "a_con_term",
     "a_dcon_term",
@@ -78,10 +78,13 @@ __all__ = [
     "iter_signatures",
 ]
 
-BASE_SIGNATURES = {(0, 3), (1, 1)}
-
 # (den, {key: x}): the rational x / den at each key, den > 0
 Numerators = Tuple[int, dict[MultiIndex, int]]
+
+# the base cases as stored entries, [alpha] = q prod_i (2 alpha_i+1)!:
+# V_{0,3} = 1, and the halved V_{1,1} = pi^2/12 + L^2/48 has [0] = 1/12 =
+# 2/24 and [1] = 3!/48 = 1/8 = 3/24
+BASE = {(0, 3): (1, {(0, 0, 0): 1}), (1, 1): (24, {(0,): 2, (1,): 3})}
 
 
 class InvariantViolation(RuntimeError):
@@ -97,18 +100,6 @@ def is_stable(g: int, n: int) -> bool:
 def moduli_dim(g: int, n: int) -> int:
     """Complex dimension 3g - 3 + n of the moduli space."""
     return 3 * g - 3 + n
-
-
-def base_volume(g: int, n: int) -> LPoly:
-    """The recursion's base cases, in the internal convention.
-
-    V_{0,3} = 1 and V_{1,1} = pi^2/12 + L^2/48 (the halved torus value).
-    """
-    if (g, n) == (0, 3):
-        return LPoly.one(3)
-    if (g, n) == (1, 1):
-        return LPoly(1, 1, {(0,): Fraction(1, 12), (1,): Fraction(1, 48)})
-    raise ValueError(f"({g},{n}) is not a base case")
 
 
 @lru_cache(maxsize=None)
@@ -144,12 +135,6 @@ def _odd_factorials(alpha: Sequence[int]) -> int:
 def _double_factorial(m: int) -> int:
     """(m)!! for odd m >= -1, with (-1)!! = 1."""
     return prod(range(m, 0, -2))
-
-
-def _numerators(p: LPoly) -> Tuple[int, dict[MultiIndex, int]]:
-    # (den, {alpha: x}) with x / den = [alpha] = q prod_i (2 alpha_i+1)!
-    den, xs = _over_lcm([q for _, q in p.items()])
-    return den, {a: x * _odd_factorials(a) for (a, _), x in zip(p.items(), xs)}
 
 
 @lru_cache(maxsize=None)
@@ -298,11 +283,19 @@ def _orderings(rest: MultiIndex, memo: dict) -> Tuple[MultiIndex, ...]:
     return out
 
 
-def _check(g: int, n: int, nums: dict[MultiIndex, int]) -> dict[MultiIndex, list]:
-    # the invariants on the numerators N of [alpha] = N / D, walked once over
-    # the keys (a_1, a_2 >= ... >= a_n), |alpha| <= d, into the rows {rest:
-    # [N_0, N_1, ...]} it returns, the rests in lexicographic order; stops at
-    # the first missing key, so the work is bounded by the terms
+def validate_volume(g: int, n: int, nums: dict[MultiIndex, int]) -> dict[MultiIndex, list]:
+    """Check an entry's structural invariants on the integer numerators N
+    of [alpha] = N / D, at the keys (a_1, a_2 >= ... >= a_n) the table
+    stores, and return its rows {rest: [N_0, N_1, ...]}, the rests in
+    lexicographic order.
+
+    At each such key with |alpha| <= d = 3g-3+n, a positive numerator
+    equal to the one at the fully sorted key (symmetry in L_1), and no
+    term at any other alpha.  Walks the keys once and stops at the first
+    missing one, so the work is bounded by the terms.  Raises
+    InvariantViolation naming a key that is missing or not positive, or
+    the first other alpha in graded-lex order.
+    """
     d, rows = moduli_dim(g, n), {}
     for rest in _sorted_keys(n - 1, d):
         row = rows[rest] = []
@@ -325,25 +318,6 @@ def _check(g: int, n: int, nums: dict[MultiIndex, int]) -> dict[MultiIndex, list
             f"(a_1, a_2 >= ... >= a_{n}) with |alpha| <= {d}"
         )
     return rows
-
-
-def validate_volume(g: int, n: int, p: LPoly) -> LPoly:
-    """Check a volume polynomial's structural invariants on the keys
-    (a_1, a_2 >= ... >= a_n), the form the table stores, and return it.
-
-    Weight d = 3g-3+n (which fixes every pi power) and n variables.  At
-    each such key with |alpha| <= d, a positive coefficient equal to the
-    one at the fully sorted key (symmetry in L_1), and no term at any
-    other alpha.  Raises InvariantViolation naming a key that is missing
-    or not positive, or the first other alpha in graded-lex order.
-    """
-    d = moduli_dim(g, n)
-    if p.n != n:
-        raise InvariantViolation(f"V_{{{g},{n}}} has {p.n} variables, expected {n}")
-    if p.weight != d:
-        raise InvariantViolation(f"V_{{{g},{n}}} has weight {p.weight}, expected {d}")
-    _check(g, n, _numerators(p)[1])
-    return p
 
 
 def iter_signatures(max_dim: int) -> Iterator[Tuple[int, int]]:
@@ -446,8 +420,8 @@ class VolumeTable:
             h, k = sig = stack.pop()
             if sig in self._entries:
                 continue
-            if sig in BASE_SIGNATURES:
-                self._store(h, k, *_numerators(base_volume(h, k)))
+            if sig in BASE:
+                self._store(h, k, *BASE[sig])
                 continue
             splits = stable_splittings(h, k)
             pieces = [(g1, k1 + 1) for split in splits for g1, k1 in split]
@@ -463,7 +437,7 @@ class VolumeTable:
         # the one way in, and the one check: [alpha] = nums[alpha] / den at
         # every orbit key, kept reduced by the gcd in the rows over a_1 that
         # the check returns, the rests in lexicographic order
-        walked, common = _check(g, n, nums), gcd(den, *nums.values())
+        walked, common = validate_volume(g, n, nums), gcd(den, *nums.values())
         rows = {rest: [x // common for x in row] for rest, row in walked.items()}
         self._entries[(g, n)] = den // common, rows
 

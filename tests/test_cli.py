@@ -49,6 +49,13 @@ def test_volume_latex(capsys):
     code, out, _ = run(capsys, "volume", "2", "1", "--format", "latex")
     assert code == 0
     assert r"\frac{1}{442368}" in out and r"\pi^{8}" in out
+    # an integer coefficient is written without a fraction
+    code, out, _ = run(capsys, "volume", "0", "4", "--format", "latex")
+    assert code == 0
+    assert out == (
+        r"2\pi^{2} + \frac{1}{2} L_{4}^{2} + \frac{1}{2} L_{3}^{2}"
+        r" + \frac{1}{2} L_{2}^{2} + \frac{1}{2} L_{1}^{2}" "\n"
+    )
 
 
 def test_volume_evaluated_at_zero(capsys):
@@ -505,8 +512,9 @@ def test_cache_writer_matches_stdlib_encoder(tmp_path):
 
 
 def test_cache_writer_edge_cases_match_stdlib_encoder(tmp_path):
+    from helpers import numerators
     from wpvol.intersect import compact_volume
-    from wpvol.recursion import VolumeTable, _numerators
+    from wpvol.recursion import VolumeTable
 
     assert_writes_stdlib_bytes(VolumeTable(), tmp_path / "empty.json")
     # V_{2,2} and its dependencies: not a whole dimension range
@@ -520,7 +528,7 @@ def test_cache_writer_edge_cases_match_stdlib_encoder(tmp_path):
     ones = VolumeTable()
     for g, n in compact.signatures():
         if n == 1:
-            ones._store(g, n, *_numerators(compact._stored(g, n)))
+            ones._store(g, n, *numerators(compact._stored(g, n)))
     assert ones.signatures() == [(1, 1), (2, 1), (3, 1), (4, 1)]
     assert_writes_stdlib_bytes(ones, tmp_path / "ones.json")
 
@@ -666,6 +674,18 @@ def test_table_out_leaves_no_temporary_file(tmp_path, capsys):
     code, _, _ = run(capsys, "table", "--max-dim", "2", "--out", str(path))
     assert code == 0 and json.loads(path.read_text())["entries"]
     assert os.listdir(tmp_path) == ["table.json"]
+
+
+def test_table_out_keeps_a_temporary_file_it_did_not_create(tmp_path, capsys):
+    # a stale file of the writer's temporary name made the write fail, and
+    # the writer then deleted that file as if it were its own
+    stale = tmp_path / f".t.json.{os.getpid()}.tmp"
+    stale.write_text("someone else's")
+    code, out, err = run(capsys, "table", "--max-dim", "1", "--out", str(tmp_path / "t.json"))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert stale.read_text() == "someone else's"
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_table_out_through_a_symlink_writes_its_target(tmp_path, capsys):

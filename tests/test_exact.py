@@ -38,6 +38,8 @@ def test_zeta_against_bernoulli_closed_form():
 
 def test_zeta_zero_is_minus_half():
     assert zeta_even(0) == Fraction(-1, 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        zeta_even(-1)
 
 
 def test_zeta_two_and_four():
@@ -70,6 +72,7 @@ def test_zeta_float_matches_direct_sum(i):
 def test_additive_inverse_gives_empty_term_set():
     z2 = PiPoly.monomial(1, zeta_even(1))
     assert not z2 + (-1) * z2
+    assert (z2 + (-1) * z2).as_str() == PiPoly().as_str() == "0"
 
 
 def test_monomial_product():

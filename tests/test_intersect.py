@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from helpers import genus0_correlator, numerators
 
 from wpvol import recursion
 from wpvol.exact import PiPoly
@@ -18,7 +19,6 @@ from wpvol.intersect import (
     check_string,
     check_two_point,
     compact_volume,
-    genus0_correlator,
     intersection_number,
     psi_correlator,
     run_relation_suite,
@@ -335,7 +335,7 @@ def perturbed_table(sig, orbit, eps=Fraction(1, 10**9)):
         terms = dict(t._stored(g, n).items())
         if (g, n) == sig:
             terms = {a: q + eps * (sorted(a) == sorted(orbit)) for a, q in terms.items()}
-        wrong._store(g, n, *recursion._numerators(LPoly(n, moduli_dim(g, n), terms)))
+        wrong._store(g, n, *numerators(LPoly(n, moduli_dim(g, n), terms)))
     return wrong
 
 
@@ -371,23 +371,22 @@ def test_perturbed_two_point_correlator_fails_two_point():
 
 
 def kill_mutants():
-    # name -> (the name in wpvol.recursion a mutant rebinds, its value): each
+    # name -> a function that installs the mutant with a monkeypatch: each
     # r_i doubled, and each coefficient of V_{1,1} = 1/12 pi^2 + L^2/48 off by one
-    moment_constant, base_volume = recursion.moment_constant, recursion.base_volume
+    moment_constant = recursion.moment_constant
 
     def doubled(i):
-        return lambda j: moment_constant(j) * (2 if j == i else 1)
+        def mutant(j):
+            return moment_constant(j) * (2 if j == i else 1)
+
+        return lambda m: m.setattr(recursion, "moment_constant", mutant)
 
     def torus(terms):
-        return lambda g, n: LPoly(1, 1, terms) if (g, n) == (1, 1) else base_volume(g, n)
+        return lambda m: m.setitem(recursion.BASE, (1, 1), numerators(LPoly(1, 1, terms)))
 
-    mutants = {f"r_{i} x2": ("moment_constant", doubled(i)) for i in range(9)}
-    mutants["V_11 1/12 -> 1/11"] = (
-        "base_volume", torus({(0,): Fraction(1, 11), (1,): Fraction(1, 48)})
-    )
-    mutants["V_11 1/48 -> 1/47"] = (
-        "base_volume", torus({(0,): Fraction(1, 12), (1,): Fraction(1, 47)})
-    )
+    mutants = {f"r_{i} x2": doubled(i) for i in range(9)}
+    mutants["V_11 1/12 -> 1/11"] = torus({(0,): Fraction(1, 11), (1,): Fraction(1, 48)})
+    mutants["V_11 1/48 -> 1/47"] = torus({(0,): Fraction(1, 12), (1,): Fraction(1, 47)})
     return mutants
 
 
@@ -413,9 +412,9 @@ def test_do_suites_see_a_doubled_moment_constant_the_top_degree_suites_miss(monk
     # every coefficient, fail at most instances.  Doubling r_0 or r_1, or
     # moving a coefficient of V_{1,1}, breaks label symmetry at build
     matrix = {}
-    for name, (attr, value) in kill_mutants().items():
+    for name, install in kill_mutants().items():
         with monkeypatch.context() as m:
-            m.setattr(recursion, attr, value)
+            install(m)
             matrix[name] = kill_row(8)
     assert matrix["r_2 x2"] == {
         "string": (0, 153),
@@ -457,7 +456,7 @@ def test_perturbed_correlator_fails_dvv_but_passes_validation():
     clean = perturbed_table((0, 5), (1, 1, 0, 0, 0), eps=0)
     assert all(r.passed for r in run_relation_suite(clean, "dvv", 2))
     wrong = perturbed_table((0, 5), (1, 1, 0, 0, 0))
-    validate_volume(0, 5, wrong._stored(0, 5))
+    validate_volume(0, 5, numerators(wrong._stored(0, 5))[1])
     failed = [r for r in run_relation_suite(wrong, "dvv", 2) if not r.passed]
     assert [r.alpha for r in failed] == [(0, 1, 1, 0, 0), (1, 1, 0, 0, 0)]
 
@@ -658,6 +657,13 @@ def test_relations_raise_outside_their_domain(check, g, arg, message):
     t = VolumeTable()
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check(t, g, arg)
+    assert not t.signatures()
+
+
+def test_unknown_relation_raises_before_reading_the_table():
+    t = VolumeTable()
+    with pytest.raises(ValueError, match="^unknown relation 'nope'$"):
+        run_relation_suite(t, "nope", 4)
     assert not t.signatures()
 
 

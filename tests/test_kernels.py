@@ -38,6 +38,16 @@ def test_moment_constants():
     assert all(type(r) is Fraction for r in got)
 
 
+@pytest.mark.parametrize(
+    "moment, args",
+    [(moment_constant, (-1,)), (h_moment, (-1,)), (h_double_moment, (0, -1))],
+    ids=["moment_constant", "h_moment", "h_double_moment"],
+)
+def test_negative_moment_index_rejected(moment, args):
+    with pytest.raises(ValueError, match="non-negative"):
+        moment(*args)
+
+
 @pytest.mark.parametrize("k", range(9))
 def test_moment_degree_and_positivity(k):
     f = F(k)

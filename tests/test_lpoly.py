@@ -42,7 +42,10 @@ def test_pi_coefficient_carries_implied_power():
 
 
 def test_integrate_back_constant():
-    assert LPoly.one(1).integrate_back() == LPoly.one(1)
+    one = LPoly(1, 0, {(0,): Fraction(1)})
+    assert one.integrate_back() == one
+    with pytest.raises(ValueError, match="at least one variable"):
+        LPoly(0, 0).integrate_back()
 
 
 def test_integrate_back_divides_by_odd_integers():
