@@ -6,6 +6,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -192,6 +193,12 @@ def test_intersect_needs_an_alpha(capsys):
     assert_one_line_error(code, err, "the following arguments are required: alpha")
 
 
+def test_intersect_genus_two_top_correlator(capsys):
+    code, out, _ = run(capsys, "intersect", "2", "4")
+    assert code == 0
+    assert "kappa-normalized: 1/1152  (kappa_1 power 0)" in out.splitlines()
+
+
 def test_intersect_alpha_past_the_dimension_prints_zero(capsys):
     # named as such, never as a negative kappa power
     code, out, err = run(capsys, "intersect", "0", "1", "1", "1", "1")
@@ -286,6 +293,8 @@ def test_verify_kernels_suite(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "quadrature" in out and "dD/dx" in out
+    # 90 quadrature records and four identity checks
+    assert sum(line.startswith("kernels PASS ") for line in out.splitlines()) == 94
 
 
 # Every output format that renders a coefficient with its pi power.  The
@@ -408,13 +417,16 @@ def test_usage_error_exit_code(capsys):
         "table-cache", "diag-zograf-cache",
     ],
 )
-def test_argparse_usage_error_in_one_short_line(capsys, argv, words):
+def test_argparse_usage_error_in_one_short_line(tmp_path, capsys, monkeypatch, argv, words):
     # argparse printed its usage text and echoed the whole argument: 5213
     # bytes on four lines for a 5000-digit genus
+    monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert out == ""
     assert_one_line_error(code, err, words)
     assert len(err.encode()) < 250
+    # table wrote no --out file
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(
@@ -444,8 +456,8 @@ def test_invariant_violation_exits_in_one_line(capsys, monkeypatch):
 
 
 def test_installed_script_output_pins(tmp_path, capsys):
-    # the table file and the relation suites byte for byte; compact 12, at
-    # 2.5 s, is pinned in CI only
+    # the table file, the relation suites and the closed-surface volumes
+    # byte for byte, and verify all at dimension 11 to its exit code
     def digest(*argvs):
         h = hashlib.sha256()
         for argv in argvs:
@@ -476,6 +488,20 @@ def test_installed_script_output_pins(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "two-point", "--max-dim", "11")
     assert code == 0
     assert sum(line.startswith("two-point PASS") for line in out.splitlines()) == 16
+    # compact 12 is the one run that reads r_i up to i = 34
+    assert digest(["compact", "12"]) == (
+        "7d5489f2bd2a8ca6e4fd9b966a67661c011cfe7c1b744961469ef8794b3721c3"
+    )
+    assert digest(["compact", "8"], ["compact", "10"]) == (
+        "15c698965e553e1dd79130948408a3c7d06505b96c5f9361fc955d46f8893fdb"
+    )
+    # the relation lines change as relations are added, so only the verdict
+    # is held here; the JSON report once took 6.3 s and 35 MB
+    assert run(capsys, "verify", "all", "--max-dim", "11")[0] == 0
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "all", "--max-dim", "11", "--format", "json")
+    assert code == 0 and json.loads(out)
+    assert time.perf_counter() - start < 60
 
 
 # ----------------------------------------------------------------------
@@ -557,7 +583,7 @@ def test_cache_writer_streams_records(tmp_path):
     assert streamed < joined / 2
 
 
-@pytest.mark.parametrize("max_dim,records", [(6, 411), (7, 753)])
+@pytest.mark.parametrize("max_dim,records", [(4, 102), (6, 411), (7, 753)])
 def test_table_file_holds_the_stored_keys(tmp_path, capsys, max_dim, records):
     from wpvol.cli import load_cache
     from wpvol.recursion import VolumeTable
@@ -618,6 +644,17 @@ def test_cache_untouched_by_warm_query(tmp_path, capsys):
     assert code == 0 and "1/4*pi^4" in out
     assert (path.read_bytes(), path.stat().st_mtime_ns) == before
     assert os.listdir(tmp_path) == ["cache.json"]
+
+
+@pytest.mark.parametrize("max_dim", [6, 9])
+def test_verify_all_output_unchanged_by_its_table_file(tmp_path, capsys, max_dim):
+    # the file holds what the recursion computes, so reading it changes no line
+    path = tmp_path / "table.json"
+    assert run(capsys, "table", "--max-dim", str(max_dim), "--out", str(path))[0] == 0
+    argv = ["verify", "all", "--max-dim", str(max_dim)]
+    computed = run(capsys, *argv)
+    assert computed[0] == 0
+    assert run(capsys, *argv, "--cache", str(path)) == computed
 
 
 @pytest.mark.parametrize(
@@ -1082,13 +1119,8 @@ def test_verify_with_a_doubled_volume_rejected_before_the_kernel_suite(
 
 def test_cache_entry_past_the_reach_rejected_before_any_key(tmp_path, capsys, monkeypatch):
     # one record is not enough to bound n: V_{0,10^6} has n = 10^6 labels
-    from wpvol import cli
-
-    def no_keys(k, d):
-        raise AssertionError("a key was built before the reach was checked")
-
     forbid_table_work(monkeypatch)
-    monkeypatch.setattr(cli, "_sorted_keys", no_keys)
+    forbid_key_work(monkeypatch)
     record = {"alpha": [0], "pi_power": 0, "coeff": "1"}
     path = cache_of(tmp_path, {"0,1000000": [record]})
     code, out, err, peak = run_traced(capsys, "volume", "0", "4", "--cache", str(path))
@@ -1123,6 +1155,15 @@ def forbid_table_work(monkeypatch):
     monkeypatch.setattr(VolumeTable, "ensure", no_work)
     monkeypatch.setattr(VolumeTable, "_stored", no_work)
     monkeypatch.setattr(VolumeTable, "_free1_view", no_work)
+
+
+def forbid_key_work(monkeypatch):
+    from wpvol import cli
+
+    def no_keys(k, d):
+        raise AssertionError("a key was built before the reach was checked")
+
+    monkeypatch.setattr(cli, "_sorted_keys", no_keys)
 
 
 def forbid_kernel_work(monkeypatch):
@@ -1205,6 +1246,14 @@ def write_bad_cache(tmp_path, kind):
         path.write_text(json.dumps(dict(stamps, entries={})))
     elif kind == "directory":
         path.mkdir()
+    elif kind == "deep":
+        path.write_text("[" * 100_000)
+    elif kind == "wide":
+        cache_of(tmp_path, {"0,44": []})
+    elif kind == "huge":
+        cache_of(tmp_path, {"0,1000000000": []})
+    elif kind == "past-the-reach":
+        cache_of(tmp_path, {"0,1000000000": [{"alpha": [0], "pi_power": 0, "coeff": "1"}]})
     return path
 
 
@@ -1213,6 +1262,10 @@ BAD_CACHE_WORDS = {
     "not-json": "not a JSON file",
     "version-1": "version 1",
     "directory": "exists and is not a regular file",
+    "deep": "not a JSON file",
+    "wide": "entry '0,44' holds no terms",
+    "huge": "entry '0,1000000000' holds no terms",
+    "past-the-reach": "entry '0,1000000000' needs dimension 3g-3+n = 999999997",
 }
 
 
@@ -1222,6 +1275,7 @@ def test_bad_cache_rejected_before_work(tmp_path, capsys, monkeypatch, command, 
     # verify all ran the whole kernel suite, printing its PASS lines, and a
     # missing file was created by the write-back
     forbid_table_work(monkeypatch)
+    forbid_key_work(monkeypatch)
     forbid_kernel_work(monkeypatch)
     monkeypatch.chdir(tmp_path)
     path = write_bad_cache(tmp_path, kind)
@@ -1229,6 +1283,7 @@ def test_bad_cache_rejected_before_work(tmp_path, capsys, monkeypatch, command, 
     code, out, err = run(capsys, *TABLE_COMMANDS[command], "--cache", "cache.json")
     assert out == ""
     assert_one_line_error(code, err, "cache.json", BAD_CACHE_WORDS[kind])
+    assert len(err.encode()) <= 200
     assert sorted(os.listdir(tmp_path)) == before
     assert kind != "not-json" or path.read_text() == "not a cache"
 
@@ -1370,16 +1425,17 @@ def test_verify_runs_without_numpy():
     env = dict(os.environ, PYTHONPATH=src)
     # numpy is a test dependency only: with it blocked, importing the
     # oracle and running every kernel and relation check still works
-    probe = (
-        "import sys, wpvol.oracle; assert 'numpy' not in sys.modules; "
-        "sys.modules['numpy'] = None; "
-        "from wpvol.cli import main; "
-        "sys.exit(main(['verify', 'all', '--max-dim', '4']))"
-    )
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("kernels PASS ") == 94
-    assert "FAIL" not in proc.stdout
+    for argv in (["verify", "kernels"], ["verify", "all", "--max-dim", "4"]):
+        probe = (
+            "import sys, wpvol.oracle; assert 'numpy' not in sys.modules; "
+            "sys.modules['numpy'] = None; "
+            "from wpvol.cli import main; "
+            f"sys.exit(main({argv!r}))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("kernels PASS ") == 94
+        assert "FAIL" not in proc.stdout
 
 
 @pytest.mark.parametrize(
@@ -1535,3 +1591,25 @@ def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
         assert argv[0] == "wpvol"
         code, _, err = run(capsys, *argv[1:])
         assert code == 0, f"{line}: {err}"
+
+
+def test_readme_guarantees_name_existing_tests():
+    # each row of the README's Guarantees table names the tier-1 tests that
+    # enforce it, as `tests/<file>::<test>`; a renamed or deleted test fails here
+    import ast
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Guarantees\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")][2:]
+    assert len(rows) >= 8
+    defined = {}
+    for row in rows:
+        names = re.findall(r"`tests/([^`:]+)::([^`]+)`", row.rsplit("|", 2)[1])
+        assert names, row
+        for module, test in names:
+            if module not in defined:
+                with open(os.path.join(root, "tests", module), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                defined[module] = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+            assert test.startswith("test_") and test in defined[module], f"{module}::{test}"

@@ -597,6 +597,22 @@ def test_memoized_pairs_cannot_show_in_any_output(tmp_path):
                 assert value.kappa == q / 2**value.m, (g, alpha)
 
 
+def test_intersect_reads_the_table_through_two_readers_alone():
+    # only recursion.py knows the stored rows: intersect reads a table
+    # through intersection_pair and at_two_pi_i, never through _free1_view
+    import ast
+
+    import wpvol.intersect
+
+    with open(wpvol.intersect.__file__, encoding="utf-8") as fh:
+        source = fh.read()
+    nodes = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute)]
+    read = {n.attr for n in nodes if isinstance(n.value, ast.Name) and n.value.id == "table"}
+    assert read == {"intersection_pair", "at_two_pi_i"}
+    assert not [n.attr for n in nodes if n.attr.startswith("_")]
+    assert "_free1_view" not in source
+
+
 def test_correlators_positive_in_range(table):
     for g, n in iter_signatures(4):
         d = moduli_dim(g, n)
